@@ -8,6 +8,14 @@ b-collapsible when collapses at free faces of size ≤ b (dimension
 ≤ b−1) reduce it to the empty complex; the trailing collapse at the
 empty face is implicit and never recorded.
 
+One collapse search serves both the ``is_d_collapsible`` oracle and the
+sweep's star fallback.  It is iterative (an explicit stack, one face set
+edited in place and restored on backtrack), computes the facets once per
+search state, reads each free face's removal set off the faces between
+it and its facet, and memoizes failed states.  The oracle tries the free
+faces that remove the most faces first, the fallback the smallest; both
+then break ties by the sorted face.
+
 ``sweep_collapse`` drives a nerve of trace sets down to nothing while
 maintaining, at every iteration, a family whose nerve equals the
 current complex exactly.  Each iteration picks the face whose
@@ -255,13 +263,106 @@ def elementary_collapse(
     return SimplicialComplex(K.faces - removed), step
 
 
+def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] | None:
+    """Collapses at free faces of size ≤ ``bound`` that remove exactly
+    the faces in ``todo``, tried in ``order(sigma, facet)``; None when no
+    order does.
+
+    ``todo`` holds nonempty faces of a complex and is closed upward in it
+    (every face containing a ``todo`` face is in ``todo``).  Collapses
+    keep it so and never touch the faces outside it, so facets, free
+    faces and removal sets are all read off the faces still to remove.
+    A face is a facet unless it equals g − {v} for a face g; a face is
+    free when exactly one facet contains it; the faces removed at σ are
+    those between σ and its facet.
+    """
+    canon = {f: f for f in todo}
+    # per face: its faces g − {v} inside ``todo``; per facet, filled the
+    # first time it is one: its subsets of size ≤ bound inside ``todo``
+    boundary = {
+        g: tuple(canon[h] for h in (g - {v} for v in g) if h in canon) for g in todo
+    }
+    facet_subsets: dict = {}
+    remaining = set(todo)
+
+    def free_faces():
+        covered = set()
+        for g in remaining:
+            covered.update(boundary[g])
+        owner: dict = {}
+        for top in remaining:
+            if top in covered:
+                continue
+            subsets = facet_subsets.get(top)
+            if subsets is None:
+                subsets = facet_subsets[top] = tuple(
+                    canon[s]
+                    for k in range(1, min(bound, len(top)) + 1)
+                    for s in map(frozenset, itertools.combinations(top, k))
+                    if s in canon
+                )
+            for sigma in subsets:
+                if sigma in remaining:
+                    owner[sigma] = None if sigma in owner else top
+        free = [(sigma, top) for sigma, top in owner.items() if top is not None]
+        return iter(sorted(free, key=lambda c: order(*c)))
+
+    if not remaining:
+        return []
+    dead: set = set()
+    steps: list[CollapseStep] = []
+    # one frame per state on the current path: (state, untried candidates)
+    frames = [(todo, free_faces())]
+    while frames:
+        state, options = frames[-1]
+        option = next(options, None)
+        if option is None:
+            dead.add(state)
+            frames.pop()
+            if steps:
+                remaining.update(steps.pop().removed_faces)
+            continue
+        sigma, top = option
+        extra = tuple(top - sigma)
+        removed = frozenset(
+            canon[sigma.union(combo)]
+            for k in range(len(extra) + 1)
+            for combo in itertools.combinations(extra, k)
+        )
+        remaining.difference_update(removed)
+        step = CollapseStep(sigma, top, removed)
+        if not remaining:
+            steps.append(step)
+            return steps
+        child = frozenset(remaining)
+        if child in dead:
+            remaining.update(removed)
+            continue
+        steps.append(step)
+        frames.append((child, free_faces()))
+    return None
+
+
+def _most_removed_first(sigma: frozenset, top: frozenset):
+    # 2^|top − σ| faces go with σ
+    return (-(1 << (len(top) - len(sigma))), len(sigma), tuple(sorted(sigma)))
+
+
+def _smallest_first(sigma: frozenset, top: frozenset):
+    return (len(sigma), tuple(sorted(sigma)))
+
+
 def is_d_collapsible(
     K: SimplicialComplex, b: int, face_guard: int | None = None
 ) -> tuple[bool, CollapseSequence | None]:
     """Exhaustive backtracking over collapse orders with free faces of
     size ≤ b.  Collapsibility is order-sensitive, so greedy choices are
-    not enough; failed states are memoized.  Returns a replay-verifiable
-    witness on success, a definitive negative otherwise.
+    not enough.  The search is iterative, so its depth is not bounded by
+    the interpreter's recursion limit; each state computes the facets
+    once, tries the free faces that remove the most faces first (then
+    smaller, then lexicographically least), and failed states are
+    memoized.  Returns a replay-verifiable witness on success, a
+    definitive negative otherwise.
     """
     limit = guard_limit("COLLAPSE_FACES", face_guard)
     if len(K.faces) > limit:
@@ -269,32 +370,7 @@ def is_d_collapsible(
     if b < 1:
         raise ValueError("collapse bound must be ≥ 1")
 
-    dead: set = set()
-
-    def search(faces: frozenset) -> list[CollapseStep] | None:
-        if all(not f for f in faces):
-            return []
-        if faces in dead:
-            return None
-        current = SimplicialComplex(faces)
-        candidates = []
-        for sigma in faces:
-            if not sigma or len(sigma) > b:
-                continue
-            maximal = current.maximal_faces_containing(sigma)
-            if len(maximal) == 1:
-                removed = frozenset(f for f in faces if sigma <= f)
-                candidates.append(
-                    (-len(removed), len(sigma), tuple(sorted(sigma)), sigma, maximal[0], removed)
-                )
-        for _, _, _, sigma, top, removed in sorted(candidates, key=lambda c: c[:3]):
-            rest = search(faces - removed)
-            if rest is not None:
-                return [CollapseStep(sigma, top, removed)] + rest
-        dead.add(faces)
-        return None
-
-    steps = search(K.faces)
+    steps = _collapse_search(frozenset(f for f in K.faces if f), b, _most_removed_first)
     if steps is None:
         return False, None
     return True, CollapseSequence(K, tuple(steps), b)
@@ -378,42 +454,6 @@ def _family_snapshot(family: Mapping[int, TraceSet]) -> dict:
     return {
         lab: tuple(t.points()) for lab, t in sorted(family.items())
     }
-
-
-def _collapse_away(
-    K: SimplicialComplex, block: frozenset, bound: int
-) -> list[CollapseStep] | None:
-    """Search a collapse sequence that removes exactly ``block`` from K.
-
-    ``block`` must be closed upward inside K (every face containing a
-    block face is in the block), so any collapse at a free block face
-    stays inside the block.  Depth-first over candidate faces with
-    memoized dead ends.
-    """
-    dead: set = set()
-
-    def search(faces: frozenset, remaining: frozenset) -> list[CollapseStep] | None:
-        if not remaining:
-            return []
-        if remaining in dead:
-            return None
-        current = SimplicialComplex(faces)
-        candidates = []
-        for sigma in remaining:
-            if len(sigma) > bound:
-                continue
-            maximal = current.maximal_faces_containing(sigma)
-            if len(maximal) == 1:
-                removed = frozenset(f for f in faces if sigma <= f)
-                candidates.append((len(sigma), tuple(sorted(sigma)), sigma, maximal[0], removed))
-        for _, _, sigma, top, removed in sorted(candidates, key=lambda c: c[:2]):
-            rest = search(faces - removed, remaining - removed)
-            if rest is not None:
-                return [CollapseStep(sigma, top, removed)] + rest
-        dead.add(remaining)
-        return None
-
-    return search(K.faces, block)
 
 
 def sweep_collapse(
@@ -530,7 +570,9 @@ def sweep_collapse(
                         pivot=tuple(sorted(pivot)),
                         star=tuple(sorted(star)),
                     )
-                found = _collapse_away(K, block, bound)
+                # a face's joint shrinks as the face grows, so the
+                # block is closed upward, as the search requires
+                found = _collapse_search(block, bound, _smallest_first)
                 if found is None:
                     raise _sweep_diag(
                         "no collapse order removes the fallback block",
@@ -545,7 +587,9 @@ def sweep_collapse(
                 )
                 mode = "star"
 
-        if working:
+        if mode == "truncate":
+            check_faces = K_trunc.faces
+        elif working:
             check_faces = nerve(
                 [working[l] for l in sorted(working)],
                 labels=sorted(working),

@@ -119,6 +119,9 @@ def collapse_suite(trials: int = 1000, seed: int = 7, d_choices=(1, 2, 3)) -> Re
 
 
 def radon_suite(trials: int = 40, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
+    # grounds take min(4, 12 // d) ≥ 2 points per level
+    if any(not 1 <= d <= 6 for d in d_choices):
+        raise ValueError("the radon suite supports d from 1 to 6")
     report = Report(
         "experiment",
         {"suite": "radon", "trials": trials, "d": list(d_choices)},

@@ -119,6 +119,8 @@ def radon_number_bruteforce(ground: PointSet, cap: int) -> int | None:
 
     When no n-subset exists (n > |P|) the condition holds vacuously.
     """
+    if cap < 1:
+        raise ValueError("radon cap must be ≥ 1")
     limit = guard_limit("RADON_POINTS")
     if len(ground) > limit:
         raise GuardExceededError("ground set size", len(ground), limit)

@@ -83,11 +83,15 @@ def max_point_cover(family: Sequence[TraceSet]) -> tuple[int, Point | None]:
 # exact numbers
 
 
-def tau_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[Point, ...]]:
+def tau_exact(
+    family: Sequence[TraceSet], lp_value: Fraction | None = None
+) -> tuple[int, tuple[Point, ...]]:
     """Minimum piercing set via branch and bound.
 
     Lower bounds: the LP optimum at the root, a greedy disjoint packing
     per node.  Branching splits on the cheapest unpierced set's points.
+    ``lp_value`` is the family's τ* when the caller has already solved
+    the LP; otherwise it is solved here.
     """
     _validate_family(family)
     points = candidate_points(family)
@@ -117,7 +121,9 @@ def tau_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[Point, ...]]:
                     blocked.add(l)
         return taken
 
-    root_lb = ceil(fractional_lp(family).value)
+    if lp_value is None:
+        lp_value = fractional_lp(family).value
+    root_lb = ceil(lp_value)
     best = greedy_cover()
     best_size = len(best)
 
@@ -225,7 +231,7 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
 def pierce_all(family: Sequence[TraceSet]) -> PiercingResult:
     """τ, ν and their common fractional value, sandwich-checked."""
     lp = fractional_lp(family)
-    tau, pts = tau_exact(family)
+    tau, pts = tau_exact(family, lp.value)
     nu, sub = nu_exact(family)
     if not (nu <= lp.value <= tau):
         raise TheoremViolationError(

@@ -125,6 +125,16 @@ def test_radon_number_on_the_six_point_ground(tmp_path, capsys):
     assert report["statistics"]["radon_number"] == 5
 
 
+def test_radon_cap_below_one_exits_two(tmp_path, capsys):
+    doc = {"d": 1, "points": [["0", 1], ["1", 1]], "sets": []}
+    path = write(tmp_path, "pts.json", json.dumps(doc))
+    for cap in ("0", "-1"):
+        assert run_command(["radon", path, "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap must be ≥ 1" in captured.err
+
+
 # ------------------------------------------------------------------ colorful
 
 
@@ -332,3 +342,11 @@ def test_experiment_csv_has_a_row_per_trial(tmp_path, capsys):
     assert code == 0
     lines = open(out).read().strip().splitlines()
     assert len(lines) == 4  # header plus one line per trial
+
+
+def test_experiment_radon_rejects_unsupported_d(capsys):
+    assert run_command(["experiment", "--suite", "radon", "--d", "1,7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d from 1 to 6" in captured.err
+    assert "randrange" not in captured.err

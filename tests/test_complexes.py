@@ -180,6 +180,26 @@ def test_sweep_strict_mode_raises_where_truncation_breaks():
     assert res.sequence.replays_to_empty()
 
 
+def test_sweep_star_fallback_removes_its_block_in_many_steps():
+    # every set holds the lone level-2 point, so the nerve is a full
+    # 5-simplex; truncating the pivot {1, 5} past that point also splits
+    # sets 1 and 6, so the fallback must remove every face whose level-1
+    # parts miss each other, one searched collapse at a time
+    P = PointSet(2, (tuple(Fraction(c) for c in (0, 1, 2, 3)), (Fraction(9),)))
+    level_1 = [(0, 1), (0, 0), (0, 0), (1, 1), (3, 3), (2, 3)]
+    fam = [trace_of(DInterval.from_pairs(2, {1: run, 2: (9, 9)}), P) for run in level_1]
+    res = sweep_collapse(fam)
+    star = res.iterations[0]
+    assert star.mode == "star" and sorted(star.pivot_face) == [1, 5]
+    assert len(star.steps) == 10
+    flat = [trace_of(DInterval.from_pairs(2, {1: run}), P) for run in level_1]
+    block = nerve(fam).faces - nerve(flat).faces
+    assert frozenset().union(*(s.removed_faces for s in star.steps)) == block
+    assert [it.mode for it in res.iterations[1:]] == ["delete"] * 6
+    assert all(len(s.free_face) <= 3 for s in res.sequence.steps)
+    assert res.sequence.replays_to_empty()
+
+
 def test_sweep_replays_to_empty_within_the_dimension_bound():
     rng = random.Random(202)
     for _ in range(120):
@@ -259,6 +279,15 @@ def test_full_simplex_collapses_through_vertices_alone():
 def test_collapsibility_guard_is_enforced():
     with pytest.raises(GuardExceededError):
         is_d_collapsible(hollow_triangle(), 2, face_guard=3)
+
+
+def test_oracle_collapses_a_path_longer_than_the_recursion_limit():
+    # 1,100 edges need 1,101 collapses, past the default recursion limit
+    K = SimplicialComplex.from_faces([[i, i + 1] for i in range(1100)])
+    ok, seq = is_d_collapsible(K, 1)
+    assert ok
+    assert len(seq.steps) == 1101
+    assert seq.replays_to_empty()
 
 
 def test_oracle_confirms_the_sweep_bound_on_random_nerves():

@@ -201,6 +201,20 @@ def test_pierce_all_reproduces_the_triple_exactly():
     assert got.lp.certified
 
 
+def test_pierce_all_solves_the_lp_once(monkeypatch):
+    import dintervals.piercing as piercing
+
+    solves = []
+    solve = piercing.fractional_lp
+    monkeypatch.setattr(piercing, "fractional_lp", lambda fam: solves.append(1) or solve(fam))
+    _, fam = triangle_triple()
+    assert pierce_all(fam).tau == 2
+    assert len(solves) == 1
+    # on its own, tau_exact still solves the LP for its root bound
+    assert tau_exact(fam)[0] == 2
+    assert len(solves) == 2
+
+
 def test_sandwich_and_oracles_on_random_families():
     rng = random.Random(401)
     solved = 0
