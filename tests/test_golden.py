@@ -1,9 +1,10 @@
-"""Golden digests of collapse output.
+"""Golden digests of collapse and colorful-tuple output.
 
 Each digest is the sha256 of a canonical JSON rendering: step order is
 kept, every face is a sorted label list and every removal set a sorted
-list of faces.  A refactor of the collapse search, the sweep or the
-piercing pipeline must leave every digest unchanged; a digest that moves
+list of faces; coordinates are rendered as exact strings.  A refactor of
+the collapse search, the sweep, the piercing pipeline or the colorful
+tuple enumeration must leave every digest unchanged; a digest that moves
 means an answer, a witness or a report changed.
 """
 
@@ -11,11 +12,21 @@ import hashlib
 import json
 import random
 
-from dintervals import is_d_collapsible, nerve, sweep_collapse
+from dintervals import (
+    ColorfulHellyProperty,
+    DIntervalError,
+    cfh_stats,
+    colorful_helly_points,
+    is_d_collapsible,
+    nerve,
+    pq_check,
+    sweep_collapse,
+)
 from dintervals.experiments import run_suite
 from helpers import random_ground, random_trace
 
 FAMILIES = 102
+COLORFUL_INSTANCES = 1500
 
 GOLDEN = {
     "sweep": (
@@ -42,11 +53,32 @@ GOLDEN = {
         "3ae32aa83bec46b6f1da32b2117d3e66"
         "fbf1cf9bfb4036857d67d2f2dd6ecd31"
     ),
+    "colorful-check": (
+        "a059cb0db0ddbdcfc532faa62575220c"
+        "28b19faa8738e4ddd75bdafbee3cdc9c"
+    ),
+    "colorful-points": (
+        "299bad055ed84576e94e755f104eb4b8"
+        "69c6c925f89af86c5f28893aee0fc5fb"
+    ),
+    "colorful-cfh": (
+        "889179438b0f5b4a64199af06fc4e503"
+        "51390bda4e98446edca52d563751196f"
+    ),
+    "colorful-pq-first": (
+        "81326898700bb14414101429e6d19cb1"
+        "f30a3b546522799d479fbf7d7ac78c95"
+    ),
+    "suite-colorful": (
+        "15f19c01ead8d5fa716cd75c7e11eee4"
+        "088313d851dc520a5c77cb9763f6eee1"
+    ),
 }
 
 
 def _digest(value) -> str:
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    # default=str renders Fractions exactly ("3/2")
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -107,3 +139,83 @@ def test_suite_reports_match_the_golden_digests():
     for suite in ("collapse", "oracle-agreement", "pierce"):
         text = run_suite(suite).json_text(include_timing=False)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[f"suite-{suite}"], suite
+
+
+def _colorful_instances():
+    """Seeded (d, k, families) with 2d−k+1 families of 0–3 traces each:
+    narrow grounds and low empty bias so a sizable share of instances
+    has every colorful tuple k-intersecting."""
+    rng = random.Random(20250108)
+    for i in range(COLORFUL_INSTANCES):
+        d = 1 + i % 3
+        k = 1 + rng.randrange(d)
+        ground = random_ground(rng, d, max_per_level=4)
+        bias = rng.choice((0.0, 0.1, 0.3))
+        families = [
+            [random_trace(rng, ground, bias) for _ in range(rng.choice((0,) + (1, 2, 3) * 12))]
+            for _ in range(2 * d - k + 1)
+        ]
+        q = 1 + rng.randrange(max(1, min(len(families), *map(len, families))))
+        p = rng.randrange(q, max(q, min(map(len, families[:q]))) + 1)
+        yield ground, k, families, p, q
+
+
+def _outcome(call):
+    """The call's result, or its error with every field it carries."""
+    try:
+        return ["ok", call()]
+    except (DIntervalError, ValueError) as exc:
+        return [
+            type(exc).__name__,
+            str(exc),
+            getattr(exc, "witness", None),
+            getattr(exc, "diagnostics", None),
+        ]
+
+
+def _selection(families, k, designated):
+    sel = colorful_helly_points(families, k, designated=designated)
+    return [sel.points, sel.designated, sel.minimizing_tuple, str(sel.minimum)]
+
+
+def _cfh(families):
+    rep = cfh_stats(families)
+    return [rep.verdict, rep.parameters, rep.statistics]
+
+
+def _colorful_outputs():
+    checks, points, cfh, pq = [], [], [], []
+    for ground, k, families, p, q in _colorful_instances():
+        checks.append(ColorfulHellyProperty(k).check(ground, families))
+        points.append(
+            [
+                _outcome(lambda: _selection(families, k, designated))
+                for designated in (None, *range(len(families)))
+            ]
+        )
+        if k == 1:
+            cfh.append(_outcome(lambda: _cfh(families)))
+        pq.append([p, q, _outcome(lambda: pq_check(families[:q], p, q, "colorful-first"))])
+    return checks, points, cfh, pq
+
+
+def test_colorful_tuple_outputs_match_the_golden_digests():
+    checks, points, cfh, pq = _colorful_outputs()
+    # both verdicts of the property occur, and so do both kinds of outcome
+    assert any(checks) and not all(checks)
+    kinds = {outcome[0] for row in points for outcome in row}
+    assert {"ok", "PreconditionError", "TheoremViolationError"} <= kinds
+    assert any(r[2][0] == "ok" and r[2][1][0] for r in pq)
+    assert any(r[2][0] == "ok" and not r[2][1][0] for r in pq)
+    assert _digest(checks) == GOLDEN["colorful-check"]
+    assert _digest(points) == GOLDEN["colorful-points"]
+    assert _digest(cfh) == GOLDEN["colorful-cfh"]
+    assert _digest(pq) == GOLDEN["colorful-pq-first"]
+
+
+def test_colorful_suite_reports_match_the_golden_digests():
+    text = ""
+    for suite, trials in (("colorful-helly", 15), ("frac-helly", 40)):
+        report = run_suite(suite, trials=trials)
+        text += report.json_text(include_timing=False) + report.csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["suite-colorful"]
