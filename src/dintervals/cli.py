@@ -402,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--rotate",
         type=int,
         default=None,
-        help="designated family index (mod family count); default last",
+        help=(
+            "designated family index (mod family count); by default every "
+            "family is tried and the one the minimizing tuple omits is reported"
+        ),
     )
     s.set_defaults(handler=cmd_colorful_helly)
 

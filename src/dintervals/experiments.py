@@ -8,6 +8,7 @@ the whole corpus; witnesses carry the first failure in full.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import ceil
@@ -140,9 +141,7 @@ def radon_suite(trials: int = 40, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
         row = {"trial": t, "d": d, "points": len(ground), "ok": True}
         try:
             pts = sorted(ground.points(), key=lambda p: (p.level, p.coord))
-            import itertools as _it
-
-            for subset in _it.combinations(pts, 2 * d + 1):
+            for subset in itertools.combinations(pts, 2 * d + 1):
                 part = radon_partition(ground, subset)
                 if part is None or not part.verify(ground):
                     raise TheoremViolationError(
@@ -368,7 +367,6 @@ def pierce_suite(trials: int = 220, seed: int = 7, d_choices=(1, 2, 3)) -> Repor
         failures=failures, blowup_failures=blowup_failures, solved=solved
     )
     report.verdicts["duality_and_sandwich"] = failures == 0
-    report.statistics["solved"] = solved
     return report
 
 
@@ -439,8 +437,6 @@ def pq_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
 
 
 def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
-    import itertools as _it
-
     report = Report(
         "experiment",
         {"suite": "maxima-witness", "trials": trials, "d": list(d_choices)},
@@ -474,7 +470,7 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
             # oracle: some subfamily within the size bound matches f
             brute = False
             for size in range(1, min(bound, len(family)) + 1):
-                for idx in _it.combinations(range(len(family)), size):
+                for idx in itertools.combinations(range(len(family)), size):
                     joint, _ = intersect_all([family[j] for j in idx])
                     if f_value(joint) == target:
                         brute = True
@@ -551,6 +547,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 7, d_choices=Non
     fn = SUITES[name]
     kwargs = {"seed": seed}
     if trials is not None:
+        if trials < 1:
+            raise ValueError("trials must be ≥ 1")
         kwargs["trials"] = trials
     if d_choices is not None:
         kwargs["d_choices"] = tuple(d_choices)

@@ -16,7 +16,15 @@ from typing import Callable, Sequence
 
 from .config import guard_limit
 from .errors import TheoremViolationError
-from .geometry import DInterval, Point, PointSet, TraceSet, intersect_all, trace_of
+from .geometry import (
+    DInterval,
+    Point,
+    PointSet,
+    TraceSet,
+    colorful_tuples,
+    intersect_all,
+    trace_of,
+)
 from .helly import frac_helly_stats, radon_partition
 from .piercing import pq_check
 from .rationals import parse_rational
@@ -219,20 +227,11 @@ class ColorfulHellyProperty:
     def check(self, ground: PointSet, families) -> bool:
         if any(not fam for fam in families):
             return False
-
-        # prefix intersections only shrink, so a thin prefix kills every
-        # completion; rejection sampling leans hard on this early exit
-        def rec(i: int, joint) -> bool:
-            if joint is not None and joint.level_count < self.k:
-                return False
-            if i == len(families):
-                return True
-            return all(
-                rec(i + 1, t if joint is None else intersect_all([joint, t])[0])
-                for t in families[i]
-            )
-
-        return rec(0, None)
+        # rejection sampling leans hard on the walk's cut of thin prefixes
+        return all(
+            joint.level_count >= self.k
+            for _, joint in colorful_tuples(families, self.k)
+        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ per-level maxima (−∞ on empty levels), ordered lexicographically with
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -366,6 +365,48 @@ def k_intersects(traces: Sequence[TraceSet], k: int) -> bool:
     return intersect_all(traces)[1] >= k
 
 
+def colorful_tuples(
+    families: Sequence[Sequence[TraceSet]], k: int
+) -> Iterator[tuple[tuple[int, ...], TraceSet]]:
+    """Colorful tuples (one member from each family, by index) with their
+    intersections, depth first in index order.
+
+    Yields ``(indices, intersection)`` for every full tuple and, once,
+    for each prefix whose intersection meets fewer than k levels; such a
+    prefix is not extended, because intersections only shrink.  Callers
+    tell the two apart by ``intersection.level_count < k``.  With k ≤ 0
+    no prefix is cut and the yields are exactly the full tuples.
+    """
+    if not families:
+        return
+    last = len(families) - 1
+    # picks[i] is the member taken from family i on the current prefix,
+    # joints[i] the intersection of the prefix through family i
+    picks: list[int] = []
+    joints: list[TraceSet] = []
+    j = 0
+    while True:
+        i = len(picks)
+        if j < len(families[i]):
+            t = families[i][j]
+            if i:
+                joint, levels = intersect_all([joints[-1], t])
+            else:
+                joint, levels = t, t.level_count
+            if levels < k or i == last:
+                yield (*picks, j), joint
+                j += 1
+            else:
+                picks.append(j)
+                joints.append(joint)
+                j = 0
+        elif picks:
+            j = picks.pop() + 1
+            joints.pop()
+        else:
+            return
+
+
 def minimal_dinterval(trace: TraceSet) -> DInterval:
     """Smallest separated d-interval whose trace is the given one."""
     pieces = []
@@ -382,21 +423,3 @@ def minimal_dinterval(trace: TraceSet) -> DInterval:
 def f_value(trace: TraceSet) -> LexValue:
     """Sweep value: per-level maxima with −∞ on empty levels."""
     return LexValue(tuple(trace.level_max(lvl) for lvl in range(1, trace.ground.d + 1)))
-
-
-def common_ground(traces: Iterable[TraceSet]) -> PointSet:
-    grounds = {t.ground for t in traces}
-    if len(grounds) != 1:
-        raise GroundSetMismatchError("family spans several ground sets")
-    return next(iter(grounds))
-
-
-def subfamily(traces: Sequence[TraceSet], indices: Iterable[int]) -> list[TraceSet]:
-    return [traces[i] for i in indices]
-
-
-def all_subsets(items: Sequence, min_size: int = 1, max_size: int | None = None):
-    """Utility: subsets by increasing size (used by brute-force oracles)."""
-    top = len(items) if max_size is None else min(max_size, len(items))
-    for size in range(min_size, top + 1):
-        yield from itertools.combinations(items, size)

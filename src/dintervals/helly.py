@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .config import guard_limit
@@ -26,6 +26,7 @@ from .geometry import (
     Point,
     PointSet,
     TraceSet,
+    colorful_tuples,
     f_value,
     hull,
     intersect_all,
@@ -238,6 +239,16 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
 # colorful Helly
 
 
+def _colorful_work(families: Sequence[Sequence[TraceSet]], work_guard: int | None) -> int:
+    """Number of colorful tuples; raises when that times the family count
+    exceeds the work guard."""
+    work = prod(len(fam) for fam in families)
+    limit = guard_limit("PQ_WORK", work_guard)
+    if work * len(families) > limit:
+        raise GuardExceededError("colorful tuple enumeration", work * len(families), limit)
+    return work
+
+
 @dataclass(frozen=True)
 class ColorfulSelection:
     points: tuple[Point, ...]
@@ -263,6 +274,10 @@ def colorful_helly_points(
     the minimization to the other families and asserts the claim for
     that fixed family — a strictly stronger statement that can fail;
     the failure is reported as a violation with full diagnostics.
+
+    Both the precondition check and the minimization walk the tuples
+    with ``geometry.colorful_tuples``; the check stops at the first
+    prefix below k levels and reports it, padded with zeros, as witness.
     """
     if not families or not families[0]:
         raise ValueError("families must be nonempty")
@@ -277,52 +292,23 @@ def colorful_helly_points(
     if designated is not None and not 0 <= designated < arity:
         raise ValueError("designated index out of range")
 
-    work = 1
-    for fam in families:
-        work *= len(fam)
-    limit = guard_limit("PQ_WORK", work_guard)
-    if work * arity > limit:
-        raise GuardExceededError("colorful tuple enumeration", work * arity, limit)
-
-    # shared-prefix walk; a prefix below k levels dooms every completion,
-    # and any completion of it serves as the violating witness
-    def confirm(i: int, joint, combo: tuple[int, ...]):
-        if joint is not None and joint.level_count < k:
+    _colorful_work(families, work_guard)
+    # any completion of a thin prefix serves as the violating witness
+    for combo, joint in colorful_tuples(families, k):
+        if joint.level_count < k:
             raise PreconditionError(
                 "a colorful tuple fails to k-intersect",
-                witness=combo + (0,) * (arity - i),
+                witness=combo + (0,) * (arity - len(combo)),
             )
-        if i == arity:
-            return
-        for j, t in enumerate(families[i]):
-            confirm(i + 1, t if joint is None else intersect_all([joint, t])[0], combo + (j,))
-
-    confirm(0, None, ())
 
     omit_candidates = range(arity) if designated is None else (designated,)
-    best: tuple[LexValue, int, tuple[int, ...]] | None = None
-
-    for omit in omit_candidates:
-        drawing = [i for i in range(arity) if i != omit]
-
-        def minimize(pos: int, joint, combo: tuple[int, ...]):
-            nonlocal best
-            if pos == len(drawing):
-                key = (f_value(joint), omit, combo)
-                if best is None or key < best:
-                    best = key
-                return
-            for j, t in enumerate(families[drawing[pos]]):
-                minimize(
-                    pos + 1,
-                    t if joint is None else intersect_all([joint, t])[0],
-                    combo + (j,),
-                )
-
-        minimize(0, None, ())
-
-    assert best is not None
-    minimum, claim_family, combo = best
+    minimum, claim_family, combo = min(
+        (f_value(joint), omit, combo)
+        for omit in omit_candidates
+        for combo, joint in colorful_tuples(
+            [fam for i, fam in enumerate(families) if i != omit], 0
+        )
+    )
     finite = minimum.finite_items()
     if len(finite) < k:
         raise TheoremViolationError(
@@ -436,18 +422,8 @@ def cfh_stats(
         raise ValueError(f"expected {2 * d} families, got {len(families)}")
     ground = families[0][0].ground
 
-    work = 1
-    for fam in families:
-        work *= len(fam)
-    limit = guard_limit("PQ_WORK", work_guard)
-    if work * 2 * d > limit:
-        raise GuardExceededError("colorful tuple enumeration", work * 2 * d, limit)
-
-    hitting = 0
-    for combo in itertools.product(*families):
-        joint, _ = intersect_all(list(combo))
-        if not joint.is_empty:
-            hitting += 1
+    work = _colorful_work(families, work_guard)
+    hitting = sum(1 for _, joint in colorful_tuples(families, 1) if not joint.is_empty)
     alpha = Fraction(hitting, work)
 
     betas = []

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .geometry import Point, TraceSet, intersect_all
+from .geometry import Point, TraceSet, colorful_tuples, intersect_all
 from .lp import SimplexOutcome, simplex_maximize
 
 
@@ -294,16 +294,8 @@ def pq_check(
         for choices in itertools.product(
             *(itertools.combinations(range(len(f)), p) for f in families)
         ):
-            ok = False
-            for picks in itertools.product(range(p), repeat=q):
-                members = [
-                    families[i][choices[i][picks[i]]] for i in range(q)
-                ]
-                joint, _ = intersect_all(members)
-                if not joint.is_empty:
-                    ok = True
-                    break
-            if not ok:
+            picked = [[fam[j] for j in choice] for fam, choice in zip(families, choices)]
+            if not any(not joint.is_empty for _, joint in colorful_tuples(picked, 1)):
                 return False, choices
         return True, None
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
     """Parse an exact rational from a string, int, or Fraction.

@@ -350,3 +350,11 @@ def test_experiment_radon_rejects_unsupported_d(capsys):
     assert captured.out == ""
     assert "d from 1 to 6" in captured.err
     assert "randrange" not in captured.err
+
+
+def test_experiment_rejects_trials_below_one(capsys):
+    for trials in ("0", "-3"):
+        assert run_command(["experiment", "--suite", "collapse", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be ≥ 1" in captured.err

@@ -1,5 +1,6 @@
 """Exact-rational geometry of traces: pinned values plus randomized laws."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dintervals import (
     minimal_dinterval,
     trace_of,
 )
+from dintervals.geometry import colorful_tuples
 from helpers import p6, random_ground, random_subset, random_trace
 
 
@@ -118,6 +120,41 @@ def test_intersect_all_rejects_mixed_ground_sets():
     Q = PointSet(2, ((Fraction(0),), (Fraction(0),)))
     with pytest.raises(GroundSetMismatchError):
         intersect_all([TraceSet.empty(P), TraceSet.empty(Q)])
+
+
+# --------------------------------------------------------- colorful_tuples
+
+
+def test_colorful_tuples_match_a_product_brute_force():
+    rng = random.Random(31)
+    for _ in range(300):
+        d = rng.randrange(1, 4)
+        k = rng.randrange(1, d + 1)
+        ground = random_ground(rng, d, max_per_level=4)
+        families = [
+            [random_trace(rng, ground, 0.2) for _ in range(rng.randrange(1, 4))]
+            for _ in range(rng.randrange(1, 5))
+        ]
+        combos = list(itertools.product(*(range(len(f)) for f in families)))
+        # with no cut the walk is the product itself
+        assert [combo for combo, _ in colorful_tuples(families, 0)] == combos
+        expected = []
+        for combo in combos:
+            levels = [
+                intersect_all([families[i][j] for i, j in enumerate(combo[:n])])[1]
+                for n in range(1, len(combo) + 1)
+            ]
+            thin = next((n for n, c in enumerate(levels, 1) if c < k), None)
+            prefix = combo if thin is None else combo[:thin]
+            if not expected or expected[-1] != prefix:
+                expected.append(prefix)
+        got = list(colorful_tuples(families, k))
+        assert [combo for combo, _ in got] == expected
+        for combo, joint in got:
+            members = [families[i][j] for i, j in enumerate(combo)]
+            assert joint == intersect_all(members)[0]
+            if len(combo) < len(families):
+                assert joint.level_count < k
 
 
 # ------------------------------------------------------- minimal_dinterval
