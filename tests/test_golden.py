@@ -1,20 +1,28 @@
-"""Golden digests of collapse and colorful-tuple output.
+"""Golden digests of collapse, colorful-tuple and corpus-suite output.
 
 Each digest is the sha256 of a canonical JSON rendering: step order is
 kept, every face is a sorted label list and every removal set a sorted
-list of faces; coordinates are rendered as exact strings.  A refactor of
-the collapse search, the sweep, the piercing pipeline or the colorful
-tuple enumeration must leave every digest unchanged; a digest that moves
-means an answer, a witness or a report changed.
+list of faces; coordinates are rendered as exact strings.  Suite reports
+are digested as their JSON (without timing) and CSV text, on the default
+corpora and on corpora whose checkers fail on a fixed pattern.  A
+refactor of the collapse search, the sweep, the piercing pipeline, the
+colorful tuple enumeration or the suite driver must leave every digest
+unchanged; a digest that moves means an answer, a witness or a report
+changed.
 """
 
 import hashlib
+import itertools
 import json
 import random
+
+import pytest
 
 from dintervals import (
     ColorfulHellyProperty,
     DIntervalError,
+    GuardExceededError,
+    TheoremViolationError,
     cfh_stats,
     colorful_helly_points,
     is_d_collapsible,
@@ -22,6 +30,8 @@ from dintervals import (
     pq_check,
     sweep_collapse,
 )
+from dintervals import experiments
+from dintervals.cli import run_command
 from dintervals.experiments import run_suite
 from helpers import random_ground, random_trace
 
@@ -72,6 +82,74 @@ GOLDEN = {
     "suite-colorful": (
         "15f19c01ead8d5fa716cd75c7e11eee4"
         "088313d851dc520a5c77cb9763f6eee1"
+    ),
+    "suite-collapse-csv": (
+        "610010b02da021004866b38c78df92fc"
+        "91fe62cd04b8a8f077ca099abba52f94"
+    ),
+    "suite-oracle-agreement-csv": (
+        "6e2d0a7fd597be8160df841d13849eef"
+        "844fad59cb8c361229e89158d26ef9d9"
+    ),
+    "suite-pierce-csv": (
+        "c4eb37025a4818ee0efc53d8803b4cc9"
+        "05a738e114ae930730ad0258ad55c848"
+    ),
+    "suite-radon": (
+        "12cbe358c3ecb3042cbb836c919b2a48"
+        "fc3f82d6040bfda4c89d7053af565e28"
+    ),
+    "suite-helly": (
+        "67abb879dd78da7de1e1d2fbeb7ea964"
+        "69a69fa7b9d4ca0477677de44929cc8a"
+    ),
+    "suite-piercing-bound": (
+        "52b51f74553bc4ab7409a6c12193a2ef"
+        "bb597ffd9d0d503c1351266a6c1f3ad4"
+    ),
+    "suite-pq": (
+        "a2b5fda8e36f2df5a19f732949c0f514"
+        "4b79187bae7d6e3b3b77841e956247f9"
+    ),
+    "suite-maxima-witness": (
+        "8116b3dc0d1d01e2660094d5d1f2a95e"
+        "87b8549bd568cf38e21c29f94d0e841c"
+    ),
+    "fault-collapse": (
+        "ab69fd5271b0257f29d75e369efcab97"
+        "b0e48dec8f00e039d86acba7ef2d5ad4"
+    ),
+    "fault-radon": (
+        "1eec740ce269c3ff0013760d0508b739"
+        "e08e086867a8988d8684f0ebcce218a9"
+    ),
+    "fault-helly": (
+        "83d1dadcb4d1011a35887f4136132e65"
+        "35b14c9566bba2bf894c5bf4a945df39"
+    ),
+    "fault-colorful-helly": (
+        "e7d488aacdc388dc53001a5dbf1de874"
+        "8139b78a55cd35063f8fa544b6290e60"
+    ),
+    "fault-frac-helly": (
+        "4bbf5d087df51465aadbf76e93352f6f"
+        "7c8bb0c38841514805c13ee5fcaffbb4"
+    ),
+    "fault-pierce": (
+        "786ea493e8ab5f42aff56464b4dfe505"
+        "acb86c216af6c25f1e973f9e052d6224"
+    ),
+    "fault-piercing-bound": (
+        "849a7b4bb2f8f49c5f30004b86303fac"
+        "ba06c282ff0e693591b5a71c34e58a79"
+    ),
+    "fault-maxima-witness": (
+        "977e46c84640f5b2e9a67ec98757f84f"
+        "4f1aab58de2a5d896108499be02104ed"
+    ),
+    "fault-oracle-agreement": (
+        "b3337b5e0ee78ddb2f2e1530186eef32"
+        "f4f065ba18cd46e6a24898c62cbf97e2"
     ),
 }
 
@@ -135,10 +213,88 @@ def test_collapse_witnesses_match_the_golden_digests():
     assert _digest(bound_top) == GOLDEN["oracle-bound-2d-1"]
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_text(report) -> str:
+    return report.json_text(include_timing=False) + report.csv_text()
+
+
 def test_suite_reports_match_the_golden_digests():
     for suite in ("collapse", "oracle-agreement", "pierce"):
-        text = run_suite(suite).json_text(include_timing=False)
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[f"suite-{suite}"], suite
+        report = run_suite(suite)
+        assert _sha(report.json_text(include_timing=False)) == GOLDEN[f"suite-{suite}"], suite
+        assert _sha(report.csv_text()) == GOLDEN[f"suite-{suite}-csv"], suite
+    for suite in ("radon", "helly", "piercing-bound", "pq", "maxima-witness"):
+        assert _sha(_report_text(run_suite(suite))) == GOLDEN[f"suite-{suite}"], suite
+
+
+# checker name in dintervals.experiments -> what goes wrong on every
+# third call: it raises, or its verdict comes back negated
+FAULTS = {
+    "sweep_collapse": "raise",
+    "radon_number_bruteforce": "raise",
+    "pierce_all": "raise",
+    "maxima_witness_subfamily": "raise",
+    "colorful_helly_points": "raise",
+    "helly_check": "flip",
+    "piercing_bound_check": "flip",
+    "frac_helly_stats": "flip",
+    "cfh_stats": "flip",
+}
+
+# suite -> trials; the default corpora never fail, these do
+FAULT_TRIALS = {
+    "collapse": 40,
+    "radon": 20,
+    "helly": 40,
+    "colorful-helly": 4,
+    "frac-helly": 15,
+    "pierce": 40,
+    "piercing-bound": 40,
+    "maxima-witness": 40,
+    "oracle-agreement": 40,
+}
+
+
+def _faulty(fn, how):
+    calls = itertools.count()
+
+    def checker(*args, **kwargs):
+        n = next(calls)
+        if how == "raise" and n % 3 == 1:
+            raise TheoremViolationError(f"injected fault at call {n}")
+        result = fn(*args, **kwargs)
+        if how == "flip" and n % 3 == 1:
+            if isinstance(result, tuple):
+                return (not result[0], *result[1:])
+            result.verdict = not result.verdict
+        return result
+
+    return checker
+
+
+def test_failing_suite_reports_match_the_golden_digests(monkeypatch):
+    for suite, trials in FAULT_TRIALS.items():
+        with monkeypatch.context() as mp:
+            for name, how in FAULTS.items():
+                mp.setattr(experiments, name, _faulty(getattr(experiments, name), how))
+            report = run_suite(suite, trials=trials)
+        assert not report.passed, suite
+        assert _sha(_report_text(report)) == GOLDEN[f"fault-{suite}"], suite
+
+
+def test_a_guard_overrun_in_a_suite_propagates(monkeypatch, capsys):
+    # the collapse suite records only sweep and theorem failures
+    def overrun(family):
+        raise GuardExceededError("nerve family size", 99, 20)
+
+    monkeypatch.setattr(experiments, "sweep_collapse", overrun)
+    with pytest.raises(GuardExceededError):
+        run_suite("collapse", trials=2)
+    assert run_command(["experiment", "--suite", "collapse", "--trials", "2"]) == 2
+    assert "error: nerve family size" in capsys.readouterr().err
 
 
 def _colorful_instances():
