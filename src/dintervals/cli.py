@@ -10,9 +10,9 @@ it exits 0 whichever way the answer goes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
-from fractions import Fraction
 
 from .complexes import is_d_collapsible, nerve, sweep_collapse
 from .errors import (
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("nerve", help="intersection complex of the sets")
     _add_io(s)
     s.add_argument("--guard", type=int, default=None, help="family-size guard override")
-    s.set_defaults(handler=cmd_nerve)
 
     s = subs.add_parser("collapse", help="run the sweep collapse")
     _add_io(s)
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort when literal truncation disagrees with the collapse",
     )
     s.add_argument("--guard", type=int, default=None)
-    s.set_defaults(handler=cmd_collapse)
 
     s = subs.add_parser(
         "dcollapse-oracle", help="backtracking collapsibility decision"
@@ -382,18 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bound", type=int, required=True, help="max free-face size")
     s.add_argument("--guard", type=int, default=None)
     s.add_argument("--face-guard", type=int, default=None, dest="face_guard")
-    s.set_defaults(handler=cmd_dcollapse_oracle)
 
     s = subs.add_parser("radon", help="brute-force partition threshold of the points")
     _add_io(s)
     s.add_argument("--cap", type=int, default=None, help="largest size to test")
-    s.set_defaults(handler=cmd_radon)
 
     s = subs.add_parser("helly", help="m-wise implies all-wise intersection check")
     _add_io(s)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--k", type=int, default=1, help="levels the intersections must meet")
-    s.set_defaults(handler=cmd_helly)
 
     s = subs.add_parser("colorful-helly", help="point selection across families")
     _add_io(s)
@@ -407,20 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
             "family is tried and the one the minimizing tuple omits is reported"
         ),
     )
-    s.set_defaults(handler=cmd_colorful_helly)
 
     s = subs.add_parser("frac-helly", help="fractional intersection statistics")
     _add_io(s)
     s.add_argument("--k", type=int, default=1)
-    s.set_defaults(handler=cmd_frac_helly)
 
     s = subs.add_parser("cfh", help="colorful fractional statistics over 2d families")
     _add_io(s)
-    s.set_defaults(handler=cmd_cfh)
 
     s = subs.add_parser("pierce", help="exact and fractional piercing numbers")
     _add_io(s)
-    s.set_defaults(handler=cmd_pierce)
 
     s = subs.add_parser("pq-check", help="exhaustive (p,q) property test")
     _add_io(s)
@@ -431,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("plain", "colorful-first", "colorful-second"),
         default="plain",
     )
-    s.set_defaults(handler=cmd_pq_check)
 
     s = subs.add_parser("gen", help="emit a seeded random instance file")
     s.add_argument("--d", type=int, required=True)
@@ -449,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--cap", type=int, default=None, help="rejection-sampling draw cap")
     s.add_argument("--out", help="instance file to write; stdout otherwise")
-    s.set_defaults(handler=cmd_gen)
 
     s = subs.add_parser("experiment", help="run a seeded corpus suite")
     s.add_argument("--suite", choices=sorted(SUITES), required=True)
@@ -457,20 +446,43 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=7)
     s.add_argument("--d", default=None, help="comma list of levels, e.g. 1,2,3")
     _add_io(s, with_file=False)
-    s.set_defaults(handler=cmd_experiment)
 
     return parser
 
 
+# the cached parser only names the command: handlers are looked up here
+# on every call, so a handler rewrapped in this table (bench/tracer.py
+# does so) takes effect
+_HANDLERS = {
+    "nerve": cmd_nerve,
+    "collapse": cmd_collapse,
+    "dcollapse-oracle": cmd_dcollapse_oracle,
+    "radon": cmd_radon,
+    "helly": cmd_helly,
+    "colorful-helly": cmd_colorful_helly,
+    "frac-helly": cmd_frac_helly,
+    "cfh": cmd_cfh,
+    "pierce": cmd_pierce,
+    "pq-check": cmd_pq_check,
+    "gen": cmd_gen,
+    "experiment": cmd_experiment,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def run_command(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args._t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        return _HANDLERS[args.command](args)
     except TheoremViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         if exc.diagnostics:

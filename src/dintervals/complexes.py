@@ -34,7 +34,7 @@ on the single-collapse truncation route and raises on its mismatch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -46,7 +46,7 @@ from .errors import (
     NotFreeError,
     SweepInvariantError,
 )
-from .geometry import LexValue, Point, PointSet, TraceSet, f_value, intersect_all
+from .geometry import LexValue, Point, TraceSet, f_value, intersect_all
 
 Face = frozenset
 

@@ -3,22 +3,24 @@
 Every suite draws its own per-trial parameters from a named stream, so
 a (suite, seed, trials) triple pins the corpus exactly.  Suites return
 a Report whose verdicts say whether the property under test survived
-the whole corpus; witnesses carry the first failure in full.
+the whole corpus; witnesses carry the first failure in full.  A small
+shared driver holds what the suites have in common: the report header,
+the per-trial draws, the block that marks a row ok or records its error,
+and the failure count with its first witness, read off the rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil
 
 from .complexes import is_d_collapsible, nerve, sweep_collapse
 from .errors import DIntervalError, SweepInvariantError, TheoremViolationError
 from .generators import (
     ColorfulHellyProperty,
     GenSpec,
-    PqProperty,
     gen_conditioned,
     gen_family,
     gen_ground,
@@ -47,10 +49,6 @@ from .piercing import (
 from .reports import Report
 
 PRESENCES = (Fraction(1, 2), Fraction(3, 4), Fraction(1))
-
-
-def _trial_rng(seed: int, suite: str, t: int) -> random.Random:
-    return random.Random(f"{seed}:{suite}:{t}")
 
 
 def _spec_seed(seed: int, t: int) -> int:
@@ -84,22 +82,63 @@ def _random_spec(
     )
 
 
-def collapse_suite(trials: int = 1000, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
-    report = Report(
+# ---------------------------------------------------------------------------
+# the shared driver
+
+
+def _new_report(suite: str, trials: int, seed: int, d_choices) -> Report:
+    return Report(
         "experiment",
-        {"suite": "collapse", "trials": trials, "d": list(d_choices)},
+        {"suite": suite, "trials": trials, "d": list(d_choices)},
         seed=seed,
         rows=[],
     )
-    failures = 0
+
+
+def _trials(seed: int, stream: str, count: int, d_choices=None):
+    """(t, rng, d) per trial: the trial's own RNG on the suite's stream
+    and the d it draws first; d is None where the suite fixes d itself."""
+    for t in range(count):
+        rng = random.Random(f"{seed}:{stream}:{t}")
+        d = None if d_choices is None else d_choices[rng.randrange(len(d_choices))]
+        yield t, rng, d
+
+
+@contextmanager
+def _row(report: Report, row: dict, errors: tuple[type[Exception], ...]):
+    """Marks the row ok, or not ok with the error when the block raises
+    one of ``errors``, then appends it; any other exception propagates."""
+    row["ok"] = True
+    try:
+        yield
+    except errors as exc:
+        row["ok"] = False
+        row["error"] = str(exc)
+    report.rows.append(row)
+
+
+def _count_failures(report: Report, key: str = "trial") -> int:
+    """Records the failed-row count and the first failure's witness."""
+    failed = [row for row in report.rows if row.get("ok") is False]
+    if failed:
+        first = failed[0]
+        report.witnesses["first_failure"] = {key: first[key], "error": first["error"]}
+    report.statistics["failures"] = len(failed)
+    return len(failed)
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+def collapse_suite(trials: int = 1000, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
+    report = _new_report("collapse", trials, seed, d_choices)
     mode_totals = {"delete": 0, "truncate": 0, "star": 0}
-    for t in range(trials):
-        rng = _trial_rng(seed, "collapse", t)
-        d = d_choices[rng.randrange(len(d_choices))]
-        spec = _random_spec(rng, seed, t, d)
-        ground, family = gen_family(spec)
-        row = {"trial": t, "d": d, "n": len(family), "ok": True}
-        try:
+    errors = (SweepInvariantError, TheoremViolationError, ValueError)
+    for t, rng, d in _trials(seed, "collapse", trials, d_choices):
+        _, family = gen_family(_random_spec(rng, seed, t, d))
+        row = {"trial": t, "d": d, "n": len(family)}
+        with _row(report, row, errors):
             result = sweep_collapse(family)
             final = result.sequence.replay()
             if not final.is_terminal:
@@ -108,14 +147,8 @@ def collapse_suite(trials: int = 1000, seed: int = 7, d_choices=(1, 2, 3)) -> Re
                 mode_totals[it.mode] += 1
             row["steps"] = result.step_count
             row["iterations"] = len(result.iterations)
-        except (SweepInvariantError, TheoremViolationError, ValueError) as exc:
-            failures += 1
-            row["ok"] = False
-            row["error"] = str(exc)
-            report.witnesses.setdefault("first_failure", {"trial": t, "error": str(exc)})
-        report.rows.append(row)
-    report.statistics.update(failures=failures, modes=mode_totals)
-    report.verdicts["all_sweeps_succeed"] = failures == 0
+    report.statistics["modes"] = mode_totals
+    report.verdicts["all_sweeps_succeed"] = _count_failures(report) == 0
     return report
 
 
@@ -123,23 +156,15 @@ def radon_suite(trials: int = 40, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     # grounds take min(4, 12 // d) ≥ 2 points per level
     if any(not 1 <= d <= 6 for d in d_choices):
         raise ValueError("the radon suite supports d from 1 to 6")
-    report = Report(
-        "experiment",
-        {"suite": "radon", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
-    failures = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, "radon", t)
-        d = d_choices[rng.randrange(len(d_choices))]
+    report = _new_report("radon", trials, seed, d_choices)
+    for t, rng, d in _trials(seed, "radon", trials, d_choices):
         per_level = min(4, 12 // d)
         spec = _random_spec(
             rng, seed, t, d, n_lo=0, n_hi=0, pts_lo=2, pts_hi=per_level
         )
         ground = gen_ground(spec)
-        row = {"trial": t, "d": d, "points": len(ground), "ok": True}
-        try:
+        row = {"trial": t, "d": d, "points": len(ground)}
+        with _row(report, row, (DIntervalError, ValueError)):
             pts = sorted(ground.points(), key=lambda p: (p.level, p.coord))
             for subset in itertools.combinations(pts, 2 * d + 1):
                 part = radon_partition(ground, subset)
@@ -155,29 +180,15 @@ def radon_suite(trials: int = 40, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
                     f"brute-force number {number} != {2 * d + 1}"
                 )
             row["radon_number"] = number
-        except (DIntervalError, ValueError) as exc:
-            failures += 1
-            row["ok"] = False
-            row["error"] = str(exc)
-            report.witnesses.setdefault("first_failure", {"trial": t, "error": str(exc)})
-        report.rows.append(row)
-    report.statistics["failures"] = failures
-    report.verdicts["radon_number_everywhere"] = failures == 0
+    report.verdicts["radon_number_everywhere"] = _count_failures(report) == 0
     return report
 
 
 def helly_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
-    report = Report(
-        "experiment",
-        {"suite": "helly", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
+    report = _new_report("helly", trials, seed, d_choices)
     violations = 0
     lower_bound_misses = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, "helly", t)
-        d = d_choices[rng.randrange(len(d_choices))]
+    for t, rng, d in _trials(seed, "helly", trials, d_choices):
         spec = _random_spec(rng, seed, t, d, n_lo=2, n_hi=10, pts_lo=2, pts_hi=6)
         ground, family = gen_family(spec)
         row = {"trial": t, "d": d, "n": len(family)}
@@ -207,21 +218,15 @@ def colorful_suite(
 ) -> Report:
     """Per (d, k ≤ d): rejection-sample instances with the colorful
     property, then run the point selection on each."""
-    report = Report(
-        "experiment",
-        {"suite": "colorful-helly", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
+    report = _new_report("colorful-helly", trials, seed, d_choices)
     all_ok = True
     for d in d_choices:
         for k in range(1, d + 1):
             found = 0
             violations = 0
-            attempt = 0
-            max_attempts = trials * 200
-            while found < trials and attempt < max_attempts:
-                rng = _trial_rng(seed, f"colorful:{d}:{k}", attempt)
+            attempts = 0
+            for attempt, rng, _ in _trials(seed, f"colorful:{d}:{k}", trials * 200):
+                attempts += 1
                 # narrow ground and wide windows keep the acceptance rate
                 # workable; the hardest cell gets singleton families
                 hard = d == 3 and k == 3
@@ -239,7 +244,6 @@ def colorful_suite(
                     seed=_spec_seed(seed, attempt),
                     n_families=2 * d - k + 1,
                 )
-                attempt += 1
                 outcome = gen_conditioned(
                     spec, ColorfulHellyProperty(k), cap_draws=cap_per_instance
                 )
@@ -252,8 +256,10 @@ def colorful_suite(
                     violations += 1
                     report.witnesses.setdefault(
                         "first_violation",
-                        {"d": d, "k": k, "attempt": attempt - 1, "error": str(exc)},
+                        {"d": d, "k": k, "attempt": attempt, "error": str(exc)},
                     )
+                if found == trials:
+                    break
             ok = violations == 0 and found >= trials
             all_ok = all_ok and ok
             report.rows.append(
@@ -261,7 +267,7 @@ def colorful_suite(
                     "d": d,
                     "k": k,
                     "found": found,
-                    "attempts": attempt,
+                    "attempts": attempts,
                     "violations": violations,
                     "ok": ok,
                 }
@@ -271,17 +277,11 @@ def colorful_suite(
 
 
 def frac_suite(trials: int = 500, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
-    report = Report(
-        "experiment",
-        {"suite": "frac-helly", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
+    report = _new_report("frac-helly", trials, seed, d_choices)
     frac_violations = 0
     cfh_violations = 0
     for d in d_choices:
-        for t in range(trials):
-            rng = _trial_rng(seed, f"frac:{d}", t)
+        for t, rng, _ in _trials(seed, f"frac:{d}", trials):
             spec = _random_spec(rng, seed, t, d, n_lo=2 * d, n_hi=9, pts_lo=2, pts_hi=5)
             ground, family = gen_family(spec)
             row = {"d": d, "trial": t, "n": len(family), "ok": True}
@@ -316,35 +316,23 @@ def frac_suite(trials: int = 500, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     return report
 
 
-def _nonempty_family(ground, family):
+def _nonempty_family(family):
     return [t for t in family if not t.is_empty]
 
 
 def pierce_suite(trials: int = 220, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
-    report = Report(
-        "experiment",
-        {"suite": "pierce", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
-    failures = 0
-    blowup_failures = 0
-    solved = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, "pierce", t)
-        d = d_choices[rng.randrange(len(d_choices))]
+    report = _new_report("pierce", trials, seed, d_choices)
+    for t, rng, d in _trials(seed, "pierce", trials, d_choices):
         spec = _random_spec(
             rng, seed, t, d, n_lo=2, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
         )
-        ground, raw = gen_family(spec)
-        family = _nonempty_family(ground, raw)
+        family = _nonempty_family(gen_family(spec)[1])
         if len(family) < 2:
             report.rows.append({"trial": t, "d": d, "skipped": True})
             continue
-        row = {"trial": t, "d": d, "n": len(family), "ok": True}
-        try:
+        row = {"trial": t, "d": d, "n": len(family)}
+        with _row(report, row, (DIntervalError, ValueError)):
             res = pierce_all(family)
-            solved += 1
             row.update(tau=res.tau, nu=res.nu, tau_star=res.tau_star)
             mult = [rng.randrange(0, 4) for _ in family]
             total = sum(mult)
@@ -357,35 +345,21 @@ def pierce_suite(trials: int = 220, seed: int = 7, d_choices=(1, 2, 3)) -> Repor
                         "blow-up cover below the fractional pigeonhole",
                         diagnostics={"cover": cover, "total": total},
                     )
-        except (DIntervalError, ValueError) as exc:
-            failures += 1
-            row["ok"] = False
-            row["error"] = str(exc)
-            report.witnesses.setdefault("first_failure", {"trial": t, "error": str(exc)})
-        report.rows.append(row)
     report.statistics.update(
-        failures=failures, blowup_failures=blowup_failures, solved=solved
+        blowup_failures=0, solved=sum("tau" in row for row in report.rows)
     )
-    report.verdicts["duality_and_sandwich"] = failures == 0
+    report.verdicts["duality_and_sandwich"] = _count_failures(report) == 0
     return report
 
 
 def bound_suite(trials: int = 200, seed: int = 7, d_choices=(2, 3)) -> Report:
-    report = Report(
-        "experiment",
-        {"suite": "piercing-bound", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
+    report = _new_report("piercing-bound", trials, seed, d_choices)
     violations = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, "bound", t)
-        d = d_choices[rng.randrange(len(d_choices))]
+    for t, rng, d in _trials(seed, "bound", trials, d_choices):
         spec = _random_spec(
             rng, seed, t, d, n_lo=2, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
         )
-        ground, raw = gen_family(spec)
-        family = _nonempty_family(ground, raw)
+        family = _nonempty_family(gen_family(spec)[1])
         if len(family) < 2:
             report.rows.append({"trial": t, "d": d, "skipped": True})
             continue
@@ -404,64 +378,43 @@ def bound_suite(trials: int = 200, seed: int = 7, d_choices=(2, 3)) -> Report:
 def pq_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     """Families with the (p,2) property: the observed τ per (d,p) is
     reported; no closed-form ceiling is asserted."""
-    report = Report(
-        "experiment",
-        {"suite": "pq", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
+    report = _new_report("pq", trials, seed, d_choices)
     max_tau: dict[str, int] = {}
-    examined = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, "pq", t)
-        d = d_choices[rng.randrange(len(d_choices))]
+    for t, rng, d in _trials(seed, "pq", trials, d_choices):
         p = rng.randrange(3, 6)
         spec = _random_spec(
             rng, seed, t, d, n_lo=p, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
         )
-        ground, raw = gen_family(spec)
-        family = _nonempty_family(ground, raw)
+        family = _nonempty_family(gen_family(spec)[1])
         if len(family) < p:
             continue
         ok, _ = pq_check([family], p, 2, "plain")
         if not ok:
             continue
-        examined += 1
         tau, _ = tau_exact(family)
         key = f"d={d},p={p}"
         max_tau[key] = max(max_tau.get(key, 0), tau)
         report.rows.append({"trial": t, "d": d, "p": p, "tau": tau})
-    report.statistics.update(examined=examined, max_tau=max_tau)
+    report.statistics.update(examined=len(report.rows), max_tau=max_tau)
     report.verdicts["measured"] = True
     return report
 
 
 def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
-    report = Report(
-        "experiment",
-        {"suite": "maxima-witness", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
-    failures = 0
-    found = 0
-    attempt = 0
-    max_attempts = trials * 60
-    while found < trials and attempt < max_attempts:
-        rng = _trial_rng(seed, "witness", attempt)
-        d = d_choices[rng.randrange(len(d_choices))]
+    report = _new_report("maxima-witness", trials, seed, d_choices)
+    attempts = 0
+    for attempt, rng, d in _trials(seed, "witness", trials * 60, d_choices):
+        attempts += 1
         k = rng.randrange(1, d + 1)
         spec = _random_spec(
             rng, seed, attempt, d, n_lo=2, n_hi=7, pts_lo=2, pts_hi=6,
             full_presence=True,
         )
-        attempt += 1
-        ground, family = gen_family(spec)
+        _, family = gen_family(spec)
         if not family or not k_intersects(family, k):
             continue
-        found += 1
-        row = {"attempt": attempt - 1, "d": d, "k": k, "n": len(family), "ok": True}
-        try:
+        row = {"attempt": attempt, "d": d, "k": k, "n": len(family)}
+        with _row(report, row, (DIntervalError, ValueError)):
             indices = maxima_witness_subfamily(family, k)
             target = f_value(intersect_all(list(family))[0])
             bound = 2 * d - k
@@ -480,32 +433,21 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
             if not brute:
                 raise TheoremViolationError("brute force finds no witness at all")
             row["size"] = len(indices)
-        except (DIntervalError, ValueError) as exc:
-            failures += 1
-            row["ok"] = False
-            row["error"] = str(exc)
-            report.witnesses.setdefault(
-                "first_failure", {"attempt": attempt - 1, "error": str(exc)}
-            )
-        report.rows.append(row)
-    report.statistics.update(failures=failures, found=found, attempts=attempt)
+        if len(report.rows) == trials:
+            break
+    found = len(report.rows)
+    failures = _count_failures(report, key="attempt")
+    report.statistics.update(found=found, attempts=attempts)
     report.verdicts["witness_contracts"] = failures == 0 and found >= trials
     return report
 
 
 def oracle_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2)) -> Report:
-    report = Report(
-        "experiment",
-        {"suite": "oracle-agreement", "trials": trials, "d": list(d_choices)},
-        seed=seed,
-        rows=[],
-    )
+    report = _new_report("oracle-agreement", trials, seed, d_choices)
     disagreements = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, "oracle", t)
-        d = d_choices[rng.randrange(len(d_choices))]
+    for t, rng, d in _trials(seed, "oracle", trials, d_choices):
         spec = _random_spec(rng, seed, t, d, n_lo=2, n_hi=5, pts_lo=1, pts_hi=5)
-        ground, family = gen_family(spec)
+        _, family = gen_family(spec)
         row = {"trial": t, "d": d, "n": len(family)}
         K = nerve(family)
         sweep_ok = True

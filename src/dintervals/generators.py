@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .config import guard_limit
 from .errors import TheoremViolationError
@@ -174,24 +174,17 @@ def gen_helly_lower_bound(
                 runs.append((min(ia, ib), max(ia, ib)))
         family.append(TraceSet(ground, tuple(runs)))
 
-    full, _ = _common_levels(family)
-    if full:
+    if not intersect_all(family)[0].is_empty:
         raise TheoremViolationError(
             "lower-bound family unexpectedly has a common point"
         )
     for idx in itertools.combinations(range(2 * d), 2 * d - 1):
-        sub, _ = _common_levels([family[j] for j in idx])
-        if not sub:
+        if intersect_all([family[j] for j in idx])[0].is_empty:
             raise TheoremViolationError(
                 "a (2d−1)-subfamily of the lower-bound family fails to meet",
                 diagnostics={"subfamily": idx},
             )
     return family
-
-
-def _common_levels(family):
-    joint, levels = intersect_all(list(family))
-    return (not joint.is_empty), levels
 
 
 def gen_radon_lower_bound(

@@ -261,17 +261,6 @@ class LexValue:
             raise DimensionMismatchError("comparing values of different lengths")
         return self._key() < other._key()
 
-    def componentwise_le(self, other: "LexValue") -> bool:
-        """True when every component is ≤ the other's (−∞ below all)."""
-        if len(self.components) != len(other.components):
-            raise DimensionMismatchError("comparing values of different lengths")
-        for a, b in zip(self.components, other.components):
-            if a is None:
-                continue
-            if b is None or a > b:
-                return False
-        return True
-
     def first_finite(self) -> tuple[int, Fraction]:
         """(level, value) of the first finite component; raises if all −∞."""
         for i, c in enumerate(self.components, start=1):

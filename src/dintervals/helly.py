@@ -31,7 +31,6 @@ from .geometry import (
     hull,
     intersect_all,
     k_intersects,
-    minimal_dinterval,
 )
 
 
@@ -143,7 +142,8 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     """Does "every ≤ m sets k-intersect" force the whole family to?
 
     The verdict is the implication itself; a violation ships the whole
-    family's deficient intersection as witness.
+    family's deficient intersection as witness.  Member evaluations of
+    the subset walk count against the (p,q) work guard as they happen.
     """
     if m < 1:
         raise ValueError("m must be ≥ 1")
@@ -158,9 +158,14 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
 
+    limit = guard_limit("PQ_WORK")
+    work = 0
     hypothesis = True
     for size in range(1, min(m, len(family)) + 1):
         for idx in itertools.combinations(range(len(family)), size):
+            work += size
+            if work > limit:
+                raise GuardExceededError("helly subset enumeration", work, limit)
             if not k_intersects([family[j] for j in idx], k):
                 hypothesis = False
                 report.statistics["failing_hypothesis_subfamily"] = idx

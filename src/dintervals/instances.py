@@ -12,9 +12,9 @@ pieces of its trace, so parse→serialize is idempotent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from .errors import SchemaError
 from .geometry import (

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dintervals import Instance, PointSet, dump_instance, gen_helly_lower_bound
+from dintervals import cli
 from dintervals.cli import run_command
 from helpers import p6
 
@@ -267,6 +268,22 @@ def test_gen_predicate_exhaustion_exits_one(tmp_path, capsys):
     assert "no instance" in err
 
 
+def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    path = two_interval_instance(tmp_path)
+    try:
+        assert run_command(["nerve", path]) == 0
+        assert run_command(["radon", path]) == 0
+        assert run_command(["no-such-command"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------- errors
 
 
@@ -287,6 +304,13 @@ def test_guard_breach_exits_two(tmp_path, capsys):
     code = run_command(["nerve", path, "--guard", "2"])
     assert code == 2
     assert "guard" in capsys.readouterr().err.lower()
+
+
+def test_helly_work_guard_breach_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "3")
+    code = run_command(["helly", triple_instance(tmp_path), "--m", "3"])
+    assert code == 2
+    assert "helly subset enumeration" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from dintervals import (
     DInterval,
+    GuardExceededError,
     Point,
     PointSet,
     PreconditionError,
@@ -128,6 +129,23 @@ def test_family_with_common_point_passes_any_m():
 def test_helly_check_rejects_bad_m():
     with pytest.raises(ValueError):
         helly_check([], m=0)
+
+
+def test_helly_check_counts_member_evaluations_against_the_work_guard(monkeypatch):
+    P = line(0, 1, 2)
+    fam = [window(P, {1: (0, 2)})] * 4
+    # every subset meets, so the walk runs out: 4·1 + 6·2 + 4·3 = 28
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "28")
+    assert helly_check(fam, m=3).verdict
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "27")
+    with pytest.raises(GuardExceededError, match="helly subset enumeration"):
+        helly_check(fam, m=3)
+    # a disjoint pair ends the walk after 12 + 2 evaluations, far short of
+    # the 12·2^11 − 12 a full walk of 12 sets at m = 11 would need
+    fam = [window(P, {1: (0, 0)}), window(P, {1: (2, 2)})] + fam * 2 + fam[:2]
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "14")
+    got = helly_check(fam, m=11)
+    assert got.verdict and got.statistics["failing_hypothesis_subfamily"] == (0, 1)
 
 
 def test_random_families_never_violate_helly_at_2d():
