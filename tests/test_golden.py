@@ -1,4 +1,5 @@
-"""Golden digests of collapse, colorful-tuple and corpus-suite output.
+"""Golden digests of collapse, colorful-tuple, generation and corpus-suite
+output.
 
 Each digest is the sha256 of a canonical JSON rendering: step order is
 kept, every face is a sorted label list and every removal set a sorted
@@ -8,23 +9,31 @@ corpora and on corpora whose checkers fail on a fixed pattern.  A
 refactor of the collapse search, the sweep, the piercing pipeline, the
 colorful tuple enumeration or the suite driver must leave every digest
 unchanged; a digest that moves means an answer, a witness or a report
-changed.
+changed.  Generator output (plain instances, conditioned outcomes and the
+files ``dintervals gen`` writes) is digested too: the seeded streams define
+every corpus, so a faster generator must reproduce them exactly.
 """
 
 import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from dintervals import (
     ColorfulHellyProperty,
     DIntervalError,
+    GenSpec,
     GuardExceededError,
+    KIntersectRich,
+    PqProperty,
     TheoremViolationError,
     cfh_stats,
     colorful_helly_points,
+    gen_conditioned,
+    gen_instance,
     is_d_collapsible,
     nerve,
     pq_check,
@@ -150,6 +159,18 @@ GOLDEN = {
     "fault-oracle-agreement": (
         "b3337b5e0ee78ddb2f2e1530186eef32"
         "f4f065ba18cd46e6a24898c62cbf97e2"
+    ),
+    "gen-instance": (
+        "4708482afaf3b145d47efcb74cd9c5c8"
+        "0d0c4c29d66edfee41e9ec7b2c34b8e9"
+    ),
+    "gen-conditioned": (
+        "6ba90f1e4d9e7f71e3d7f76504ee920f"
+        "d135d8f340ac6e8a8342caff83d99d1f"
+    ),
+    "gen-files": (
+        "4a6bb5de73ff9d7c8507fd6168e48a6e"
+        "714d4b58d429cba44fc90b37e2c65924"
     ),
 }
 
@@ -375,3 +396,122 @@ def test_colorful_suite_reports_match_the_golden_digests():
         report = run_suite(suite, trials=trials)
         text += report.json_text(include_timing=False) + report.csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["suite-colorful"]
+
+
+# ---------------------------------------------------------------- generation
+
+
+def _gen_specs():
+    """Seeded specs over d = 1..3, presence 1/2, 3/4 and 1, 1–3 families
+    and max_width 0, half and full; point counts include empty levels."""
+    rng = random.Random(20250109)
+    grid = itertools.product(
+        (1, 2, 3), (Fraction(1, 2), Fraction(3, 4), Fraction(1)), (1, 2, 3)
+    )
+    for d, presence, n_families in grid:
+        hi = rng.randrange(2, 10)
+        for width in (0, hi // 2, hi):
+            yield GenSpec(
+                d=d,
+                points_per_level=tuple(rng.randrange(0, hi + 2) for _ in range(d)),
+                coord_range=(0, hi),
+                n_sets=rng.randrange(0, 6),
+                presence=presence,
+                max_width=width,
+                seed=rng.randrange(2**31),
+                n_families=n_families,
+            )
+
+
+def _instance(ground, families):
+    return [ground.levels, [[t.runs for t in fam] for fam in families]]
+
+
+def _conditioned_cases():
+    """(spec, predicate, cap): every colorful cell k = 1..d, the three
+    (p,q) kinds, the k-intersect-rich property and one exhausted cap."""
+    for d in (1, 2, 3):
+        for k in range(1, d + 1):
+            for seed in (3, 4, 6):
+                # the hardest cell needs a narrow ground and one set a family
+                hard = k == 3
+                hi = 2 if hard else 2 + seed % 3
+                yield GenSpec(
+                    d=d, points_per_level=2 + seed % 2, coord_range=(0, hi),
+                    n_sets=1 if hard else 1 + (seed + k) % 2, presence=1, max_width=hi,
+                    seed=seed, n_families=2 * d - k + 1,
+                ), ColorfulHellyProperty(k), 500
+    for seed in (3, 4):
+        yield GenSpec(
+            d=2, points_per_level=3, coord_range=(0, 5), n_sets=4,
+            presence=Fraction(3, 4), max_width=3, seed=seed,
+        ), PqProperty(3, 2), 200
+        yield GenSpec(
+            d=1, points_per_level=4, coord_range=(0, 6), n_sets=2,
+            presence=1, max_width=4, seed=seed, n_families=2,
+        ), PqProperty(2, 2, "colorful-first"), 200
+        yield GenSpec(
+            d=2, points_per_level=3, coord_range=(0, 4), n_sets=2,
+            presence=1, max_width=3, seed=seed, n_families=3,
+        ), PqProperty(3, 2, "colorful-second"), 200
+        yield GenSpec(
+            d=2, points_per_level=3, coord_range=(0, 5), n_sets=4,
+            presence=Fraction(3, 4), max_width=3, seed=seed,
+        ), KIntersectRich(1, Fraction(1, 2)), 200
+    yield GenSpec(
+        d=2, points_per_level=3, coord_range=(0, 5), n_sets=3,
+        presence=Fraction(1, 2), max_width=0, seed=9, n_families=4,
+    ), ColorfulHellyProperty(1), 40
+
+
+GEN_ARGS = (
+    ["--d", "2", "--points", "4,3", "--range", "0:9", "--sets", "5",
+     "--presence", "3/4", "--max-width", "4", "--seed", "11"],
+    ["--d", "3", "--points", "3", "--range", "0:6", "--sets", "3",
+     "--seed", "2", "--families", "2"],
+    ["--d", "2", "--points", "3", "--range", "0:4", "--sets", "2",
+     "--seed", "8", "--predicate", "colorful-helly:2"],
+    ["--d", "3", "--points", "2", "--range", "0:3", "--sets", "1",
+     "--seed", "8", "--predicate", "colorful-helly:2"],
+    ["--d", "2", "--points", "3", "--range", "0:5", "--sets", "4",
+     "--presence", "3/4", "--seed", "6", "--predicate", "pq:3:2"],
+    ["--d", "1", "--points", "4", "--range", "0:6", "--sets", "3",
+     "--presence", "3/4", "--seed", "6", "--predicate", "pq:3:2:colorful-second"],
+    ["--d", "2", "--points", "3", "--range", "0:5", "--sets", "4",
+     "--presence", "3/4", "--seed", "6", "--predicate", "k-rich:1:1/2"],
+)
+
+
+def test_generated_instances_match_the_golden_digest():
+    specs = list(_gen_specs())
+    outputs = [_instance(*gen_instance(spec)) for spec in specs]
+    # the grid reaches empty levels, empty families and missed windows
+    assert any(0 in spec.points_per_level for spec in specs)
+    assert any(spec.n_sets == 0 for spec in specs)
+    runs = [run for _, fams in outputs for fam in fams for t in fam for run in t]
+    assert None in runs and any(r is not None and r[0] < r[1] for r in runs)
+    assert _digest(outputs) == GOLDEN["gen-instance"]
+
+
+def test_conditioned_outcomes_match_the_golden_digest():
+    outcomes = []
+    for spec, predicate, cap in _conditioned_cases():
+        got = gen_conditioned(spec, predicate, cap_draws=cap)
+        row = [got.found, got.draws, got.predicate]
+        if got.found:
+            row += _instance(got.ground, got.families)
+        outcomes.append(row)
+    # every case but the exhausted cap finds an instance, some after
+    # rejecting draws
+    assert [row[0] for row in outcomes].count(False) == 1
+    assert any(row[1] > 1 for row in outcomes)
+    assert _digest(outcomes) == GOLDEN["gen-conditioned"]
+
+
+def test_gen_files_match_the_golden_digest(tmp_path):
+    text = ""
+    for i, args in enumerate(GEN_ARGS):
+        out = tmp_path / f"gen-{i}.json"
+        assert run_command(["gen", *args, "--out", str(out)]) == 0, args
+        text += out.read_text(encoding="utf-8")
+    assert _sha(text) == GOLDEN["gen-files"]
