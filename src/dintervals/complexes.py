@@ -161,19 +161,41 @@ class CollapseSequence:
 
     def replay(self) -> SimplicialComplex:
         """Re-execute every step, verifying freeness, removal sets, and
-        the size bound; returns the final complex."""
-        current = self.initial
+        the size bound; returns the final complex.
+
+        The steps run on one face set, with the same checks and errors as
+        ``elementary_collapse``.  The faces containing σ are found among
+        the faces through one of its vertices; the maximal ones are those
+        that no g − {v} with g containing σ equals.
+        """
+        faces = set(self.initial.faces)
+        cofaces: dict = {}  # vertex -> the faces left that contain it
+        for f in faces:
+            for v in f:
+                cofaces.setdefault(v, set()).add(f)
         for step in self.steps:
-            if len(step.free_face) > self.bound:
+            sigma = frozenset(step.free_face)
+            if len(sigma) > self.bound:
                 raise ValueError(
-                    f"free face {sorted(step.free_face)} exceeds size bound {self.bound}"
+                    f"free face {sorted(sigma)} exceeds size bound {self.bound}"
                 )
-            current, executed = elementary_collapse(current, step.free_face)
-            if executed.unique_maximal != step.unique_maximal:
+            if sigma not in faces:
+                raise NotAFaceError(f"{sorted(sigma)} is not a face")
+            pool = min((cofaces[v] for v in sigma), key=len) if sigma else faces
+            removed = {f for f in pool if sigma <= f}
+            covered = {g - {v} for g in removed for v in g - sigma}
+            maximal = sorted(removed - covered, key=_face_sort_key)
+            if len(maximal) != 1:
+                raise NotFreeError(sigma, tuple(maximal))
+            if maximal[0] != step.unique_maximal:
                 raise ValueError("recorded maximal face does not match replay")
-            if executed.removed_faces != step.removed_faces:
+            if removed != step.removed_faces:
                 raise ValueError("recorded removed faces do not match replay")
-        return current
+            faces -= removed
+            for f in removed:
+                for v in f:
+                    cofaces[v].discard(f)
+        return SimplicialComplex(frozenset(faces))
 
     def replays_to_empty(self) -> bool:
         try:

@@ -4,27 +4,24 @@ Randomness is drawn from named streams: each stream seeds its own
 ``random.Random`` with a string key derived from the spec seed, so
 corpus members can be produced independently and reproducibly.  All
 generation arithmetic is on integers; rationals only appear downstream.
+Each set is built in index space: its per-level window is bisected
+against the level's int coordinates, which gives the trace of that
+window without building the interval.  Since every set reads only its
+own stream, conditioned sampling builds a draw's sets on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .config import guard_limit
 from .errors import TheoremViolationError
-from .geometry import (
-    DInterval,
-    Point,
-    PointSet,
-    TraceSet,
-    colorful_tuples,
-    intersect_all,
-    trace_of,
-)
+from .geometry import Point, PointSet, TraceSet, colorful_tuples, intersect_all
 from .helly import frac_helly_stats, radon_partition
 from .piercing import pq_check
 from .rationals import parse_rational
@@ -86,35 +83,42 @@ def _bernoulli(rng: random.Random, probability: Fraction) -> bool:
     return rng.randrange(probability.denominator) < probability.numerator
 
 
-def gen_ground(spec: GenSpec) -> PointSet:
-    rng = _stream(spec.seed, "points")
-    levels = []
+def _draw(spec: GenSpec, seed: int) -> tuple[PointSet, Callable[[int, int], TraceSet]]:
+    """The ground set of the draw with this seed, and the builder of its
+    set j in family fam.  Each level's run is the ground points inside
+    the set's int window [start, start + width], found by bisection."""
+    rng = _stream(seed, "points")
     lo, hi = spec.coord_range
-    for count in spec.points_per_level:
-        coords = _sample_distinct(rng, lo, hi, count)
-        levels.append(tuple(Fraction(c) for c in coords))
-    return PointSet(spec.d, tuple(levels))
+    coords = [_sample_distinct(rng, lo, hi, count) for count in spec.points_per_level]
+    ground = PointSet(spec.d, tuple(tuple(map(Fraction, level)) for level in coords))
+
+    def build(fam: int, j: int) -> TraceSet:
+        rng = _stream(seed, f"set:{fam}:{j}")
+        runs = []
+        for level in coords:
+            if not _bernoulli(rng, spec.presence):
+                runs.append(None)
+                continue
+            width = rng.randrange(spec.max_width + 1)
+            start = rng.randrange(lo, hi - width + 1)
+            first = bisect_left(level, start)
+            last = bisect_right(level, start + width) - 1
+            runs.append((first, last) if first <= last else None)
+        return TraceSet(ground, tuple(runs))
+
+    return ground, build
+
+
+def gen_ground(spec: GenSpec) -> PointSet:
+    return _draw(spec, spec.seed)[0]
 
 
 def gen_instance(spec: GenSpec) -> tuple[PointSet, list[list[TraceSet]]]:
     """Ground set plus n_families families of n_sets traces each."""
-    ground = gen_ground(spec)
-    lo, hi = spec.coord_range
-    families = []
-    for fam in range(spec.n_families):
-        sets = []
-        for j in range(spec.n_sets):
-            rng = _stream(spec.seed, f"set:{fam}:{j}")
-            pieces: dict[int, tuple[int, int]] = {}
-            for lvl in range(1, spec.d + 1):
-                if not _bernoulli(rng, spec.presence):
-                    continue
-                width = rng.randrange(spec.max_width + 1)
-                start = rng.randrange(lo, hi - width + 1)
-                pieces[lvl] = (start, start + width)
-            interval = DInterval.from_pairs(spec.d, pieces)
-            sets.append(trace_of(interval, ground))
-        families.append(sets)
+    ground, build = _draw(spec, spec.seed)
+    families = [
+        [build(fam, j) for j in range(spec.n_sets)] for fam in range(spec.n_families)
+    ]
     return ground, families
 
 
@@ -267,6 +271,25 @@ class KIntersectRich:
         return alpha is not None and alpha >= self.alpha_min
 
 
+class _LazyFamily(Sequence):
+    """One family of a draw; set j is built on its first access (by an
+    int index) and kept."""
+
+    def __init__(self, build: Callable[[int, int], TraceSet], fam: int, n_sets: int):
+        self._build, self._fam = build, fam
+        self._sets: list[TraceSet | None] = [None] * n_sets
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, j: int) -> TraceSet:
+        t = self._sets[j]
+        if t is None:
+            j %= len(self._sets)
+            t = self._sets[j] = self._build(self._fam, j)
+        return t
+
+
 @dataclass(frozen=True)
 class ConditionedOutcome:
     found: bool
@@ -286,7 +309,10 @@ def gen_conditioned(
     The outcome reports how many draws it took; exhausting the cap is a
     structured failure, never an exception.  Draw t uses a seed derived
     from the spec's seed and t, so outcomes are reproducible and
-    individual draws are independent.
+    individual draws are independent.  The predicate sees families whose
+    sets are built on first access, so a draw rejected early builds few;
+    the accepted draw's families come back as plain lists, the same
+    instance ``gen_instance`` gives for that draw's seed.
     """
     cap = guard_limit("DRAWS", cap_draws)
     needed = predicate.families_needed(spec.d)
@@ -295,8 +321,9 @@ def gen_conditioned(
             f"predicate {predicate.name} needs {needed} families, spec has {spec.n_families}"
         )
     for t in range(cap):
-        drawn = replace(spec, seed=spec.seed * 1_000_003 + t)
-        ground, families = gen_instance(drawn)
+        ground, build = _draw(spec, spec.seed * 1_000_003 + t)
+        families = [_LazyFamily(build, fam, spec.n_sets) for fam in range(spec.n_families)]
         if predicate.check(ground, families):
+            families = [list(fam) for fam in families]
             return ConditionedOutcome(True, ground, families, t + 1, predicate.name)
     return ConditionedOutcome(False, None, None, cap, predicate.name)

@@ -81,6 +81,8 @@ def parse_instance(
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError("$", "JSON nested too deeply") from None
     if not isinstance(document, dict):
         raise SchemaError("$", "top level must be an object")
     warnings: list[str] = []

@@ -299,6 +299,13 @@ def test_schema_error_exits_two_and_lenient_downgrades(tmp_path, capsys):
     assert code == 0 and "warning" in err
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    depth = 200_000
+    path = write(tmp_path, "deep.json", "[" * depth + "]" * depth)
+    assert run_command(["nerve", path]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_guard_breach_exits_two(tmp_path, capsys):
     path = triple_instance(tmp_path)
     code = run_command(["nerve", path, "--guard", "2"])

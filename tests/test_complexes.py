@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from dintervals import (
+    CollapseSequence,
+    CollapseStep,
     DInterval,
     GuardExceededError,
     NotAFaceError,
@@ -299,6 +301,101 @@ def test_oracle_confirms_the_sweep_bound_on_random_nerves():
         ok, seq = is_d_collapsible(nerve(fam), 2 * d - 1)
         assert ok
         assert seq.replays_to_empty()
+
+
+# ------------------------------------------------------------------ replay
+
+
+def replay_by_elementary_collapses(seq: CollapseSequence) -> SimplicialComplex:
+    """Reference replay: one ``elementary_collapse`` per step."""
+    K = seq.initial
+    for step in seq.steps:
+        if len(step.free_face) > seq.bound:
+            raise ValueError(f"free face {sorted(step.free_face)} exceeds size bound")
+        K, executed = elementary_collapse(K, step.free_face)
+        if executed.unique_maximal != step.unique_maximal:
+            raise ValueError("recorded maximal face does not match replay")
+        if executed.removed_faces != step.removed_faces:
+            raise ValueError("recorded removed faces do not match replay")
+    return K
+
+
+def replay_outcome(replay, seq):
+    try:
+        return "ok", replay(seq).faces
+    except (ValueError, NotAFaceError, NotFreeError) as exc:
+        return type(exc).__name__, getattr(exc, "maximal_faces", None)
+
+
+def test_replay_rejects_corrupted_witnesses():
+    K = SimplicialComplex.from_faces([[1, 2, 3], [3, 4]])
+    ok, seq = is_d_collapsible(K, 2)
+    assert ok and seq.replay().is_terminal
+    first = seq.steps[0]
+
+    def with_first(step, bound=seq.bound):
+        return CollapseSequence(seq.initial, (step,) + seq.steps[1:], bound)
+
+    wrong_maximal = with_first(
+        CollapseStep(first.free_face, first.unique_maximal | {9}, first.removed_faces)
+    )
+    wrong_removal = with_first(
+        CollapseStep(
+            first.free_face, first.unique_maximal, first.removed_faces - {first.unique_maximal}
+        )
+    )
+    over_bound = with_first(first, bound=len(first.free_face) - 1)
+    non_face = with_first(CollapseStep(face(9), face(9), frozenset({face(9)})))
+    not_free = with_first(
+        CollapseStep(face(3), face(1, 2, 3), frozenset({face(3), face(1, 3)}))
+    )
+    for bad, error, words in (
+        (wrong_maximal, ValueError, "maximal face"),
+        (wrong_removal, ValueError, "removed faces"),
+        (over_bound, ValueError, "size bound"),
+        (non_face, NotAFaceError, "not a face"),
+        (not_free, NotFreeError, "2 maximal faces"),
+    ):
+        with pytest.raises(error, match=words):
+            bad.replay()
+        assert not bad.replays_to_empty()
+
+
+def test_replay_agrees_with_stepwise_elementary_collapses():
+    # sweeps and oracle witnesses, intact and with seeded corruptions:
+    # a step dropped, repeated or swapped, removal sets traded, the bound
+    # lowered
+    rng = random.Random(2025)
+    outcomes = set()
+    for _ in range(60):
+        d = rng.randrange(1, 4)
+        ground = random_ground(rng, d, max_per_level=4)
+        fam = [random_trace(rng, ground) for _ in range(rng.randrange(1, 7))]
+        seqs = [sweep_collapse(fam).sequence]
+        ok, witness = is_d_collapsible(nerve(fam), 2 * d - 1)
+        seqs += [witness] if ok else []
+        for seq in seqs:
+            steps = list(seq.steps)
+            variants = [seq, CollapseSequence(seq.initial, seq.steps, max(seq.bound - 1, 0))]
+            if len(steps) >= 2:
+                i, j = sorted(rng.sample(range(len(steps)), 2))
+                swapped = steps[:i] + [steps[j]] + steps[i + 1 : j] + [steps[i]] + steps[j + 1 :]
+                traded = CollapseStep(
+                    steps[i].free_face, steps[i].unique_maximal, steps[j].removed_faces
+                )
+                variants += [
+                    CollapseSequence(seq.initial, tuple(steps[:i] + steps[i + 1 :]), seq.bound),
+                    CollapseSequence(seq.initial, tuple(steps[: i + 1] + steps[i:]), seq.bound),
+                    CollapseSequence(seq.initial, tuple(swapped), seq.bound),
+                    CollapseSequence(
+                        seq.initial, tuple(steps[:i] + [traded] + steps[i + 1 :]), seq.bound
+                    ),
+                ]
+            for variant in variants:
+                got = replay_outcome(CollapseSequence.replay, variant)
+                assert got == replay_outcome(replay_by_elementary_collapses, variant)
+                outcomes.add(got[0])
+    assert outcomes == {"ok", "ValueError", "NotAFaceError", "NotFreeError"}
 
 
 # ---------------------------------------------------------- colorful faces

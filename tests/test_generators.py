@@ -1,16 +1,20 @@
 """Seeded generation: determinism, extremal families, conditioned draws."""
 
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from dintervals import (
     ColorfulHellyProperty,
+    DInterval,
     GenSpec,
     KIntersectRich,
     Point,
     PointSet,
+    TraceSet,
     gen_conditioned,
     gen_family,
     gen_ground,
@@ -21,7 +25,9 @@ from dintervals import (
     k_intersects,
     pq_check,
     radon_partition,
+    trace_of,
 )
+from dintervals import generators
 from helpers import p6
 
 
@@ -85,6 +91,40 @@ def test_int_point_count_broadcasts_over_levels():
     spec = spec_of(points_per_level=3)
     assert spec.points_per_level == (3, 3)
     assert all(len(gen_ground(spec).level_coords(l)) == 3 for l in (1, 2))
+
+
+def test_index_space_runs_equal_the_traces_of_the_drawn_intervals():
+    # reads each set's stream as the generator does, then traces the
+    # drawn d-interval on the Fraction ground set
+    rng = random.Random(20250110)
+    sets = 0
+    for _ in range(1000):
+        d = rng.randrange(1, 4)
+        hi = rng.randrange(0, 9)
+        spec = spec_of(
+            d=d,
+            points_per_level=tuple(rng.randrange(0, hi + 2) for _ in range(d)),
+            coord_range=(-2, hi),
+            n_sets=rng.randrange(0, 4),
+            presence=Fraction(rng.randrange(0, 5), 4),
+            max_width=rng.randrange(0, hi + 3),
+            seed=rng.randrange(2**31),
+            n_families=rng.randrange(1, 3),
+        )
+        ground, families = gen_instance(spec)
+        for fam, sets_ in enumerate(families):
+            for j, got in enumerate(sets_):
+                stream = random.Random(f"{spec.seed}:set:{fam}:{j}")
+                pieces = {}
+                for lvl in range(1, d + 1):
+                    if stream.randrange(spec.presence.denominator) >= spec.presence.numerator:
+                        continue
+                    width = stream.randrange(spec.max_width + 1)
+                    start = stream.randrange(-2, hi - width + 1)
+                    pieces[lvl] = (start, start + width)
+                assert got == trace_of(DInterval.from_pairs(d, pieces), ground)
+                sets += 1
+    assert sets > 1000
 
 
 # -------------------------------------------------------- extremal families
@@ -181,3 +221,39 @@ def test_conditioned_family_count_must_match_the_predicate():
     spec = spec_of(d=2, n_families=1)
     with pytest.raises(ValueError):
         gen_conditioned(spec, ColorfulHellyProperty(k=1), cap_draws=10)
+
+
+def test_a_rejected_colorful_draw_builds_only_the_sets_it_reads(monkeypatch):
+    # narrow windows and half presence: the first draw fails on an early
+    # thin prefix
+    spec = spec_of(
+        d=2, points_per_level=(3, 3), coord_range=(0, 5), n_sets=4,
+        presence=Fraction(1, 2), max_width=0, n_families=4,
+    )
+    built = []
+    stream = generators._stream
+
+    def counting(seed, name):
+        if name.startswith("set:"):
+            built.append(name)
+        return stream(seed, name)
+
+    monkeypatch.setattr(generators, "_stream", counting)
+    got = gen_conditioned(spec, ColorfulHellyProperty(k=1), cap_draws=1)
+    assert not got.found
+    assert 0 < len(built) < spec.n_families * spec.n_sets
+    assert len(set(built)) == len(built)  # a set is never built twice
+
+
+def test_an_accepted_outcome_holds_plain_lists_of_the_drawn_instance():
+    spec = spec_of(
+        d=2, points_per_level=(3, 3), coord_range=(0, 4), n_sets=2,
+        presence=1, max_width=3, n_families=3, seed=8,
+    )
+    got = gen_conditioned(spec, ColorfulHellyProperty(k=2), cap_draws=200)
+    assert got.found and got.draws > 1
+    assert type(got.families) is list
+    assert all(type(fam) is list for fam in got.families)
+    assert all(type(t) is TraceSet for fam in got.families for t in fam)
+    drawn = replace(spec, seed=spec.seed * 1_000_003 + got.draws - 1)
+    assert (got.ground, got.families) == gen_instance(drawn)
