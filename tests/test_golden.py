@@ -9,9 +9,12 @@ corpora and on corpora whose checkers fail on a fixed pattern.  A
 refactor of the collapse search, the sweep, the piercing pipeline, the
 colorful tuple enumeration or the suite driver must leave every digest
 unchanged; a digest that moves means an answer, a witness or a report
-changed.  Generator output (plain instances, conditioned outcomes and the
-files ``dintervals gen`` writes) is digested too: the seeded streams define
-every corpus, so a faster generator must reproduce them exactly.
+changed.  The sweep's pivot values and the diagnostics its strict mode
+raises are digested on their own, the face lists of the diagnostics in
+sorted order.  Generator output (plain instances, conditioned outcomes
+and the files ``dintervals gen`` writes) is digested too: the seeded
+streams define every corpus, so a faster generator must reproduce them
+exactly.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from dintervals import (
     GuardExceededError,
     KIntersectRich,
     PqProperty,
+    SweepInvariantError,
     TheoremViolationError,
     cfh_stats,
     colorful_helly_points,
@@ -51,6 +55,14 @@ GOLDEN = {
     "sweep": (
         "44d9c0a1b3a679da0deb5c9d2350f05a"
         "ea302ec85a509f26f81dc6019b39fd39"
+    ),
+    "sweep-values": (
+        "ae2c032f651b17bfcd87f6dccd274378"
+        "590053926fa48972d020e41c8f01eee0"
+    ),
+    "sweep-strict-diagnostics": (
+        "96b9c14b4abf11e724e3d5cc35cd32c1"
+        "786817168b7726c6dca79ef4e562e15a"
     ),
     "oracle-bound-1": (
         "b5d371a88af1198320265dcc38c68386"
@@ -232,6 +244,41 @@ def test_collapse_witnesses_match_the_golden_digests():
     assert _digest(sweeps) == GOLDEN["sweep"]
     assert _digest(bound_1) == GOLDEN["oracle-bound-1"]
     assert _digest(bound_top) == GOLDEN["oracle-bound-2d-1"]
+
+
+def test_sweep_values_match_the_golden_digest():
+    values = [
+        [
+            [None if c is None else str(c) for c in it.pivot_value.components]
+            for it in sweep_collapse(fam).iterations
+        ]
+        for _, fam in _families()
+    ]
+    assert _digest(values) == GOLDEN["sweep-values"]
+
+
+def _canonical_diagnostics(diagnostics: dict) -> dict:
+    # every entry but the family snapshot and the label tuples is a face
+    # list, whose order carries no meaning
+    return {
+        key: value
+        if key in ("family", "pivot", "star")
+        else sorted(value, key=lambda f: (len(f), f))
+        for key, value in diagnostics.items()
+    }
+
+
+def test_strict_sweep_diagnostics_match_the_golden_digest():
+    # strict mode refuses the star fallback, so every family that needs
+    # it raises at its first such iteration
+    failures = []
+    for n, (_, fam) in enumerate(_families()):
+        try:
+            sweep_collapse(fam, strict=True)
+        except SweepInvariantError as err:
+            failures.append([n, str(err), _canonical_diagnostics(err.diagnostics)])
+    assert len(failures) == 18
+    assert _digest(failures) == GOLDEN["sweep-strict-diagnostics"]
 
 
 def _sha(text: str) -> str:
