@@ -26,14 +26,28 @@ nerve fails to match the collapse (which happens — a truncated set can
 die while its vertex survives), the iteration falls back to cutting
 every set that contains the pivot point and removing the corresponding
 face block by a short searched collapse sequence.  Both routes are
-re-verified against a freshly computed nerve; a mismatch is never
+re-verified against the nerve of the rebuilt family; a mismatch is never
 papered over, it raises with full diagnostics.  ``strict=True`` insists
 on the single-collapse truncation route and raises on its mismatch.
+
+The sweep works in index space: a set is its tuple of per-level runs
+(``TraceSet.runs``), a face's intersection is such a tuple too, and a
+sweep value is the tuple of per-level last indices (−1 on an empty
+level), which orders faces exactly as ``f_value`` does because
+coordinates strictly increase along a level.  One face walk builds the
+nerve and every face's intersection.  The sweep keeps both across
+iterations and re-intersects only the faces that contain a changed set:
+none on a delete, the pivot support on a truncation, the star on a
+fallback.  Cuts only shrink sets (the cut asserts it), so the rebuilt
+family's nerve lies inside the current complex and is found among its
+faces.  Fractions, points and ``LexValue``s are built only for the
+pivot values returned and for error diagnostics.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -46,7 +60,7 @@ from .errors import (
     NotFreeError,
     SweepInvariantError,
 )
-from .geometry import LexValue, Point, TraceSet, f_value, intersect_all
+from .geometry import LexValue, PointSet, TraceSet
 
 Face = frozenset
 
@@ -131,10 +145,6 @@ class SimplicialComplex:
         ]
         return sorted(out, key=_face_sort_key)
 
-    def induced(self, vertex_subset: Iterable[int]) -> "SimplicialComplex":
-        keep = frozenset(vertex_subset)
-        return SimplicialComplex(frozenset(f for f in self.faces if f <= keep))
-
 
 @dataclass(frozen=True)
 class CollapseStep:
@@ -145,6 +155,15 @@ class CollapseStep:
     def __post_init__(self):
         if not self.free_face <= self.unique_maximal:
             raise ValueError("free face must lie inside its maximal face")
+
+
+def _coface_block(pool, sigma: frozenset) -> tuple[set, list[frozenset]]:
+    """The faces of ``pool`` containing σ, and the maximal ones among
+    them, sorted: those that no g − {v} with g containing σ equals.
+    ``pool`` must hold every face of the complex that contains σ."""
+    removed = {f for f in pool if sigma <= f}
+    covered = {g - {v} for g in removed for v in g - sigma}
+    return removed, sorted(removed - covered, key=_face_sort_key)
 
 
 @dataclass(frozen=True)
@@ -165,8 +184,7 @@ class CollapseSequence:
 
         The steps run on one face set, with the same checks and errors as
         ``elementary_collapse``.  The faces containing σ are found among
-        the faces through one of its vertices; the maximal ones are those
-        that no g − {v} with g containing σ equals.
+        the faces through one of its vertices.
         """
         faces = set(self.initial.faces)
         cofaces: dict = {}  # vertex -> the faces left that contain it
@@ -182,9 +200,7 @@ class CollapseSequence:
             if sigma not in faces:
                 raise NotAFaceError(f"{sorted(sigma)} is not a face")
             pool = min((cofaces[v] for v in sigma), key=len) if sigma else faces
-            removed = {f for f in pool if sigma <= f}
-            covered = {g - {v} for g in removed for v in g - sigma}
-            maximal = sorted(removed - covered, key=_face_sort_key)
+            removed, maximal = _coface_block(pool, sigma)
             if len(maximal) != 1:
                 raise NotFreeError(sigma, tuple(maximal))
             if maximal[0] != step.unique_maximal:
@@ -208,6 +224,80 @@ class CollapseSequence:
 # nerve
 
 
+def _meet(a: tuple, b: tuple) -> tuple | None:
+    """Per-level intersection of two run tuples; None when it is empty."""
+    runs = []
+    alive = False
+    for ra, rb in zip(a, b):
+        if ra is not None and rb is not None:
+            first = ra[0] if ra[0] > rb[0] else rb[0]
+            last = ra[1] if ra[1] < rb[1] else rb[1]
+            if first <= last:
+                runs.append((first, last))
+                alive = True
+                continue
+        runs.append(None)
+    return tuple(runs) if alive else None
+
+
+def _index_family(
+    family: Sequence[TraceSet],
+    labels: Sequence[int] | None,
+    enumeration_guard: int | None,
+) -> dict[int, tuple]:
+    """Check a family as ``nerve`` takes it; return label → runs."""
+    limit = guard_limit("NERVE", enumeration_guard)
+    if len(family) > limit:
+        raise GuardExceededError("nerve family size", len(family), limit)
+    if labels is None:
+        labels = list(range(1, len(family) + 1))
+    if len(labels) != len(family) or len(set(labels)) != len(family):
+        raise ValueError("labels must be distinct and match the family length")
+    for t in family[1:]:
+        if t.ground != family[0].ground:
+            raise GroundSetMismatchError("family spans several ground sets")
+    return {lab: t.runs for lab, t in zip(labels, family)}
+
+
+def _face_joints(runs: Mapping[int, tuple]) -> dict[frozenset, tuple]:
+    """Every nonempty face of the nerve of ``runs``, with its joint (the
+    runs of its members' intersection).
+
+    Faces grow in label order: the extensions of f ∪ {a} are the later
+    extensions b of f whose runs still meet f ∪ {a}'s joint, so each
+    candidate costs one meet.  The faces, the empty one included, are
+    counted against the ``COLLAPSE_FACES`` guard as they are added.
+    """
+    limit = guard_limit("COLLAPSE_FACES")
+    joints: dict[frozenset, tuple] = {}
+    # (face, its extensions in label order, each with its joint)
+    stack = [
+        (frozenset(), [(lab, r) for lab, r in sorted(runs.items()) if any(r)])
+    ]
+    while stack:
+        f, extensions = stack.pop()
+        for k, (lab, joint) in enumerate(extensions):
+            g = f | {lab}
+            joints[g] = joint
+            if len(joints) >= limit:
+                raise GuardExceededError("nerve face count", len(joints) + 1, limit)
+            grown = []
+            for b, _ in extensions[k + 1 :]:
+                m = _meet(joint, runs[b])
+                if m is not None:
+                    grown.append((b, m))
+            if grown:
+                stack.append((g, grown))
+    return joints
+
+
+def _nerve_faces(ground: PointSet, joints: Mapping[frozenset, tuple]) -> set:
+    faces = set(joints)
+    if len(ground) > 0:
+        faces.add(frozenset())
+    return faces
+
+
 def nerve(
     family: Sequence[TraceSet],
     labels: Sequence[int] | None = None,
@@ -217,52 +307,14 @@ def nerve(
     nonempty; the empty face is present iff the ground set is nonempty.
 
     Empty traces are permitted; they simply contribute no vertex.  An
-    empty family (no ground set in sight) yields the void complex.
+    empty family (no ground set in sight) yields the void complex.  More
+    sets than the ``NERVE`` guard, or more faces than ``COLLAPSE_FACES``,
+    raise ``GuardExceededError``.
     """
-    limit = guard_limit("NERVE", enumeration_guard)
-    if len(family) > limit:
-        raise GuardExceededError("nerve family size", len(family), limit)
-    if labels is None:
-        labels = list(range(1, len(family) + 1))
-    if len(labels) != len(family) or len(set(labels)) != len(family):
-        raise ValueError("labels must be distinct and match the family length")
+    runs = _index_family(family, labels, enumeration_guard)
     if not family:
         return SimplicialComplex(frozenset())
-
-    ground = family[0].ground
-    for t in family[1:]:
-        if t.ground != ground:
-            raise GroundSetMismatchError("family spans several ground sets")
-    faces: set = set()
-    if len(ground) > 0:
-        faces.add(frozenset())
-
-    by_label = dict(zip(labels, family))
-    # frontier grows one vertex at a time; a candidate is tested only when
-    # all its facets are already faces
-    frontier: list[tuple[frozenset, TraceSet]] = []
-    order = sorted(labels)
-    for lab in order:
-        t = by_label[lab]
-        if not t.is_empty:
-            f = frozenset([lab])
-            faces.add(f)
-            frontier.append((f, t))
-    while frontier:
-        next_frontier = []
-        for f, inter in frontier:
-            top = max(f)
-            for lab in order:
-                if lab <= top:
-                    continue
-                candidate = f | {lab}
-                if any(candidate - {v} not in faces for v in candidate):
-                    continue
-                joint, _ = intersect_all([inter, by_label[lab]])
-                if not joint.is_empty:
-                    faces.add(candidate)
-                    next_frontier.append((candidate, joint))
-        frontier = next_frontier
+    faces = _nerve_faces(family[0].ground, _face_joints(runs))
     return SimplicialComplex(frozenset(faces))
 
 
@@ -402,23 +454,25 @@ def is_d_collapsible(
 # family truncation
 
 
-def _cut_past(trace: TraceSet, level: int, threshold: Fraction) -> TraceSet:
-    """Keep levels below ``level`` intact, keep only coords > threshold on
-    ``level`` itself, and clear every level above it."""
-    runs = []
-    for lvl in range(1, trace.ground.d + 1):
-        run = trace.level_run(lvl)
-        if lvl < level:
-            runs.append(run)
-        elif lvl > level or run is None:
-            runs.append(None)
-        else:
-            coords = trace.ground.level_coords(lvl)
-            first, last = run
-            while first <= last and coords[first] <= threshold:
-                first += 1
-            runs.append((first, last) if first <= last else None)
-    return TraceSet(trace.ground, tuple(runs))
+def _cut(runs: tuple, level: int, m: int) -> tuple:
+    """Keep the levels below ``level``, the indices past ``m`` on
+    ``level`` itself, and nothing above it."""
+    run = runs[level - 1]
+    if run is not None and run[0] <= m:
+        run = (m + 1, run[1]) if m < run[1] else None
+    return runs[: level - 1] + (run,) + (None,) * (len(runs) - level)
+
+
+def _cut_within(runs: tuple, level: int, m: int) -> tuple:
+    """``_cut``, checked to shrink every run: the sweep rechecks only the
+    faces of the complex it cuts, which is sound because no set grows."""
+    cut = _cut(runs, level, m)
+    if len(cut) != len(runs) or any(
+        new is not None and (old is None or new[0] < old[0] or new[1] > old[1])
+        for old, new in zip(runs, cut)
+    ):
+        raise AssertionError(f"cut runs {cut} are not inside {runs}")
+    return cut
 
 
 def truncate_family(
@@ -441,7 +495,10 @@ def truncate_family(
     for lab, t in zip(labels, family):
         if not 1 <= i <= t.ground.d:
             raise ValueError(f"level {i} outside [1, {t.ground.d}]")
-        out.append(_cut_past(t, i, threshold) if lab in chosen else t)
+        if lab in chosen:
+            m = bisect_right(t.ground.level_coords(i), threshold) - 1
+            t = TraceSet(t.ground, _cut_within(t.runs, i, m))
+        out.append(t)
     return out
 
 
@@ -472,10 +529,44 @@ def _sweep_diag(message: str, **extra) -> SweepInvariantError:
     return SweepInvariantError(message, diagnostics=extra)
 
 
-def _family_snapshot(family: Mapping[int, TraceSet]) -> dict:
+def _family_snapshot(ground: PointSet, working: Mapping[int, tuple]) -> dict:
     return {
-        lab: tuple(t.points()) for lab, t in sorted(family.items())
+        lab: TraceSet(ground, runs).points() for lab, runs in sorted(working.items())
     }
+
+
+def _face_list(faces) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(f)) for f in sorted(faces, key=_face_sort_key))
+
+
+def _sweep_value(joint: tuple) -> tuple[int, ...]:
+    """The last index on each level, −1 where the level is empty."""
+    return tuple(-1 if run is None else run[1] for run in joint)
+
+
+def _refresh(
+    joints: Mapping[frozenset, tuple],
+    parents: Mapping[frozenset, tuple[frozenset, int]],
+    working: Mapping[int, tuple],
+    changed,
+) -> dict[frozenset, tuple | None]:
+    """Joints under ``working`` of the faces in ``joints`` that contain a
+    label in ``changed``: None where the members no longer meet or one
+    of them is gone.  Every other face keeps its joint.  ``joints`` lists
+    each face after its parent f − {max f}, as the face walk adds them."""
+    fresh: dict[frozenset, tuple | None] = {}
+    for f in joints:
+        if f.isdisjoint(changed):
+            continue
+        rest, top = parents[f]
+        if top not in working:
+            fresh[f] = None
+        elif not rest:
+            fresh[f] = working[top] if any(working[top]) else None
+        else:
+            base = fresh[rest] if rest in fresh else joints[rest]
+            fresh[f] = None if base is None else _meet(base, working[top])
+    return fresh
 
 
 def sweep_collapse(
@@ -486,110 +577,109 @@ def sweep_collapse(
 ) -> SweepResult:
     """Collapse the family's nerve by the lexicographic sweep.
 
-    Per iteration: enumerate nonempty faces with the sweep value of
-    their intersection; pick the minimizer (ties: smaller support, then
-    lexicographically least label set); check the support size against
-    2d−1 and freeness; collapse; rebuild the family so its nerve equals
-    the new complex, verified by recomputation.  The returned sequence
-    replays to the empty complex with every free face of size ≤ 2d−1.
+    Per iteration: take the nonempty face whose intersection has the
+    least sweep value (ties: smaller support, then lexicographically
+    least label set); check the support size against 2d−1 and freeness;
+    collapse; rebuild the family so its nerve equals the new complex,
+    verified by recomputing the joints of the faces whose sets changed.
+    The returned sequence replays to the empty complex with every free
+    face of size ≤ 2d−1.
     """
-    if labels is None:
-        labels = list(range(1, len(family) + 1))
-    K = nerve(family, labels=labels, enumeration_guard=enumeration_guard)
+    working = _index_family(family, labels, enumeration_guard)
+    labels = tuple(working)
     if not family:
-        return SweepResult(CollapseSequence(K, (), 1), (), ())
+        void = SimplicialComplex(frozenset())
+        return SweepResult(CollapseSequence(void, (), 1), (), ())
 
-    d = family[0].ground.d
-    bound = 2 * d - 1
-    working: dict[int, TraceSet] = dict(zip(labels, family))
+    ground = family[0].ground
+    bound = 2 * ground.d - 1
+    # the nonempty faces of the current complex K, each with its joint
+    # under ``working``, its parent f − {max f} and its sweep key: the
+    # value, the support size and the sorted labels
+    joints = _face_joints(working)
+    faces = _nerve_faces(ground, joints)
+    parents = {f: (f - {max(f)}, max(f)) for f in joints}
+    keys = {
+        f: (_sweep_value(joint), len(f), tuple(sorted(f)))
+        for f, joint in joints.items()
+    }
+    initial = SimplicialComplex(frozenset(faces))
     all_steps: list[CollapseStep] = []
     iterations: list[SweepIteration] = []
-    initial = K
 
-    while not K.is_terminal:
-        labs = sorted(working)
-        fam = [working[l] for l in labs]
-        # intersections built incrementally, smaller faces first
-        joints: dict[frozenset, TraceSet] = {}
-        values: dict[frozenset, LexValue] = {}
-        for f in sorted(K.faces, key=len):
-            if not f:
-                continue
-            top = max(f)
-            rest = f - {top}
-            if rest:
-                joint, _ = intersect_all([joints[rest], working[top]])
-            else:
-                joint = working[top]
-            joints[f] = joint
-            values[f] = f_value(joint)
-        pivot = min(
-            values,
-            key=lambda f: (values[f], len(f), tuple(sorted(f))),
+    while joints:
+        value, n, support = min(keys.values())
+        pivot = frozenset(support)
+        pivot_value = LexValue(
+            tuple(
+                None if last < 0 else coords[last]
+                for last, coords in zip(value, ground.levels)
+            )
         )
-        pivot_value = values[pivot]
-        n = len(pivot)
         if n > bound:
             raise _sweep_diag(
                 f"pivot support has {n} sets, exceeding {bound}",
-                family=_family_snapshot(working),
-                pivot=tuple(sorted(pivot)),
+                family=_family_snapshot(ground, working),
+                pivot=support,
             )
-        maximal = K.maximal_faces_containing(pivot)
+        removed, maximal = _coface_block(joints, pivot)
         if len(maximal) != 1:
             raise _sweep_diag(
                 "pivot face is not free",
-                family=_family_snapshot(working),
-                pivot=tuple(sorted(pivot)),
-                maximal_faces=tuple(tuple(sorted(m)) for m in maximal),
+                family=_family_snapshot(ground, working),
+                pivot=support,
+                maximal_faces=_face_list(maximal),
             )
+        step = CollapseStep(pivot, maximal[0], frozenset(removed))
 
         if n == 1:
-            K_next, step = elementary_collapse(K, pivot)
-            (deleted,) = pivot
-            del working[deleted]
+            working = {lab: r for lab, r in working.items() if lab not in pivot}
+            changed = pivot
+            K_next = faces - removed
             steps = (step,)
             mode = "delete"
         else:
-            i, a_i = pivot_value.first_finite()
-            K_coll, step = elementary_collapse(K, pivot)
-            trunc = truncate_family(fam, pivot, i, a_i, labels=labs)
-            candidate = dict(zip(labs, trunc))
-            K_trunc = nerve(
-                [candidate[l] for l in labs],
-                labels=labs,
-                enumeration_guard=enumeration_guard,
-            )
-            if K_trunc.faces == K_coll.faces:
+            i = next(lvl for lvl, m in enumerate(value, start=1) if m >= 0)
+            m = value[i - 1]
+            K_coll = faces - removed
+            candidate = dict(working)
+            for lab in pivot:
+                candidate[lab] = _cut_within(working[lab], i, m)
+            fresh = _refresh(joints, parents, candidate, pivot)
+            K_trunc = faces - {f for f, joint in fresh.items() if joint is None}
+            if K_trunc == K_coll:
                 working = candidate
+                changed = pivot
                 K_next = K_coll
                 steps = (step,)
                 mode = "truncate"
             elif strict:
                 raise _sweep_diag(
                     "nerve of the truncated family differs from the collapse",
-                    family=_family_snapshot(working),
-                    pivot=tuple(sorted(pivot)),
-                    collapsed_faces=tuple(map(tuple, map(sorted, K_coll.faces))),
-                    truncated_nerve_faces=tuple(map(tuple, map(sorted, K_trunc.faces))),
+                    family=_family_snapshot(ground, working),
+                    pivot=support,
+                    collapsed_faces=_face_list(K_coll),
+                    truncated_nerve_faces=_face_list(K_trunc),
                 )
             else:
                 # fall back: cut every set containing the pivot point and
-                # remove the whole block of faces that die with it
-                pivot_point = Point(a_i, i)
+                # remove the whole block of faces that die with it.  No
+                # face's value is below the pivot's, so a face dies with
+                # the cut exactly when its value agrees with the pivot's
+                # through level i
                 star = frozenset(
-                    l for l in labs if pivot_point in working[l]
+                    lab
+                    for lab, r in working.items()
+                    if r[i - 1] is not None and r[i - 1][0] <= m <= r[i - 1][1]
                 )
                 block = frozenset(
-                    f
-                    for f in K.faces
-                    if f and _cut_past(joints[f], i, a_i).is_empty
+                    f for f, key in keys.items() if key[0][:i] == value[:i]
                 )
                 if pivot not in block or not all(f <= star for f in block):
                     raise _sweep_diag(
                         "fallback block is inconsistent with the pivot star",
-                        family=_family_snapshot(working),
-                        pivot=tuple(sorted(pivot)),
+                        family=_family_snapshot(ground, working),
+                        pivot=support,
                         star=tuple(sorted(star)),
                     )
                 # a face's joint shrinks as the face grows, so the
@@ -598,73 +688,43 @@ def sweep_collapse(
                 if found is None:
                     raise _sweep_diag(
                         "no collapse order removes the fallback block",
-                        family=_family_snapshot(working),
-                        pivot=tuple(sorted(pivot)),
-                        block=tuple(map(tuple, map(sorted, block))),
+                        family=_family_snapshot(ground, working),
+                        pivot=support,
+                        block=_face_list(block),
                     )
                 steps = tuple(found)
-                K_next = SimplicialComplex(K.faces - block)
-                working = dict(
-                    zip(labs, truncate_family(fam, star, i, a_i, labels=labs))
-                )
+                K_next = faces - block
+                working = dict(working)
+                for lab in star:
+                    working[lab] = _cut_within(working[lab], i, m)
+                changed = star
                 mode = "star"
 
-        if mode == "truncate":
-            check_faces = K_trunc.faces
-        elif working:
-            check_faces = nerve(
-                [working[l] for l in sorted(working)],
-                labels=sorted(working),
-                enumeration_guard=enumeration_guard,
-            ).faces
-        else:
-            # deleting the last set leaves exactly the empty face
-            check_faces = frozenset({frozenset()})
-        if check_faces != K_next.faces:
+        if mode != "truncate":
+            fresh = _refresh(joints, parents, working, changed)
+        # the nerve of the rebuilt family: no set grew, so it lies inside
+        # K, and only the faces through a changed set can have died
+        check_faces = faces - {f for f, joint in fresh.items() if joint is None}
+        if check_faces != K_next:
             raise _sweep_diag(
                 "rebuilt family's nerve does not match the collapsed complex",
-                family=_family_snapshot(working),
-                pivot=tuple(sorted(pivot)),
-                expected_faces=tuple(map(tuple, map(sorted, K_next.faces))),
-                actual_faces=tuple(map(tuple, map(sorted, check_faces))),
+                family=_family_snapshot(ground, working),
+                pivot=support,
+                expected_faces=_face_list(K_next),
+                actual_faces=_face_list(check_faces),
             )
+        for f in faces - K_next:
+            del joints[f], parents[f], keys[f]
+        for f, joint in fresh.items():
+            if joint is not None:
+                joints[f] = joint
+                keys[f] = (_sweep_value(joint), *keys[f][1:])
+        faces = K_next
         all_steps.extend(steps)
         iterations.append(SweepIteration(pivot, pivot_value, mode, steps))
-        K = K_next
 
-    result = SweepResult(
+    return SweepResult(
         CollapseSequence(initial, tuple(all_steps), bound),
         tuple(iterations),
-        tuple(labels),
+        labels,
     )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# colorful faces
-
-
-def colorful_face_stats(
-    K: SimplicialComplex, classes: Sequence[Iterable[int]]
-) -> tuple[int, tuple[int, ...]]:
-    """Count faces with exactly one vertex per class and report the
-    dimension of each class's induced subcomplex."""
-    parts = [frozenset(c) for c in classes]
-    verts = frozenset(K.vertices)
-    seen: set = set()
-    for p in parts:
-        if p & seen:
-            raise ValueError("classes overlap")
-        seen |= p
-    if seen != verts:
-        raise ValueError("classes must cover exactly the vertex set")
-    count = sum(
-        1
-        for f in K.faces
-        if len(f) == len(parts) and all(len(f & p) == 1 for p in parts)
-    )
-    dims = []
-    for p in parts:
-        induced = K.induced(p)
-        dims.append(-1 if induced.dim is None else induced.dim)
-    return count, tuple(dims)

@@ -12,7 +12,7 @@ import os
 
 _DEFAULTS = {
     "NERVE": 20,          # family size for nerve enumeration
-    "COLLAPSE_FACES": 2 ** 14,  # face count for the collapsibility oracle
+    "COLLAPSE_FACES": 2 ** 14,  # face count: nerve walk, collapsibility oracle
     "RADON_POINTS": 12,   # |P| for the Radon number brute force
     "PIERCE_SETS": 30,    # family size for exact tau / nu
     "PQ_WORK": 10 ** 6,   # tuple evaluations for (p,q) checks

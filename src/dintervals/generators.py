@@ -315,6 +315,8 @@ def gen_conditioned(
     instance ``gen_instance`` gives for that draw's seed.
     """
     cap = guard_limit("DRAWS", cap_draws)
+    if cap < 1:
+        raise ValueError("draw cap must be ≥ 1")
     needed = predicate.families_needed(spec.d)
     if spec.n_families != needed:
         raise ValueError(

@@ -268,6 +268,18 @@ def test_gen_predicate_exhaustion_exits_one(tmp_path, capsys):
     assert "no instance" in err
 
 
+def test_gen_draw_cap_below_one_exits_two(capsys):
+    for cap in ("0", "-1"):
+        code = run_command([
+            "gen", "--d", "1", "--points", "4", "--range", "0:5", "--sets", "2",
+            "--predicate", "colorful-helly:1", "--cap", cap,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: draw cap must be ≥ 1" in captured.err
+
+
 def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
     builds = []
     build = cli.build_parser
@@ -311,6 +323,18 @@ def test_guard_breach_exits_two(tmp_path, capsys):
     code = run_command(["nerve", path, "--guard", "2"])
     assert code == 2
     assert "guard" in capsys.readouterr().err.lower()
+
+
+def test_nerve_face_budget_breach_exits_two(tmp_path, capsys):
+    piece = [{"level": 1, "lo": "0", "hi": "0"}, {"level": 2, "lo": "0", "hi": "0"}]
+    doc = {
+        "d": 2,
+        "points": [["0", 1], ["0", 2]],
+        "sets": [{"name": f"S{i}", "levels": piece} for i in range(16)],
+    }
+    path = write(tmp_path, "dense.json", json.dumps(doc))
+    assert run_command(["nerve", path]) == 2
+    assert "nerve face count" in capsys.readouterr().err
 
 
 def test_helly_work_guard_breach_exits_two(tmp_path, monkeypatch, capsys):

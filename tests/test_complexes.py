@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from dintervals import (
     SimplicialComplex,
     SweepInvariantError,
     TraceSet,
-    colorful_face_stats,
     elementary_collapse,
+    f_value,
     face,
     intersect_all,
     is_d_collapsible,
@@ -29,6 +30,7 @@ from dintervals import (
     trace_of,
     truncate_family,
 )
+from dintervals import complexes
 from helpers import p6, random_ground, random_trace
 
 
@@ -81,6 +83,21 @@ def test_nerve_guard_rejects_large_families():
     _, fam = three_set_family()
     with pytest.raises(GuardExceededError):
         nerve(fam, enumeration_guard=2)
+
+
+def test_nerve_face_budget_stops_sixteen_identical_sets():
+    # 16 identical sets span 2^16 faces; the face walk stops past 2^14
+    P = PointSet(2, ((Fraction(0),), (Fraction(0),)))
+    fam = [TraceSet(P, ((0, 0), (0, 0)))] * 16
+    for run in (nerve, sweep_collapse):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceededError) as err:
+            run(fam)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.what == "nerve face count"
+        assert err.value.limit == 2 ** 14
+    # exactly 2^14 faces, the empty one included, still fit
+    assert len(nerve(fam[:14])) == 2 ** 14
 
 
 def test_nerve_rejects_duplicate_labels():
@@ -212,6 +229,119 @@ def test_sweep_replays_to_empty_within_the_dimension_bound():
         assert res.sequence.replays_to_empty()
         assert all(len(s.free_face) <= 2 * d - 1 for s in res.sequence.steps)
         assert sum(len(it.steps) for it in res.iterations) == res.step_count
+
+
+def reference_sweep(family):
+    """The sweep from scratch, on traces and Fractions: every iteration
+    intersects every face anew and checks a full nerve of the rebuilt
+    family.  The star fallback's block goes through the same collapse
+    search the sweep uses."""
+    labels = list(range(1, len(family) + 1))
+    working = dict(zip(labels, family))
+    bound = 2 * family[0].ground.d - 1
+    K = nerve(family)
+    out = []
+    while not K.is_terminal:
+        labs = sorted(working)
+        fam = [working[lab] for lab in labs]
+        joints = {f: intersect_all([working[lab] for lab in f])[0] for f in K.faces if f}
+        values = {f: f_value(joint) for f, joint in joints.items()}
+        pivot = min(values, key=lambda f: (values[f], len(f), sorted(f)))
+        value = values[pivot]
+        K_coll, step = elementary_collapse(K, pivot)
+        if len(pivot) == 1:
+            (gone,) = pivot
+            del working[gone]
+            mode, steps, K = "delete", (step,), K_coll
+        else:
+            i, a_i = value.first_finite()
+            cut = dict(zip(labs, truncate_family(fam, pivot, i, a_i, labels=labs)))
+            if nerve([cut[lab] for lab in labs], labels=labs).faces == K_coll.faces:
+                working, mode, steps, K = cut, "truncate", (step,), K_coll
+            else:
+                star = {lab for lab in labs if Point(a_i, i) in working[lab]}
+                block = frozenset(
+                    f
+                    for f, joint in joints.items()
+                    if truncate_family([joint], {1}, i, a_i)[0].is_empty
+                )
+                found = complexes._collapse_search(block, bound, complexes._smallest_first)
+                steps = tuple(found)
+                working = dict(zip(labs, truncate_family(fam, star, i, a_i, labels=labs)))
+                mode, K = "star", SimplicialComplex(K.faces - block)
+        rebuilt = sorted(working)
+        if rebuilt:
+            assert nerve([working[lab] for lab in rebuilt], labels=rebuilt) == K
+        else:
+            # deleting the last set leaves exactly the empty face
+            assert K.faces == {frozenset()}
+        out.append((pivot, value, mode, steps))
+    return out
+
+
+def test_sweep_matches_a_from_scratch_reference():
+    rng = random.Random(205)
+    modes = []
+    families = 0
+    for n in range(320):
+        d = 1 + n % 3
+        ground = random_ground(rng, d, max_per_level=5)
+        fam = [random_trace(rng, ground) for _ in range(rng.randrange(1, 9))]
+        if len(ground) == 0:
+            continue
+        families += 1
+        got = [
+            (it.pivot_face, it.pivot_value, it.mode, it.steps)
+            for it in sweep_collapse(fam).iterations
+        ]
+        assert got == reference_sweep(fam), n
+        modes += [mode for _, _, mode, _ in got]
+    assert families == 300
+    assert len(modes) > 1000 and modes.count("star") >= 20
+    assert set(modes) == {"delete", "truncate", "star"}
+
+
+def star_family():
+    """Truncating the pivot {1, 2} kills set 1 while vertex 1 survives,
+    so the sweep falls back to cutting the star {1, 2, 3}; set 3 lies
+    outside the pivot, and vertex 3 dies with the cut."""
+    P = PointSet(2, (tuple(Fraction(c) for c in (0, 1, 2, 3)), (Fraction(5),)))
+    pairs = [{1: (2, 2), 2: (5, 5)}, {1: (0, 3)}, {1: (1, 2), 2: (5, 5)}]
+    return [trace_of(DInterval.from_pairs(2, p), P) for p in pairs]
+
+
+def test_sweep_raises_when_a_star_member_is_left_uncut(monkeypatch):
+    fam = star_family()
+    res = sweep_collapse(fam)
+    assert [it.mode for it in res.iterations] == ["star", "delete"]
+    cut = complexes._cut
+    monkeypatch.setattr(
+        complexes,
+        "_cut",
+        lambda runs, level, m: runs if runs == fam[2].runs else cut(runs, level, m),
+    )
+    with pytest.raises(SweepInvariantError) as err:
+        sweep_collapse(fam)
+    assert "does not match" in str(err.value)
+    diagnostics = err.value.diagnostics
+    assert diagnostics["expected_faces"] == ((), (2,))
+    assert diagnostics["actual_faces"] == ((), (2,), (3,))
+
+
+def test_a_cut_that_grows_a_run_is_refused(monkeypatch):
+    fam = star_family()
+    cut = complexes._cut
+
+    def grow(runs, level, m):
+        # fill every level above the cut instead of clearing it
+        out = cut(runs, level, m)
+        return out[:level] + ((0, 0),) * (len(out) - level)
+
+    monkeypatch.setattr(complexes, "_cut", grow)
+    with pytest.raises(AssertionError, match="not inside"):
+        sweep_collapse(fam)
+    with pytest.raises(AssertionError, match="not inside"):
+        truncate_family(fam, {2}, 1, 2)
 
 
 # -------------------------------------------------------------- truncation
@@ -401,32 +531,6 @@ def test_replay_agrees_with_stepwise_elementary_collapses():
 # ---------------------------------------------------------- colorful faces
 
 
-def test_colorful_stats_single_edge():
-    K = SimplicialComplex.from_faces([[1, 2]])
-    assert colorful_face_stats(K, [[1], [2]]) == (1, (0, 0))
-
-
-def test_colorful_stats_two_isolated_vertices():
-    K = SimplicialComplex.from_faces([[1], [2]])
-    count, _ = colorful_face_stats(K, [[1], [2]])
-    assert count == 0
-
-
-def test_colorful_stats_on_the_nerve_example():
-    _, fam = three_set_family()
-    count, dims = colorful_face_stats(nerve(fam), [[1, 2], [3]])
-    assert count == 2
-    assert dims == (0, 0)
-
-
-def test_colorful_stats_rejects_bad_partitions():
-    K = SimplicialComplex.from_faces([[1, 2]])
-    with pytest.raises(ValueError):
-        colorful_face_stats(K, [[1], [1, 2]])
-    with pytest.raises(ValueError):
-        colorful_face_stats(K, [[1]])
-
-
 def test_colorful_density_forces_an_induced_dimension():
     # nerves here are 1-collapsible, so two classes with colorful density
     # alpha must leave some class with induced dim >= (1-sqrt(1-alpha))n - 1
@@ -442,7 +546,13 @@ def test_colorful_density_forces_an_induced_dimension():
         rng.shuffle(verts)
         cut = rng.randrange(1, len(verts))
         classes = [sorted(verts[:cut]), sorted(verts[cut:])]
-        count, dims = colorful_face_stats(K, classes)
+        count = sum(
+            1
+            for f in K.faces
+            if len(f) == 2 and all(len(f.intersection(c)) == 1 for c in classes)
+        )
+        # dimension of each class's induced subcomplex
+        dims = [max(len(f) for f in K.faces if f <= set(c)) - 1 for c in classes]
         if count == 0:
             continue
         alpha = count / (len(classes[0]) * len(classes[1]))
