@@ -46,3 +46,38 @@ def random_family(rng: random.Random, ground: PointSet, size: int) -> list[Trace
 def random_subset(rng: random.Random, ground: PointSet) -> list[Point]:
     pts = list(ground.points())
     return rng.sample(pts, rng.randrange(0, len(pts) + 1)) if pts else []
+
+
+LP_KINDS = ("0/1", "int", "frac")
+
+
+def random_lp(rng: random.Random, kind: str) -> tuple[list, list, list]:
+    """One seeded LP (c, A, b) for max c·y s.t. Ay ≤ b, y ≥ 0.
+
+    "0/1": incidence-like A, c and b mostly all ones; "int": small signed
+    integers, so many are unbounded; "frac": denominators up to 7.  About
+    one in twenty gets a negative rhs or a ragged row, which the solver
+    must refuse.
+    """
+    m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+    if kind == "0/1":
+        entry = lambda: Fraction(rng.randrange(2))
+        cost = (lambda: Fraction(1)) if rng.random() < 0.7 else entry
+        rhs = (lambda: Fraction(1)) if rng.random() < 0.7 else lambda: Fraction(rng.randrange(4))
+    elif kind == "int":
+        entry = lambda: Fraction(rng.randrange(-3, 4))
+        cost = lambda: Fraction(rng.randrange(-2, 4))
+        rhs = lambda: Fraction(rng.randrange(6))
+    else:
+        entry = lambda: Fraction(rng.randrange(-6, 7), rng.randrange(1, 8))
+        cost = lambda: Fraction(rng.randrange(-3, 7), rng.randrange(1, 8))
+        rhs = lambda: Fraction(rng.randrange(8), rng.randrange(1, 8))
+    c = [cost() for _ in range(n)]
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    b = [rhs() for _ in range(m)]
+    fault = rng.random()
+    if fault < 0.03:
+        b[rng.randrange(m)] = Fraction(-1, rng.randrange(1, 4))
+    elif fault < 0.05:
+        A[rng.randrange(m)].append(Fraction(1))
+    return c, A, b

@@ -14,7 +14,10 @@ raises are digested on their own, the face lists of the diagnostics in
 sorted order.  Generator output (plain instances, conditioned outcomes
 and the files ``dintervals gen`` writes) is digested too: the seeded
 streams define every corpus, so a faster generator must reproduce them
-exactly.
+exactly.  The piercing LP is digested at three depths: raw simplex
+outcomes (value, primal, dual or the refusal) on seeded LPs, the whole
+``pierce_all`` result on seeded families, and the ``dintervals pierce``
+report without its timing.
 """
 
 import hashlib
@@ -30,26 +33,34 @@ from dintervals import (
     DIntervalError,
     GenSpec,
     GuardExceededError,
+    Instance,
     KIntersectRich,
+    PointSet,
     PqProperty,
     SweepInvariantError,
     TheoremViolationError,
+    TraceSet,
     cfh_stats,
     colorful_helly_points,
+    dump_instance,
     gen_conditioned,
     gen_instance,
     is_d_collapsible,
     nerve,
+    pierce_all,
     pq_check,
     sweep_collapse,
 )
 from dintervals import experiments
 from dintervals.cli import run_command
 from dintervals.experiments import run_suite
-from helpers import random_ground, random_trace
+from dintervals.lp import simplex_maximize
+from helpers import LP_KINDS, random_ground, random_lp, random_trace
 
 FAMILIES = 102
 COLORFUL_INSTANCES = 1500
+LPS = 2400
+PIERCE_FAMILIES = 320
 
 GOLDEN = {
     "sweep": (
@@ -183,6 +194,18 @@ GOLDEN = {
     "gen-files": (
         "4a6bb5de73ff9d7c8507fd6168e48a6e"
         "714d4b58d429cba44fc90b37e2c65924"
+    ),
+    "lp-simplex": (
+        "0fd9d0a494e787746344599d56a21ab9"
+        "d6ef66e4cb15b35921005b0e0d366dd9"
+    ),
+    "pierce-lp": (
+        "841ca489b44d7504acba56a904ef80d4"
+        "6cc74328278161277b80b1c28b540d7b"
+    ),
+    "cli-pierce": (
+        "fd3db62ae6323cba3f1a1522e62cfb5e"
+        "82dd641790d4e4ee182e286240cb3fbf"
     ),
 }
 
@@ -562,3 +585,84 @@ def test_gen_files_match_the_golden_digest(tmp_path):
         assert run_command(["gen", *args, "--out", str(out)]) == 0, args
         text += out.read_text(encoding="utf-8")
     assert _sha(text) == GOLDEN["gen-files"]
+
+
+# ---------------------------------------------------------------- piercing LP
+
+
+def _simplex_outcomes():
+    rng = random.Random(20250111)
+    for i in range(LPS):
+        c, A, b = random_lp(rng, LP_KINDS[i % len(LP_KINDS)])
+        try:
+            out = simplex_maximize(c, A, b)
+        except ValueError as exc:
+            yield ["ValueError", str(exc)]
+        else:
+            yield [out.value, list(out.primal), list(out.dual)]
+
+
+def test_simplex_outcomes_match_the_golden_digest():
+    outcomes = list(_simplex_outcomes())
+    # optimal, unbounded, negative-rhs and ragged inputs all occur
+    errors = {row[1] for row in outcomes if row[0] == "ValueError"}
+    assert errors == {
+        "LP is unbounded", "this solver needs b ≥ 0", "inconsistent LP dimensions"
+    }
+    assert sum(row[0] != "ValueError" for row in outcomes) > LPS // 2
+    assert _digest(outcomes) == GOLDEN["lp-simplex"]
+
+
+def _pierce_families(count: int, max_sets: int = 8):
+    """Seeded families of nonempty traces, d = 1..3."""
+    rng = random.Random(20250112)
+    made = 0
+    while made < count:
+        d = 1 + made % 3
+        ground = random_ground(rng, d, max_per_level=5)
+        fam = [random_trace(rng, ground) for _ in range(rng.randrange(1, max_sets + 1))]
+        fam = [t for t in fam if not t.is_empty]
+        if fam:
+            made += 1
+            yield ground, fam
+
+
+def _points(points):
+    return [[p.coord, p.level] for p in points]
+
+
+def test_pierce_results_match_the_golden_digest():
+    results = []
+    for _, fam in _pierce_families(PIERCE_FAMILIES):
+        res = pierce_all(fam)
+        results.append([
+            res.tau, _points(res.piercing_points), res.nu, list(res.disjoint_subfamily),
+            res.lp.value, list(res.lp.matching_weights),
+            list(res.lp.transversal_weights), _points(res.lp.candidate_points),
+        ])
+    # fractional optima occur, not only integral ones
+    assert any(row[4].denominator > 1 for row in results)
+    assert _digest(results) == GOLDEN["pierce-lp"]
+
+
+def _triangle_triple():
+    """Three pairwise-meeting two-level sets with no common point: τ* = 3/2."""
+    ground = PointSet(2, (tuple(map(Fraction, (0, 1, 2, 4, 5))), tuple(map(Fraction, range(4)))))
+    runs = (((0, 1), (0, 1)), ((1, 2), (2, 3)), ((3, 4), (1, 2)))
+    return ground, [TraceSet(ground, r) for r in runs]
+
+
+def test_pierce_reports_match_the_golden_digest(tmp_path, capsys):
+    reports = []
+    cases = [*_pierce_families(12, max_sets=14), _triangle_triple()]
+    for i, (ground, fam) in enumerate(cases):
+        path = tmp_path / f"pierce-{i}.json"
+        names = [f"S{j + 1}" for j in range(len(fam))]
+        path.write_text(dump_instance(Instance(ground, fam, names)), encoding="utf-8")
+        assert run_command(["pierce", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timing"]
+        report["parameters"]["file"] = path.name
+        reports.append(report)
+    assert reports[-1]["statistics"]["tau_star"] == "3/2"
+    assert _digest(reports) == GOLDEN["cli-pierce"]

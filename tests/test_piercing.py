@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from dintervals import (
     Point,
     PointSet,
     PreconditionError,
+    TheoremViolationError,
     TraceSet,
     blow_up,
     candidate_points,
@@ -26,8 +29,8 @@ from dintervals import (
     tau_exact,
     trace_of,
 )
-from dintervals.lp import simplex_maximize
-from helpers import p6, random_ground, random_trace
+from dintervals.lp import SimplexOutcome, simplex_maximize
+from helpers import LP_KINDS, p6, random_ground, random_lp, random_trace
 
 
 def line(*coords) -> PointSet:
@@ -116,6 +119,85 @@ def test_simplex_detects_unbounded_problems():
         simplex_maximize([Fraction(1)], [[Fraction(-1)]], [Fraction(1)])
 
 
+def reference_simplex(c, A, b) -> SimplexOutcome:
+    """Dense Fraction tableau with Bland's rule: the solver as it stood
+    before it went fraction-free, kept here as the differential oracle."""
+    m, n = len(A), len(c)
+    if any(len(row) != n for row in A) or len(b) != m:
+        raise ValueError("inconsistent LP dimensions")
+    if any(v < 0 for v in b):
+        raise ValueError("this solver needs b ≥ 0")
+    zero, one = Fraction(0), Fraction(1)
+    rows = [
+        [Fraction(x) for x in A[i]]
+        + [one if j == i else zero for j in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [-Fraction(x) for x in c] + [zero] * m + [zero]
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((j for j in range(n + m) if obj[j] < 0), None)
+        if entering is None:
+            break
+        pivot_row = best_ratio = None
+        for i in range(m):
+            coeff = rows[i][entering]
+            if coeff > 0:
+                ratio = rows[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                ):
+                    best_ratio, pivot_row = ratio, i
+        if pivot_row is None:
+            raise ValueError("LP is unbounded")
+        pivot = rows[pivot_row][entering]
+        rows[pivot_row] = [x / pivot for x in rows[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and rows[i][entering] != 0:
+                factor = rows[i][entering]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[pivot_row])]
+        if obj[entering] != 0:
+            factor = obj[entering]
+            obj = [x - factor * y for x, y in zip(obj, rows[pivot_row])]
+        basis[pivot_row] = entering
+    primal = [zero] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            primal[var] = rows[i][-1]
+    value = sum((ci * yi for ci, yi in zip(c, primal)), zero)
+    return SimplexOutcome(value, tuple(primal), tuple(obj[n + i] for i in range(m)))
+
+
+def _solve(solver, c, A, b):
+    try:
+        return solver(c, A, b)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_simplex_matches_the_fraction_reference():
+    rng = random.Random(404)
+    outcomes = Counter()
+    for i in range(3000):
+        c, A, b = random_lp(rng, LP_KINDS[i % len(LP_KINDS)])
+        got, want = _solve(simplex_maximize, c, A, b), _solve(reference_simplex, c, A, b)
+        assert got == want, (i, c, A, b)
+        if isinstance(got, str):
+            outcomes[got] += 1
+            continue
+        outcomes["optimal"] += 1
+        numbers = (got.value, *got.primal, *got.dual)
+        assert all(type(x) is Fraction for x in numbers), (i, got)
+    # every way out is reached, the unbounded one often
+    assert outcomes["optimal"] > 1500
+    assert outcomes["ValueError: LP is unbounded"] > 500
+    assert outcomes["ValueError: this solver needs b ≥ 0"] > 0
+    assert outcomes["ValueError: inconsistent LP dimensions"] > 0
+
+
 # ------------------------------------------------------------- exact numbers
 
 
@@ -148,6 +230,74 @@ def test_tau_guard_and_empty_preconditions():
         tau_exact([t, TraceSet.empty(P)])
     with pytest.raises(PreconditionError):
         tau_exact([])
+
+
+def _deepest_nesting(name: str, call):
+    """Run ``call`` and return its result with the deepest nesting of
+    frames of the function ``name`` seen meanwhile."""
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and frame.f_code.co_name == name:
+            depth = 0
+            while frame is not None:
+                depth += frame.f_code.co_name == name
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, deepest
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _singletons_and_triples(singletons: int, triples: int):
+    """Two-level family: disjoint singletons, then disjoint triangle
+    triples (τ = 2, τ* = 3/2 each), all apart from each other."""
+    lo = [0, 1, 2, 4, 5]
+    level1 = [10 * k + x for k in range(triples) for x in lo]
+    level1 += [100 + k for k in range(singletons)]
+    level2 = [10 * k + x for k in range(triples) for x in range(4)]
+    P = PointSet(2, (tuple(map(Fraction, level1)), tuple(map(Fraction, level2))))
+    fam = [TraceSet(P, ((5 * triples + k,) * 2, None)) for k in range(singletons)]
+    for k in range(triples):
+        a, b = 5 * k, 4 * k
+        for r1, r2 in (((0, 1), (0, 1)), ((1, 2), (2, 3)), ((3, 4), (1, 2))):
+            fam.append(TraceSet(P, ((a + r1[0], a + r1[1]), (b + r2[0], b + r2[1]))))
+    return fam
+
+
+def test_tau_and_nu_recursion_stays_within_the_family_size():
+    # PIERCE_SETS = 30 bounds the family, so recursion depth stays below
+    # the caller's depth plus two frames a set and some slack
+    disjoint = _singletons_and_triples(30, 0)
+    gapped = _singletons_and_triples(24, 2)
+    assert len(disjoint) == len(gapped) == 30
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 2 * 30 + 20)
+    try:
+        got, extend_depth = _deepest_nesting("extend", lambda: pierce_all(disjoint))
+        assert (got.tau, got.nu, got.tau_star) == (30, 30, 30)
+        got, branch_depth = _deepest_nesting("branch", lambda: pierce_all(gapped))
+        # τ* = 27 < τ = 28, so branch and bound runs past the root
+        assert (got.tau, got.nu, got.tau_star) == (28, 26, 27)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert extend_depth >= 30 and branch_depth >= 25
+    with pytest.raises(GuardExceededError):
+        pierce_all(_singletons_and_triples(31, 0))
+    with pytest.raises(GuardExceededError):
+        nu_exact(_singletons_and_triples(25, 2))
 
 
 def test_nu_of_the_triangle_triple_is_one():
@@ -190,6 +340,50 @@ def test_lp_value_counts_disjoint_sets():
     P = line(0, 1, 2, 3)
     fam = [window(P, {1: (0, 1)}), window(P, {1: (2, 3)})]
     assert fractional_lp(fam).value == 2
+
+
+def _edit(weights, i, value):
+    return tuple(value if k == i else w for k, w in enumerate(weights))
+
+
+# each corruption of the triple's optimum (y = 1/2 per set, x = 1/2 on the
+# points (1, 1), (1, 2), (2, 2)) and the certificate check it must trip
+CORRUPTIONS = {
+    "negative-primal": (
+        lambda out: SimplexOutcome(out.value, _edit(out.primal, 2, Fraction(-1, 2)), out.dual),
+        "LP produced negative weights", {},
+    ),
+    "negative-dual": (
+        lambda out: SimplexOutcome(out.value, out.primal, _edit(out.dual, 0, Fraction(-1))),
+        "LP produced negative weights", {},
+    ),
+    "overloaded-point": (
+        lambda out: SimplexOutcome(out.value, _edit(out.primal, 0, Fraction(1)), out.dual),
+        "matching weights overload a point", {"point": Point(Fraction(1), 1)},
+    ),
+    "missed-set": (
+        lambda out: SimplexOutcome(out.value, out.primal, _edit(out.dual, 1, Fraction(0))),
+        "transversal weights miss a set", {"set": 0},
+    ),
+    "duality-gap": (
+        lambda out: SimplexOutcome(out.value, out.primal, _edit(out.dual, 0, Fraction(1))),
+        "duality gap", {"primal": Fraction(3, 2), "dual": Fraction(5, 2)},
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_a_corrupted_lp_optimum_is_refused(monkeypatch, corruption):
+    import dintervals.piercing as piercing
+
+    corrupt, message, diagnostics = CORRUPTIONS[corruption]
+    solve = piercing.simplex_maximize
+    monkeypatch.setattr(piercing, "simplex_maximize", lambda c, A, b: corrupt(solve(c, A, b)))
+    _, fam = triangle_triple()
+    with pytest.raises(TheoremViolationError) as info:
+        fractional_lp(fam)
+    assert str(info.value) == message
+    assert info.value.diagnostics == diagnostics
 
 
 def test_pierce_all_reproduces_the_triple_exactly():
