@@ -444,18 +444,3 @@ def cfh_stats(
         ok,
         statistics={"alpha": alpha, "beta_hats": tuple(betas)},
     )
-
-
-def partial_colorful_size(d: int, m: int) -> int:
-    """Least family size N ≥ m with d(N−m)² ≥ (d−1)N²; this is
-    ⌈m / (1 − ((d−1)/d)^{1/2})⌉ computed without irrational arithmetic."""
-    if d < 1:
-        raise ValueError("d must be ≥ 1")
-    if m < 0:
-        raise ValueError("m must be ≥ 0")
-    if m == 0:
-        return 0
-    n = m
-    while d * (n - m) ** 2 < (d - 1) * n * n:
-        n += 1
-    return n

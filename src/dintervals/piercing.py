@@ -197,25 +197,51 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
 
     max Σ y_C  s.t.  Σ_{C ∋ p} y_C ≤ 1 per candidate point, y ≥ 0;
     the dual weights come from the slack columns and are rechecked
-    against every constraint before the certificate is granted.
+    against every constraint before the certificate is granted.  The
+    incidence is read off the runs: candidate (level, index) lies in a
+    set iff first ≤ index ≤ last on that level; index order is
+    coordinate order, so the candidates come in ``candidate_points``
+    order.
     """
     _validate_family(family)
-    points = candidate_points(family)
-    n, m = len(family), len(points)
-    one = Fraction(1)
-    A = [[one if p in family[j] else Fraction(0) for j in range(n)] for p in points]
-    out: SimplexOutcome = simplex_maximize([one] * n, A, [one] * m)
+    runs = [t.runs for t in family]
+    cells = sorted(
+        {
+            (lvl, k)
+            for r in runs
+            for lvl, run in enumerate(r)
+            if run
+            for k in range(run[0], run[1] + 1)
+        }
+    )
+    # members[i]: the sets through candidate i; points[j]: set j's candidates
+    members = [
+        [j for j, r in enumerate(runs) if r[lvl] and r[lvl][0] <= k <= r[lvl][1]]
+        for lvl, k in cells
+    ]
+    n = len(family)
+    points: list[list[int]] = [[] for _ in family]
+    A = []
+    for i, through in enumerate(members):
+        row = [0] * n
+        for j in through:
+            row[j] = 1
+            points[j].append(i)
+        A.append(row)
+    out: SimplexOutcome = simplex_maximize([1] * n, A, [1] * len(cells))
 
+    levels = family[0].ground.levels
+    candidates = tuple(Point(levels[lvl][k], lvl + 1) for lvl, k in cells)
     y, x = out.primal, out.dual
     if any(v < 0 for v in y) or any(v < 0 for v in x):
         raise TheoremViolationError("LP produced negative weights")
-    for i, p in enumerate(points):
-        if sum((y[j] for j in range(n) if p in family[j]), Fraction(0)) > 1:
+    for i, through in enumerate(members):
+        if sum((y[j] for j in through), Fraction(0)) > 1:
             raise TheoremViolationError(
-                "matching weights overload a point", diagnostics={"point": p}
+                "matching weights overload a point", diagnostics={"point": candidates[i]}
             )
-    for j in range(n):
-        if sum((x[i] for i, p in enumerate(points) if p in family[j]), Fraction(0)) < 1:
+    for j, inside in enumerate(points):
+        if sum((x[i] for i in inside), Fraction(0)) < 1:
             raise TheoremViolationError(
                 "transversal weights miss a set", diagnostics={"set": j}
             )
@@ -225,7 +251,7 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
             "duality gap",
             diagnostics={"primal": out.value, "dual": dual_value},
         )
-    return LPSolution(out.value, y, x, points, True)
+    return LPSolution(out.value, y, x, candidates, True)
 
 
 def pierce_all(family: Sequence[TraceSet]) -> PiercingResult:

@@ -25,7 +25,6 @@ from dintervals import (
     k_intersects,
     max_k_intersecting_subfamily,
     maxima_witness_subfamily,
-    partial_colorful_size,
     radon_number_bruteforce,
     radon_partition,
     trace_of,
@@ -360,21 +359,6 @@ def test_fractional_bounds_hold_on_random_families():
             for _ in range(2 * d)
         ]
         assert cfh_stats(families).verdict
-
-
-# ---------------------------------------------------- partial_colorful_size
-
-
-def test_partial_colorful_sizes():
-    assert partial_colorful_size(1, 3) == 3
-    assert partial_colorful_size(2, 4) == 14
-    assert partial_colorful_size(2, 0) == 0
-
-
-def test_partial_colorful_size_is_minimal():
-    # N=14 satisfies d(N-m)^2 >= (d-1)N^2 at d=2, m=4; N=13 does not
-    assert 2 * (14 - 4) ** 2 >= 14**2
-    assert 2 * (13 - 4) ** 2 < 13**2
 
 
 def test_max_k_intersecting_subfamily_is_a_true_maximum():
