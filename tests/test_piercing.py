@@ -386,6 +386,22 @@ def test_a_corrupted_lp_optimum_is_refused(monkeypatch, corruption):
     assert info.value.diagnostics == diagnostics
 
 
+def test_a_900_point_lp_keeps_its_optimum():
+    # 30 sets on three levels of 300 points; set j starts at block
+    # perm_l(j) of 10 on level l, so every point is a candidate.  The
+    # Fraction tableau took minutes on it; the values are the ones it found.
+    rng = random.Random(900)
+    P = PointSet(3, tuple(tuple(map(Fraction, range(300))) for _ in range(3)))
+    perms = [rng.sample(range(30), 30) for _ in range(3)]
+    fam = []
+    for j in range(30):
+        runs = [(10 * perm[j], min(299, 10 * perm[j] + rng.randrange(9, 60))) for perm in perms]
+        fam.append(TraceSet(P, tuple(runs)))
+    got = pierce_all(fam)
+    assert len(got.lp.candidate_points) == 900
+    assert (got.tau_star, got.tau, got.nu) == (Fraction(106, 15), 8, 6)
+
+
 def test_pierce_all_reproduces_the_triple_exactly():
     _, fam = triangle_triple()
     got = pierce_all(fam)
