@@ -17,7 +17,11 @@ streams define every corpus, so a faster generator must reproduce them
 exactly.  The piercing LP is digested at three depths: raw simplex
 outcomes (value, primal, dual or the refusal) on seeded LPs, the whole
 ``pierce_all`` result on seeded families, and the ``dintervals pierce``
-report without its timing.
+report without its timing.  The point and sweep-order queries of
+``piercing`` and ``helly`` (largest point cover, largest k-intersecting
+subfamily, maxima witness, τ with its points, fractional Helly
+statistics, plain and colorful-second (p,q)) are digested on seeded
+families, empty sets included.
 """
 
 import hashlib
@@ -43,13 +47,18 @@ from dintervals import (
     cfh_stats,
     colorful_helly_points,
     dump_instance,
+    frac_helly_stats,
     gen_conditioned,
     gen_instance,
     is_d_collapsible,
+    max_k_intersecting_subfamily,
+    max_point_cover,
+    maxima_witness_subfamily,
     nerve,
     pierce_all,
     pq_check,
     sweep_collapse,
+    tau_exact,
 )
 from dintervals import experiments
 from dintervals.cli import run_command
@@ -61,6 +70,7 @@ FAMILIES = 102
 COLORFUL_INSTANCES = 1500
 LPS = 2400
 PIERCE_FAMILIES = 320
+QUERY_FAMILIES = 600
 
 GOLDEN = {
     "sweep": (
@@ -206,6 +216,10 @@ GOLDEN = {
     "cli-pierce": (
         "fd3db62ae6323cba3f1a1522e62cfb5e"
         "82dd641790d4e4ee182e286240cb3fbf"
+    ),
+    "index-queries": (
+        "d9a94a849ab499c4a2470d3c0e47c44f"
+        "c52b34356def49bdcfe61c9244285476"
     ),
 }
 
@@ -666,3 +680,57 @@ def test_pierce_reports_match_the_golden_digest(tmp_path, capsys):
         reports.append(report)
     assert reports[-1]["statistics"]["tau_star"] == "3/2"
     assert _digest(reports) == GOLDEN["cli-pierce"]
+
+
+# ---------------------------------------------------------------- point queries
+
+
+def _query_families():
+    """Seeded families of 1–8 traces, d = 1..3, empty sets included."""
+    rng = random.Random(20250113)
+    for i in range(QUERY_FAMILIES):
+        d = 1 + i % 3
+        ground = random_ground(rng, d, max_per_level=5)
+        yield d, [random_trace(rng, ground) for _ in range(rng.randrange(1, 9))]
+
+
+def _frac(family, k):
+    rep = frac_helly_stats(family, k)
+    return [rep.verdict, rep.parameters, rep.statistics, rep.witnesses]
+
+
+def _query_outputs(d, fam):
+    n = len(fam)
+    nonempty = [t for t in fam if not t.is_empty]
+    ks = range(1, d + 1)
+    row = [
+        max_point_cover(fam),
+        [max_k_intersecting_subfamily(fam, k) for k in ks],
+        [_outcome(lambda: maxima_witness_subfamily(fam, k)) for k in ks],
+        _outcome(lambda: tau_exact(fam)),
+        _outcome(lambda: tau_exact(nonempty)),
+        [_outcome(lambda: _frac(fam, k)) for k in ks],
+        [
+            [p, q, pq_check([fam], p, q)]
+            for p in range(1, min(n, 4) + 1)
+            for q in range(1, p + 1)
+        ],
+    ]
+    for p in (2, 3):
+        families = [fam[i::p] for i in range(p)]
+        if all(families):
+            row.append([[p, q, pq_check(families, p, q, "colorful-second")] for q in range(1, p + 1)])
+    return row
+
+
+def test_point_queries_match_the_golden_digest():
+    rows = [_query_outputs(d, fam) for d, fam in _query_families()]
+    # covers of every size, both witness outcomes, refused and solved τ,
+    # and both (p,q) verdicts occur
+    assert {row[0][0] for row in rows} >= {0, 1, 2, 3}
+    assert {o[0] for row in rows for o in row[2]} >= {"ok", "PreconditionError"}
+    assert {row[3][0] for row in rows} == {"ok", "PreconditionError"}
+    verdicts = {r[2][0] for row in rows for r in row[6]}
+    assert verdicts == {True, False}
+    assert any(len(row) > 7 for row in rows)
+    assert _digest(rows) == GOLDEN["index-queries"]
