@@ -170,7 +170,7 @@ def cmd_colorful_helly(args) -> int:
     inst = _load_instance(args)
     families = inst.family_traces()
     designated = None
-    if args.rotate is not None:
+    if args.rotate is not None and families:
         designated = args.rotate % len(families)
     sel = colorful_helly_points(families, args.k, designated=designated)
     report = Report(

@@ -31,17 +31,17 @@ papered over, it raises with full diagnostics.  ``strict=True`` insists
 on the single-collapse truncation route and raises on its mismatch.
 
 The sweep works in index space: a set is its tuple of per-level runs
-(``TraceSet.runs``), a face's intersection is such a tuple too, and a
-sweep value is the tuple of per-level last indices (−1 on an empty
-level), which orders faces exactly as ``f_value`` does because
-coordinates strictly increase along a level.  One face walk builds the
-nerve and every face's intersection.  The sweep keeps both across
-iterations and re-intersects only the faces that contain a changed set:
-none on a delete, the pivot support on a truncation, the star on a
-fallback.  Cuts only shrink sets (the cut asserts it), so the rebuilt
-family's nerve lies inside the current complex and is found among its
-faces.  Fractions, points and ``LexValue``s are built only for the
-pivot values returned and for error diagnostics.
+(``TraceSet.runs``), a face's intersection is such a tuple too (built
+with ``geometry._meet``), and a sweep value is ``geometry._sweep_key``,
+the per-level last indices, which orders faces exactly as ``f_value``
+does.  One face walk builds the nerve and every face's intersection.
+The sweep keeps both across iterations and re-intersects only the faces
+that contain a changed set: none on a delete, the pivot support on a
+truncation, the star on a fallback.  Cuts only shrink sets (the cut
+asserts it), so the rebuilt family's nerve lies inside the current
+complex and is found among its faces.  Fractions, points and
+``LexValue``s are built only for the pivot values returned and for
+error diagnostics.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .errors import (
     NotFreeError,
     SweepInvariantError,
 )
-from .geometry import LexValue, PointSet, TraceSet
+from .geometry import LexValue, PointSet, TraceSet, _key_value, _meet, _sweep_key
 
 Face = frozenset
 
@@ -222,22 +222,6 @@ class CollapseSequence:
 
 # ---------------------------------------------------------------------------
 # nerve
-
-
-def _meet(a: tuple, b: tuple) -> tuple | None:
-    """Per-level intersection of two run tuples; None when it is empty."""
-    runs = []
-    alive = False
-    for ra, rb in zip(a, b):
-        if ra is not None and rb is not None:
-            first = ra[0] if ra[0] > rb[0] else rb[0]
-            last = ra[1] if ra[1] < rb[1] else rb[1]
-            if first <= last:
-                runs.append((first, last))
-                alive = True
-                continue
-        runs.append(None)
-    return tuple(runs) if alive else None
 
 
 def _index_family(
@@ -539,11 +523,6 @@ def _face_list(faces) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(f)) for f in sorted(faces, key=_face_sort_key))
 
 
-def _sweep_value(joint: tuple) -> tuple[int, ...]:
-    """The last index on each level, −1 where the level is empty."""
-    return tuple(-1 if run is None else run[1] for run in joint)
-
-
 def _refresh(
     joints: Mapping[frozenset, tuple],
     parents: Mapping[frozenset, tuple[frozenset, int]],
@@ -600,7 +579,7 @@ def sweep_collapse(
     faces = _nerve_faces(ground, joints)
     parents = {f: (f - {max(f)}, max(f)) for f in joints}
     keys = {
-        f: (_sweep_value(joint), len(f), tuple(sorted(f)))
+        f: (_sweep_key(joint), len(f), tuple(sorted(f)))
         for f, joint in joints.items()
     }
     initial = SimplicialComplex(frozenset(faces))
@@ -610,12 +589,7 @@ def sweep_collapse(
     while joints:
         value, n, support = min(keys.values())
         pivot = frozenset(support)
-        pivot_value = LexValue(
-            tuple(
-                None if last < 0 else coords[last]
-                for last, coords in zip(value, ground.levels)
-            )
-        )
+        pivot_value = _key_value(ground, value)
         if n > bound:
             raise _sweep_diag(
                 f"pivot support has {n} sets, exceeding {bound}",
@@ -718,7 +692,7 @@ def sweep_collapse(
         for f, joint in fresh.items():
             if joint is not None:
                 joints[f] = joint
-                keys[f] = (_sweep_value(joint), *keys[f][1:])
+                keys[f] = (_sweep_key(joint), *keys[f][1:])
         faces = K_next
         all_steps.extend(steps)
         iterations.append(SweepIteration(pivot, pivot_value, mode, steps))

@@ -8,9 +8,12 @@ contiguous run of P's sorted coordinates (or empty).  Everything else in
 the workbench — nerves, sweep collapses, Helly numbers, piercing LPs —
 is computed on these traces with exact rational arithmetic.
 
-The sweep order compares traces through ``f_value``: the vector of
-per-level maxima (−∞ on empty levels), ordered lexicographically with
-−∞ below every finite value.
+Queries read ``TraceSet.runs`` through three package-private primitives:
+``_incidence`` (covered cells (level − 1, index) in coordinate order, with
+the sets through each), ``_meet`` (two run tuples intersected) and
+``_sweep_key`` (per-level last indices, −1 on empty levels).  Over one
+ground the key orders traces exactly as ``f_value``, its rendering: the
+per-level maxima, lexicographic with −∞ below every finite value.
 """
 
 from __future__ import annotations
@@ -230,18 +233,6 @@ class TraceSet:
             return False
         return run[0] <= i <= run[1]
 
-    def level_max(self, level: int) -> Fraction | None:
-        run = self.runs[level - 1]
-        if run is None:
-            return None
-        return self.ground.level_coords(level)[run[1]]
-
-    def level_min(self, level: int) -> Fraction | None:
-        run = self.runs[level - 1]
-        if run is None:
-            return None
-        return self.ground.level_coords(level)[run[0]]
-
 
 @total_ordering
 @dataclass(frozen=True)
@@ -321,6 +312,22 @@ def hull(ground: PointSet, subset: Iterable[Point]) -> TraceSet:
     return TraceSet(ground, runs)
 
 
+def _meet(a: tuple, b: tuple) -> tuple | None:
+    """Per-level intersection of two run tuples; None when it is empty."""
+    runs = []
+    alive = False
+    for ra, rb in zip(a, b):
+        if ra is not None and rb is not None:
+            first = ra[0] if ra[0] > rb[0] else rb[0]
+            last = ra[1] if ra[1] < rb[1] else rb[1]
+            if first <= last:
+                runs.append((first, last))
+                alive = True
+                continue
+        runs.append(None)
+    return tuple(runs) if alive else None
+
+
 def intersect_all(traces: Sequence[TraceSet]) -> tuple[TraceSet, int]:
     """Intersection of one or more traces plus its count of nonempty levels.
 
@@ -333,20 +340,26 @@ def intersect_all(traces: Sequence[TraceSet]) -> tuple[TraceSet, int]:
     for t in traces[1:]:
         if t.ground != ground:
             raise GroundSetMismatchError("traces lie over different ground sets")
-    runs: list[tuple[int, int] | None] = []
-    for lvl in range(ground.d):
-        first, last = 0, len(ground.levels[lvl]) - 1
-        alive = last >= 0
-        for t in traces:
-            run = t.runs[lvl]
-            if run is None:
-                alive = False
-                break
-            first = max(first, run[0])
-            last = min(last, run[1])
-        runs.append((first, last) if alive and first <= last else None)
-    trace = TraceSet(ground, tuple(runs))
+    runs = traces[0].runs
+    for t in traces[1:]:
+        runs = _meet(runs, t.runs)
+        if runs is None:
+            runs = (None,) * ground.d
+            break
+    trace = TraceSet(ground, runs)
     return trace, trace.level_count
+
+
+def _incidence(family: Sequence[TraceSet]) -> dict[tuple[int, int], list[int]]:
+    """The cells (level − 1, index) that some set covers, in coordinate
+    order, each with the indices of the sets through it, ascending."""
+    through: dict[tuple[int, int], list[int]] = {}
+    for j, t in enumerate(family):
+        for lvl, run in enumerate(t.runs):
+            if run is not None:
+                for k in range(run[0], run[1] + 1):
+                    through.setdefault((lvl, k), []).append(j)
+    return {cell: through[cell] for cell in sorted(through)}
 
 
 def k_intersects(traces: Sequence[TraceSet], k: int) -> bool:
@@ -409,6 +422,17 @@ def minimal_dinterval(trace: TraceSet) -> DInterval:
     return DInterval(tuple(pieces))
 
 
+def _sweep_key(runs: tuple) -> tuple[int, ...]:
+    """The last index on each level, −1 where the level is empty."""
+    return tuple(-1 if run is None else run[1] for run in runs)
+
+
+def _key_value(ground: PointSet, key: tuple[int, ...]) -> LexValue:
+    """A sweep key as its per-level maxima."""
+    levels = ground.levels
+    return LexValue(tuple(None if i < 0 else levels[lvl][i] for lvl, i in enumerate(key)))
+
+
 def f_value(trace: TraceSet) -> LexValue:
     """Sweep value: per-level maxima with −∞ on empty levels."""
-    return LexValue(tuple(trace.level_max(lvl) for lvl in range(1, trace.ground.d + 1)))
+    return _key_value(trace.ground, _sweep_key(trace.runs))

@@ -5,6 +5,9 @@ partitions are checked by intersecting hulls, witness subfamilies by
 recomputing sweep values, colorful selections by direct membership of
 the returned points.  Brute-force counterparts (used by tests as
 oracles) live beside the constructions.
+
+Outside Radon and those checks, queries read the runs: point counts via
+``geometry._incidence``, sweep comparisons via ``geometry._sweep_key``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from .geometry import (
     Point,
     PointSet,
     TraceSet,
+    _incidence,
+    _key_value,
+    _sweep_key,
     colorful_tuples,
-    f_value,
     hull,
     intersect_all,
     k_intersects,
@@ -202,27 +207,24 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
             f"family meets only {levels} levels, needs {k}",
             witness=tuple(range(len(family))),
         )
-    target = f_value(joint)
+    target = _sweep_key(joint.runs)
+    runs = [t.runs for t in family]
+    members = range(len(family))
     chosen: list[int] = []
-    for lvl in range(1, d + 1):
-        if target.components[lvl - 1] is not None:
-            chosen.append(
-                min(
-                    range(len(family)),
-                    key=lambda j: (family[j].level_max(lvl), j),
-                )
-            )
+    for lvl in range(d):
+        if target[lvl] >= 0:
+            chosen.append(min(members, key=lambda j: (runs[j][lvl][1], j)))
             continue
-        empties = [j for j in range(len(family)) if family[j].level_run(lvl) is None]
+        empties = [j for j in members if runs[j][lvl] is None]
         if empties:
             chosen.append(empties[0])
             continue
-        j_lo = max(range(len(family)), key=lambda j: (family[j].level_min(lvl), -j))
-        j_hi = min(range(len(family)), key=lambda j: (family[j].level_max(lvl), j))
-        if family[j_lo].level_min(lvl) <= family[j_hi].level_max(lvl):
+        j_lo = max(members, key=lambda j: (runs[j][lvl][0], -j))
+        j_hi = min(members, key=lambda j: (runs[j][lvl][1], j))
+        if runs[j_lo][lvl][0] <= runs[j_hi][lvl][1]:
             raise TheoremViolationError(
                 "extreme enclosing intervals meet on an empty level",
-                diagnostics={"level": lvl},
+                diagnostics={"level": lvl + 1},
             )
         chosen.extend([j_lo, j_hi])
     indices = tuple(sorted(set(chosen)))
@@ -232,7 +234,7 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
             diagnostics={"indices": indices},
         )
     sub_joint, _ = intersect_all([family[j] for j in indices])
-    if f_value(sub_joint) != target:
+    if _sweep_key(sub_joint.runs) != target:
         raise TheoremViolationError(
             "witness subfamily changes the sweep value",
             diagnostics={"indices": indices},
@@ -286,7 +288,8 @@ def colorful_helly_points(
     """
     if not families or not families[0]:
         raise ValueError("families must be nonempty")
-    d = families[0][0].ground.d
+    ground = families[0][0].ground
+    d = ground.d
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
     arity = 2 * d - k + 1
@@ -307,13 +310,14 @@ def colorful_helly_points(
             )
 
     omit_candidates = range(arity) if designated is None else (designated,)
-    minimum, claim_family, combo = min(
-        (f_value(joint), omit, combo)
+    key, claim_family, combo = min(
+        (_sweep_key(joint.runs), omit, combo)
         for omit in omit_candidates
         for combo, joint in colorful_tuples(
             [fam for i, fam in enumerate(families) if i != omit], 0
         )
     )
+    minimum = _key_value(ground, key)
     finite = minimum.finite_items()
     if len(finite) < k:
         raise TheoremViolationError(
@@ -341,27 +345,29 @@ def colorful_helly_points(
 
 
 def max_k_intersecting_subfamily(
-    family: Sequence[TraceSet], k: int
+    family: Sequence[TraceSet], k: int, work_guard: int | None = None
 ) -> tuple[int, ...]:
     """True maximum via candidate points: a subfamily k-intersects iff
-    k common ground points sit on k distinct levels."""
+    k common ground points sit on k distinct levels.  The walk takes one
+    covered cell on each of k levels; its length (Σ over level choices
+    of ∏ cell counts) times k counts against the (p,q) work guard."""
     if not family:
         return ()
-    ground = family[0].ground
+    per_level: list[list[frozenset]] = [[] for _ in range(family[0].ground.d)]
+    for (lvl, _), through in _incidence(family).items():
+        per_level[lvl].append(frozenset(through))
+    level_combos = list(itertools.combinations(range(len(per_level)), k))
+    work = sum(prod(len(per_level[l]) for l in combo) for combo in level_combos) * k
+    limit = guard_limit("PQ_WORK", work_guard)
+    if work > limit:
+        raise GuardExceededError("k-intersecting subfamily search", work, limit)
+    everyone = frozenset(range(len(family)))
     best: tuple[int, ...] = ()
-    per_level = [
-        [Point(c, lvl) for c in ground.level_coords(lvl)]
-        for lvl in range(1, ground.d + 1)
-    ]
-    for level_combo in itertools.combinations(range(ground.d), k):
-        for pts in itertools.product(*(per_level[l] for l in level_combo)):
-            members = tuple(
-                j
-                for j, t in enumerate(family)
-                if all(p in t for p in pts)
-            )
+    for combo in level_combos:
+        for cells in itertools.product(*(per_level[l] for l in combo)):
+            members = everyone.intersection(*cells)
             if len(members) > len(best):
-                best = members
+                best = tuple(sorted(members))
     return best
 
 
@@ -389,16 +395,17 @@ def frac_helly_stats(
         raise GuardExceededError("tuple enumeration", total * r, limit)
 
     hitting = 0
-    classes: dict[LexValue, set[int]] = {}
+    # k-intersecting r-subsets grouped by the sweep key of their joint
+    classes: dict[tuple[int, ...], set[int]] = {}
     for idx in itertools.combinations(range(n), r):
         members = [family[j] for j in idx]
         joint, levels = intersect_all(members)
         if levels >= k:
             hitting += 1
-            classes.setdefault(f_value(joint), set()).update(idx)
+            classes.setdefault(_sweep_key(joint.runs), set()).update(idx)
     alpha = Fraction(hitting, total)
     grouped_best = max((len(s) for s in classes.values()), default=0)
-    direct_best = max_k_intersecting_subfamily(family, k)
+    direct_best = max_k_intersecting_subfamily(family, k, work_guard)
     best = max(grouped_best, len(direct_best))
     beta = Fraction(best, n)
     report.statistics.update(
@@ -425,18 +432,16 @@ def cfh_stats(
     d = families[0][0].ground.d
     if len(families) != 2 * d:
         raise ValueError(f"expected {2 * d} families, got {len(families)}")
-    ground = families[0][0].ground
 
     work = _colorful_work(families, work_guard)
     hitting = sum(1 for _, joint in colorful_tuples(families, 1) if not joint.is_empty)
     alpha = Fraction(hitting, work)
 
-    betas = []
-    for fam in families:
-        best = 0
-        for p in ground.points():
-            best = max(best, sum(1 for t in fam if p in t))
-        betas.append(Fraction(best, len(fam)))
+    # β̂_i: the most members of family i through one covered cell
+    betas = [
+        Fraction(max(map(len, _incidence(fam).values()), default=0), len(fam))
+        for fam in families
+    ]
     ok = any((1 - b) ** (2 * d) <= 1 - alpha for b in betas)
     return HellyReport(
         "colorful-fractional",

@@ -2,7 +2,9 @@
 (p,q) property checkers and blow-ups.
 
 Candidate piercing points are the ground points covered by at least one
-set: sound because every set is a subset of the ground set.  Families
+set: sound because every set is a subset of the ground set.  They are
+read off the runs as cells (level − 1, index) with ``geometry._incidence``,
+and ``Point``s are built only for returned points and diagnostics.  Families
 handed to the piercing solvers must have no empty member (an empty set
 cannot be pierced, so τ would be undefined).
 """
@@ -21,7 +23,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .geometry import Point, TraceSet, colorful_tuples, intersect_all
+from .geometry import Point, PointSet, TraceSet, _incidence, colorful_tuples, intersect_all
 from .lp import SimplexOutcome, simplex_maximize
 
 
@@ -62,21 +64,19 @@ def _validate_family(family: Sequence[TraceSet], cap_name: str = "PIERCE_SETS"):
             raise PreconditionError("family spans several ground sets")
 
 
-def candidate_points(family: Sequence[TraceSet]) -> tuple[Point, ...]:
-    seen = set()
-    for t in family:
-        seen.update(t.points())
-    return tuple(sorted(seen, key=lambda p: (p.level, p.coord)))
+def _point(ground: PointSet, cell: tuple[int, int]) -> Point:
+    lvl, k = cell
+    return Point(ground.levels[lvl][k], lvl + 1)
 
 
 def max_point_cover(family: Sequence[TraceSet]) -> tuple[int, Point | None]:
-    """Largest subfamily sharing one point, by scanning candidates."""
-    best, best_point = 0, None
-    for p in candidate_points(family):
-        hit = sum(1 for t in family if p in t)
-        if hit > best:
-            best, best_point = hit, p
-    return best, best_point
+    """Largest subfamily sharing one point: the first covered cell with
+    the most sets through it."""
+    best, best_cell = 0, None
+    for cell, through in _incidence(family).items():
+        if len(through) > best:
+            best, best_cell = len(through), cell
+    return best, None if best_cell is None else _point(family[0].ground, best_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +94,21 @@ def tau_exact(
     the LP; otherwise it is solved here.
     """
     _validate_family(family)
-    points = candidate_points(family)
-    membership = [frozenset(t.points()) for t in family]
-    covers = {p: frozenset(j for j, s in enumerate(membership) if p in s) for p in points}
+    cover = _incidence(family)
+    cells = list(cover)
+    # covers[i]: the sets through cell i; membership[j]: set j's cells
+    covers = [frozenset(through) for through in cover.values()]
+    membership = [
+        frozenset(i for i, c in enumerate(covers) if j in c) for j in range(len(family))
+    ]
 
-    rank = {p: i for i, p in enumerate(points)}
-
-    def greedy_cover() -> list[Point]:
+    def greedy_cover() -> list[int]:
         uncovered = set(range(len(family)))
         picked = []
         while uncovered:
-            p = max(points, key=lambda q: (len(covers[q] & uncovered), -rank[q]))
-            picked.append(p)
-            uncovered -= covers[p]
+            i = max(range(len(covers)), key=lambda c: (len(covers[c] & uncovered), -c))
+            picked.append(i)
+            uncovered -= covers[i]
         return picked
 
     def disjoint_lower_bound(uncovered: frozenset) -> int:
@@ -127,7 +129,7 @@ def tau_exact(
     best = greedy_cover()
     best_size = len(best)
 
-    def branch(uncovered: frozenset, chosen: list[Point]):
+    def branch(uncovered: frozenset, chosen: list[int]):
         nonlocal best, best_size
         if not uncovered:
             if len(chosen) < best_size:
@@ -136,18 +138,19 @@ def tau_exact(
         if len(chosen) + disjoint_lower_bound(uncovered) >= best_size:
             return
         target = min(uncovered, key=lambda j: (len(membership[j]), j))
-        for p in sorted(membership[target], key=lambda q: (q.level, q.coord)):
-            branch(uncovered - covers[p], chosen + [p])
+        for i in sorted(membership[target]):
+            branch(uncovered - covers[i], chosen + [i])
 
     if best_size > root_lb:
         branch(frozenset(range(len(family))), [])
-    result = tuple(sorted(best, key=lambda p: (p.level, p.coord)))
+    picked = sorted(best)
     for j, s in enumerate(membership):
-        if not any(p in s for p in result):
+        if s.isdisjoint(picked):
             raise TheoremViolationError(
                 "piercing witness misses a set", diagnostics={"set": j}
             )
-    return len(result), result
+    ground = family[0].ground
+    return len(picked), tuple(_point(ground, cells[i]) for i in picked)
 
 
 def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
@@ -198,27 +201,13 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
     max Σ y_C  s.t.  Σ_{C ∋ p} y_C ≤ 1 per candidate point, y ≥ 0;
     the dual weights come from the slack columns and are rechecked
     against every constraint before the certificate is granted.  The
-    incidence is read off the runs: candidate (level, index) lies in a
-    set iff first ≤ index ≤ last on that level; index order is
-    coordinate order, so the candidates come in ``candidate_points``
-    order.
+    candidates are the family's covered cells, in (level, coordinate)
+    order, read off the runs by ``geometry._incidence``.
     """
     _validate_family(family)
-    runs = [t.runs for t in family]
-    cells = sorted(
-        {
-            (lvl, k)
-            for r in runs
-            for lvl, run in enumerate(r)
-            if run
-            for k in range(run[0], run[1] + 1)
-        }
-    )
+    cover = _incidence(family)
     # members[i]: the sets through candidate i; points[j]: set j's candidates
-    members = [
-        [j for j, r in enumerate(runs) if r[lvl] and r[lvl][0] <= k <= r[lvl][1]]
-        for lvl, k in cells
-    ]
+    members = list(cover.values())
     n = len(family)
     points: list[list[int]] = [[] for _ in family]
     A = []
@@ -228,10 +217,10 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
             row[j] = 1
             points[j].append(i)
         A.append(row)
-    out: SimplexOutcome = simplex_maximize([1] * n, A, [1] * len(cells))
+    out: SimplexOutcome = simplex_maximize([1] * n, A, [1] * len(cover))
 
-    levels = family[0].ground.levels
-    candidates = tuple(Point(levels[lvl][k], lvl + 1) for lvl, k in cells)
+    ground = family[0].ground
+    candidates = tuple(_point(ground, cell) for cell in cover)
     y, x = out.primal, out.dual
     if any(v < 0 for v in y) or any(v < 0 for v in x):
         raise TheoremViolationError("LP produced negative weights")

@@ -168,6 +168,16 @@ def test_colorful_helly_rotation_can_violate(tmp_path, capsys):
     assert "misses a selected point" in err
 
 
+def test_colorful_helly_without_families_exits_two(tmp_path, capsys):
+    doc = {"d": 1, "points": [["0", 1]], "sets": [], "families": []}
+    path = write(tmp_path, "none.json", json.dumps(doc))
+    for extra in ([], ["--rotate", "1"]):
+        assert run_command(["colorful-helly", path, "--k", "1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: families must be nonempty" in captured.err
+
+
 def test_frac_helly_statistics(tmp_path, capsys):
     doc = {
         "d": 1,
@@ -335,6 +345,19 @@ def test_nerve_face_budget_breach_exits_two(tmp_path, capsys):
     path = write(tmp_path, "dense.json", json.dumps(doc))
     assert run_command(["nerve", path]) == 2
     assert "nerve face count" in capsys.readouterr().err
+
+
+def test_frac_helly_subfamily_walk_breach_exits_two(tmp_path, capsys):
+    # 4 sets covering 100 points on each of 3 levels: 3·10^6 cell tuples at k = 3
+    full = [{"level": lvl, "lo": "0", "hi": "99"} for lvl in (1, 2, 3)]
+    doc = {
+        "d": 3,
+        "points": [[str(c), lvl] for lvl in (1, 2, 3) for c in range(100)],
+        "sets": [{"name": f"S{i}", "levels": full} for i in range(4)],
+    }
+    path = write(tmp_path, "full.json", json.dumps(doc))
+    assert run_command(["frac-helly", path, "--k", "3"]) == 2
+    assert "k-intersecting subfamily search" in capsys.readouterr().err
 
 
 def test_helly_work_guard_breach_exits_two(tmp_path, monkeypatch, capsys):

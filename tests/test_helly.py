@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -377,3 +378,26 @@ def test_max_k_intersecting_subfamily_is_a_true_maximum():
                     if k_intersects([fam[j] for j in idx], k):
                         best = max(best, r)
             assert len(got) == best
+
+
+def _full_sets(points_per_level: int) -> list[TraceSet]:
+    """Four sets, each the whole of a three-level ground."""
+    coords = tuple(Fraction(c) for c in range(points_per_level))
+    ground = PointSet(3, (coords,) * 3)
+    return [TraceSet(ground, ((0, points_per_level - 1),) * 3)] * 4
+
+
+def test_max_k_subfamily_counts_its_walk_against_the_work_guard():
+    # 100 covered cells a level, k = 3: 100^3 · 3 cell tuples > 10^6
+    fam = _full_sets(100)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError) as exc:
+        max_k_intersecting_subfamily(fam, 3)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.size == 3 * 10**6
+    with pytest.raises(GuardExceededError):
+        frac_helly_stats(fam, 3)
+    # the bound is inclusive, and frac_helly_stats hands its work_guard down
+    assert max_k_intersecting_subfamily(_full_sets(3), 3, work_guard=81) == (0, 1, 2, 3)
+    with pytest.raises(GuardExceededError):
+        frac_helly_stats(_full_sets(3), 3, work_guard=80)

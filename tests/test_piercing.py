@@ -17,7 +17,6 @@ from dintervals import (
     TheoremViolationError,
     TraceSet,
     blow_up,
-    candidate_points,
     fractional_lp,
     gen_helly_lower_bound,
     intersect_all,
@@ -58,7 +57,7 @@ def triangle_triple():
 
 
 def tau_oracle(family) -> int:
-    pts = candidate_points(family)
+    pts = sorted({p for t in family for p in t.points()}, key=lambda p: (p.level, p.coord))
     for r in range(1, len(pts) + 1):
         for S in itertools.combinations(pts, r):
             if all(any(p in t for p in S) for t in family):

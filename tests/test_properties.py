@@ -1,0 +1,171 @@
+"""Differential property tests: the index-space queries of ``piercing``
+and ``helly`` against the brute-force oracles of ``bench/oracles.py``.
+
+The oracles expand every trace into its explicit ``(level, coord)``
+points and share no code with the program.  Inputs are small hypothesis
+grounds (d = 1..3, up to four points a level, some levels empty) and
+families over them, empty sets included; the profile loaded in
+``conftest.py`` derandomizes the search, so every run tests the same
+examples.
+"""
+
+import itertools
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from dintervals import (
+    PointSet,
+    PreconditionError,
+    TraceSet,
+    cfh_stats,
+    colorful_helly_points,
+    frac_helly_stats,
+    max_k_intersecting_subfamily,
+    max_point_cover,
+    maxima_witness_subfamily,
+    pq_check,
+    tau_exact,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import oracles as O  # noqa: E402
+
+
+@st.composite
+def grounds(draw, max_d: int = 3) -> PointSet:
+    d = draw(st.integers(1, max_d))
+    denom = draw(st.integers(1, 3))
+    levels = []
+    for _ in range(d):
+        coords = draw(st.lists(st.integers(-6, 6), max_size=4, unique=True))
+        levels.append(tuple(sorted(Fraction(c, denom) for c in coords)))
+    return PointSet(d, tuple(levels))
+
+
+@st.composite
+def traces(draw, ground: PointSet) -> TraceSet:
+    runs = []
+    for coords in ground.levels:
+        if not coords or draw(st.integers(0, 3)) == 0:
+            runs.append(None)
+            continue
+        first = draw(st.integers(0, len(coords) - 1))
+        runs.append((first, draw(st.integers(first, len(coords) - 1))))
+    return TraceSet(ground, tuple(runs))
+
+
+@st.composite
+def families(draw, max_size: int = 6):
+    ground = draw(grounds())
+    return ground, draw(st.lists(traces(ground), min_size=1, max_size=max_size))
+
+
+def _points(points) -> frozenset:
+    return frozenset(O.point_key(p) for p in points)
+
+
+@given(families())
+def test_max_point_cover_is_the_largest_share_of_one_point(case):
+    _, fam = case
+    sets = [O.expand(t) for t in fam]
+    count, point = max_point_cover(fam)
+    counts = {p: sum(p in s for s in sets) for p in frozenset().union(*sets)}
+    assert count == max(counts.values(), default=0)
+    if point is None:
+        assert count == 0
+    else:
+        assert counts[O.point_key(point)] == count
+        # the first such point in (level, coord) order
+        assert O.point_key(point) == min(p for p, c in counts.items() if c == count)
+
+
+@given(families())
+def test_max_k_subfamily_matches_the_oracle(case):
+    ground, fam = case
+    sets = [O.expand(t) for t in fam]
+    for k in range(1, ground.d + 1):
+        got = max_k_intersecting_subfamily(fam, k)
+        assert len(got) == O.max_k_subfamily(sets, k)
+        if got:
+            assert O.levels_met(O.common(sets[j] for j in got)) >= k
+
+
+@given(families())
+def test_tau_and_its_points_match_the_oracle(case):
+    _, fam = case
+    if any(t.is_empty for t in fam):
+        with pytest.raises(PreconditionError):
+            tau_exact(fam)
+        fam = [t for t in fam if not t.is_empty]
+        if not fam:
+            return
+    tau, points = tau_exact(fam)
+    assert list(points) == sorted(points, key=lambda p: (p.level, p.coord))
+    assert O.check_tau([O.expand(t) for t in fam], tau, _points(points)) == []
+
+
+@given(families(max_size=7))
+def test_fractional_helly_statistics_match_the_oracle(case):
+    ground, fam = case
+    sets = [O.expand(t) for t in fam]
+    for k in range(1, ground.d + 1):
+        rep = frac_helly_stats(fam, k)
+        assert O.check_frac(sets, k, ground.d, rep.statistics, rep.verdict) == []
+
+
+@given(st.data())
+def test_colorful_fractional_statistics_match_the_oracle(data):
+    ground = data.draw(grounds(max_d=2))
+    fams = [
+        data.draw(st.lists(traces(ground), min_size=1, max_size=2))
+        for _ in range(2 * ground.d)
+    ]
+    rep = cfh_stats(fams)
+    sets = [[O.expand(t) for t in fam] for fam in fams]
+    points = O.ground_points(ground)
+    assert O.check_cfh(sets, points, ground.d, rep.statistics, rep.verdict) == []
+
+
+@given(families())
+def test_maxima_witness_matches_the_oracle(case):
+    ground, fam = case
+    sets = [O.expand(t) for t in fam]
+    for k in range(1, ground.d + 1):
+        if O.levels_met(O.common(sets)) < k:
+            with pytest.raises(PreconditionError):
+                maxima_witness_subfamily(fam, k)
+            continue
+        got = maxima_witness_subfamily(fam, k)
+        assert O.check_maxima_witness(sets, k, ground.d, got) == []
+
+
+@given(st.data())
+def test_colorful_selection_matches_the_oracle(data):
+    ground = data.draw(grounds(max_d=2))
+    k = data.draw(st.integers(1, ground.d))
+    fams = [
+        data.draw(st.lists(traces(ground), min_size=1, max_size=2))
+        for _ in range(2 * ground.d - k + 1)
+    ]
+    sets = [[O.expand(t) for t in fam] for fam in fams]
+    if any(O.levels_met(O.common(c)) < k for c in itertools.product(*sets)):
+        with pytest.raises(PreconditionError):
+            colorful_helly_points(fams, k)
+        return
+    sel = colorful_helly_points(fams, k)
+    assert O.check_colorful(sets, k, _points(sel.points), sel.designated) == []
+
+
+@given(families(max_size=5), st.data())
+def test_plain_pq_matches_the_oracle(case, data):
+    _, fam = case
+    p = data.draw(st.integers(1, len(fam)))
+    q = data.draw(st.integers(1, p))
+    ok, counterexample = pq_check([fam], p, q)
+    sets = [O.expand(t) for t in fam]
+    assert ok == O.pq_holds(sets, p, q)
+    assert O.check_pq(sets, p, q, ok, counterexample) == []
