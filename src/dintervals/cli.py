@@ -38,7 +38,7 @@ from .helly import (
     radon_number_bruteforce,
 )
 from .instances import Instance, dump_instance, parse_instance
-from .piercing import pierce_all, pq_check
+from .piercing import PQ_KINDS, pierce_all, pq_check
 from .rationals import parse_rational
 from .reports import Report, emit_report, jsonify
 
@@ -124,7 +124,7 @@ def cmd_collapse(args) -> int:
 def cmd_dcollapse_oracle(args) -> int:
     inst = _load_instance(args)
     K = nerve(inst.sets, enumeration_guard=args.guard)
-    ok, witness = is_d_collapsible(K, args.bound, face_guard=args.face_guard)
+    ok, witness = is_d_collapsible(K, args.bound)
     steps = None
     if witness is not None:
         steps = [
@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s)
     s.add_argument("--bound", type=int, required=True, help="max free-face size")
     s.add_argument("--guard", type=int, default=None)
-    s.add_argument("--face-guard", type=int, default=None, dest="face_guard")
 
     s = subs.add_parser("radon", help="brute-force partition threshold of the points")
     _add_io(s)
@@ -417,11 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument(
-        "--kind",
-        choices=("plain", "colorful-first", "colorful-second"),
-        default="plain",
-    )
+    s.add_argument("--kind", choices=PQ_KINDS, default="plain")
 
     s = subs.add_parser("gen", help="emit a seeded random instance file")
     s.add_argument("--d", type=int, required=True)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .config import guard_limit
+from .config import check_guard, guard_limit
 from .errors import (
     GroundSetMismatchError,
     GuardExceededError,
@@ -130,11 +130,6 @@ class SimplicialComplex:
     def _is_maximal(self, f: frozenset, verts: tuple[int, ...]) -> bool:
         # downward closure makes the one-vertex-extension test sufficient
         return all(v in f or f | {v} not in self.faces for v in verts)
-
-    def maximal_faces(self) -> list[frozenset]:
-        verts = self.vertices
-        out = [f for f in self.faces if self._is_maximal(f, verts)]
-        return sorted(out, key=_face_sort_key)
 
     def maximal_faces_containing(self, sigma: frozenset) -> list[frozenset]:
         verts = self.vertices
@@ -230,9 +225,7 @@ def _index_family(
     enumeration_guard: int | None,
 ) -> dict[int, tuple]:
     """Check a family as ``nerve`` takes it; return label → runs."""
-    limit = guard_limit("NERVE", enumeration_guard)
-    if len(family) > limit:
-        raise GuardExceededError("nerve family size", len(family), limit)
+    check_guard("NERVE", "nerve family size", len(family), enumeration_guard)
     if labels is None:
         labels = list(range(1, len(family) + 1))
     if len(labels) != len(family) or len(set(labels)) != len(family):
@@ -410,9 +403,7 @@ def _smallest_first(sigma: frozenset, top: frozenset):
     return (len(sigma), tuple(sorted(sigma)))
 
 
-def is_d_collapsible(
-    K: SimplicialComplex, b: int, face_guard: int | None = None
-) -> tuple[bool, CollapseSequence | None]:
+def is_d_collapsible(K: SimplicialComplex, b: int) -> tuple[bool, CollapseSequence | None]:
     """Exhaustive backtracking over collapse orders with free faces of
     size ≤ b.  Collapsibility is order-sensitive, so greedy choices are
     not enough.  The search is iterative, so its depth is not bounded by
@@ -422,9 +413,7 @@ def is_d_collapsible(
     memoized.  Returns a replay-verifiable witness on success, a
     definitive negative otherwise.
     """
-    limit = guard_limit("COLLAPSE_FACES", face_guard)
-    if len(K.faces) > limit:
-        raise GuardExceededError("complex face count", len(K.faces), limit)
+    check_guard("COLLAPSE_FACES", "complex face count", len(K.faces))
     if b < 1:
         raise ValueError("collapse bound must be ≥ 1")
 

@@ -1,14 +1,18 @@
 """Default enumeration guards, overridable through environment variables.
 
-Every exhaustive routine takes an explicit ``guard`` argument; when the
-caller passes none, the default below applies.  ``DINTERVALS_GUARD_<NAME>``
-overrides a default process-wide, which keeps the CLI usable on larger
-inputs without touching call sites.
+``DINTERVALS_GUARD_<NAME>`` overrides a default process-wide, which keeps
+the CLI usable on larger inputs without touching call sites.  The only
+per-call overrides are the nerve's ``enumeration_guard`` and
+``gen_conditioned``'s ``cap_draws``.  ``check_guard`` is the guard rule
+itself; the walks that count as they go (the nerve's face walk and
+``helly_check``) and the draw cap read ``guard_limit`` once instead.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import GuardExceededError
 
 _DEFAULTS = {
     "NERVE": 20,          # family size for nerve enumeration
@@ -27,3 +31,11 @@ def guard_limit(name: str, override: int | None = None) -> int:
     if env is not None:
         return int(env)
     return _DEFAULTS[name]
+
+
+def check_guard(name: str, what: str, size: int, override: int | None = None) -> None:
+    """Raise ``GuardExceededError(what, size, limit)`` when ``size`` is
+    past the guard's limit (the bound is inclusive)."""
+    limit = guard_limit(name, override)
+    if size > limit:
+        raise GuardExceededError(what, size, limit)

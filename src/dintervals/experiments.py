@@ -493,5 +493,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 7, d_choices=Non
             raise ValueError("trials must be ≥ 1")
         kwargs["trials"] = trials
     if d_choices is not None:
+        if any(d < 1 for d in d_choices):
+            raise ValueError("d must be ≥ 1")
         kwargs["d_choices"] = tuple(d_choices)
     return fn(**kwargs)

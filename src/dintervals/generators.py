@@ -23,7 +23,7 @@ from .config import guard_limit
 from .errors import TheoremViolationError
 from .geometry import Point, PointSet, TraceSet, colorful_tuples, intersect_all
 from .helly import frac_helly_stats, radon_partition
-from .piercing import pq_check
+from .piercing import _check_pq_parameters, pq_check
 from .rationals import parse_rational
 
 
@@ -212,6 +212,11 @@ def gen_radon_lower_bound(
 # conditioned sampling
 
 
+def _check_level_count(k: int, d: int) -> None:
+    if not 1 <= k <= d:
+        raise ValueError(f"k must lie in [1, {d}]")
+
+
 @dataclass(frozen=True)
 class ColorfulHellyProperty:
     k: int
@@ -219,6 +224,7 @@ class ColorfulHellyProperty:
     name = "colorful-helly-property"
 
     def families_needed(self, d: int) -> int:
+        _check_level_count(self.k, d)
         return 2 * d - self.k + 1
 
     def check(self, ground: PointSet, families) -> bool:
@@ -237,6 +243,9 @@ class PqProperty:
     q: int
     kind: str = "plain"
 
+    def __post_init__(self):
+        _check_pq_parameters(self.p, self.q, self.kind)
+
     @property
     def name(self) -> str:
         return f"pq-property({self.p},{self.q},{self.kind})"
@@ -247,10 +256,7 @@ class PqProperty:
         return self.q if self.kind == "colorful-first" else self.p
 
     def check(self, ground: PointSet, families) -> bool:
-        try:
-            ok, _ = pq_check(families, self.p, self.q, self.kind)
-        except ValueError:
-            return False
+        ok, _ = pq_check(families, self.p, self.q, self.kind)
         return ok
 
 
@@ -264,6 +270,7 @@ class KIntersectRich:
     name = "k-intersect-rich"
 
     def families_needed(self, d: int) -> int:
+        _check_level_count(self.k, d)
         return 1
 
     def check(self, ground: PointSet, families) -> bool:

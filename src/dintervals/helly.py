@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Iterable, Sequence
 
-from .config import guard_limit
+from .config import check_guard, guard_limit
 from .errors import (
     GuardExceededError,
     PreconditionError,
@@ -37,6 +37,7 @@ from .geometry import (
     intersect_all,
     k_intersects,
 )
+from .piercing import max_point_cover
 
 
 def _point_sort_key(p: Point):
@@ -101,9 +102,7 @@ def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition
             )
         return part
 
-    limit = guard_limit("RADON_POINTS")
-    if len(pts) > limit:
-        raise GuardExceededError("radon subset size", len(pts), limit)
+    check_guard("RADON_POINTS", "radon subset size", len(pts))
     if len(pts) < 2:
         return None
     head, rest = pts[0], pts[1:]
@@ -126,9 +125,7 @@ def radon_number_bruteforce(ground: PointSet, cap: int) -> int | None:
     """
     if cap < 1:
         raise ValueError("radon cap must be ≥ 1")
-    limit = guard_limit("RADON_POINTS")
-    if len(ground) > limit:
-        raise GuardExceededError("ground set size", len(ground), limit)
+    check_guard("RADON_POINTS", "ground set size", len(ground))
     pts = sorted(ground.points(), key=_point_sort_key)
     for n in range(1, cap + 1):
         if all(
@@ -246,13 +243,11 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
 # colorful Helly
 
 
-def _colorful_work(families: Sequence[Sequence[TraceSet]], work_guard: int | None) -> int:
+def _colorful_work(families: Sequence[Sequence[TraceSet]]) -> int:
     """Number of colorful tuples; raises when that times the family count
     exceeds the work guard."""
     work = prod(len(fam) for fam in families)
-    limit = guard_limit("PQ_WORK", work_guard)
-    if work * len(families) > limit:
-        raise GuardExceededError("colorful tuple enumeration", work * len(families), limit)
+    check_guard("PQ_WORK", "colorful tuple enumeration", work * len(families))
     return work
 
 
@@ -268,7 +263,6 @@ def colorful_helly_points(
     families: Sequence[Sequence[TraceSet]],
     k: int,
     designated: int | None = None,
-    work_guard: int | None = None,
 ) -> ColorfulSelection:
     """Pick k points shared by every member of one family.
 
@@ -300,7 +294,7 @@ def colorful_helly_points(
     if designated is not None and not 0 <= designated < arity:
         raise ValueError("designated index out of range")
 
-    _colorful_work(families, work_guard)
+    _colorful_work(families)
     # any completion of a thin prefix serves as the violating witness
     for combo, joint in colorful_tuples(families, k):
         if joint.level_count < k:
@@ -344,9 +338,7 @@ def colorful_helly_points(
 # fractional Helly
 
 
-def max_k_intersecting_subfamily(
-    family: Sequence[TraceSet], k: int, work_guard: int | None = None
-) -> tuple[int, ...]:
+def max_k_intersecting_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, ...]:
     """True maximum via candidate points: a subfamily k-intersects iff
     k common ground points sit on k distinct levels.  The walk takes one
     covered cell on each of k levels; its length (Σ over level choices
@@ -358,9 +350,7 @@ def max_k_intersecting_subfamily(
         per_level[lvl].append(frozenset(through))
     level_combos = list(itertools.combinations(range(len(per_level)), k))
     work = sum(prod(len(per_level[l]) for l in combo) for combo in level_combos) * k
-    limit = guard_limit("PQ_WORK", work_guard)
-    if work > limit:
-        raise GuardExceededError("k-intersecting subfamily search", work, limit)
+    check_guard("PQ_WORK", "k-intersecting subfamily search", work)
     everyone = frozenset(range(len(family)))
     best: tuple[int, ...] = ()
     for combo in level_combos:
@@ -371,9 +361,7 @@ def max_k_intersecting_subfamily(
     return best
 
 
-def frac_helly_stats(
-    family: Sequence[TraceSet], k: int, work_guard: int | None = None
-) -> HellyReport:
+def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     """Fraction of k-intersecting (2d−k+1)-subsets versus the largest
     k-intersecting subfamily; checks β̂ ≥ α/(2d−k+1) exactly."""
     if not family:
@@ -390,9 +378,7 @@ def frac_helly_stats(
         return report
 
     total = comb(n, r)
-    limit = guard_limit("PQ_WORK", work_guard)
-    if total * r > limit:
-        raise GuardExceededError("tuple enumeration", total * r, limit)
+    check_guard("PQ_WORK", "tuple enumeration", total * r)
 
     hitting = 0
     # k-intersecting r-subsets grouped by the sweep key of their joint
@@ -405,7 +391,7 @@ def frac_helly_stats(
             classes.setdefault(_sweep_key(joint.runs), set()).update(idx)
     alpha = Fraction(hitting, total)
     grouped_best = max((len(s) for s in classes.values()), default=0)
-    direct_best = max_k_intersecting_subfamily(family, k, work_guard)
+    direct_best = max_k_intersecting_subfamily(family, k)
     best = max(grouped_best, len(direct_best))
     beta = Fraction(best, n)
     report.statistics.update(
@@ -420,9 +406,7 @@ def frac_helly_stats(
     return report
 
 
-def cfh_stats(
-    families: Sequence[Sequence[TraceSet]], work_guard: int | None = None
-) -> HellyReport:
+def cfh_stats(families: Sequence[Sequence[TraceSet]]) -> HellyReport:
     """Colorful fractional check over 2d families: if an α-fraction of
     colorful tuples intersect, some family has an intersecting subfamily
     of β̂|C_i| members with (1−β̂_i)^{2d} ≤ 1−α.  Root-free comparison:
@@ -433,15 +417,12 @@ def cfh_stats(
     if len(families) != 2 * d:
         raise ValueError(f"expected {2 * d} families, got {len(families)}")
 
-    work = _colorful_work(families, work_guard)
+    work = _colorful_work(families)
     hitting = sum(1 for _, joint in colorful_tuples(families, 1) if not joint.is_empty)
     alpha = Fraction(hitting, work)
 
-    # β̂_i: the most members of family i through one covered cell
-    betas = [
-        Fraction(max(map(len, _incidence(fam).values()), default=0), len(fam))
-        for fam in families
-    ]
+    # β̂_i: the most members of family i through one point
+    betas = [Fraction(max_point_cover(fam)[0], len(fam)) for fam in families]
     ok = any((1 - b) ** (2 * d) <= 1 - alpha for b in betas)
     return HellyReport(
         "colorful-fractional",

@@ -17,12 +17,8 @@ from fractions import Fraction
 from math import ceil, comb
 from typing import Sequence
 
-from .config import guard_limit
-from .errors import (
-    GuardExceededError,
-    PreconditionError,
-    TheoremViolationError,
-)
+from .config import check_guard
+from .errors import PreconditionError, TheoremViolationError
 from .geometry import Point, PointSet, TraceSet, _incidence, colorful_tuples, intersect_all
 from .lp import SimplexOutcome, simplex_maximize
 
@@ -47,12 +43,10 @@ class PiercingResult:
     lp: LPSolution
 
 
-def _validate_family(family: Sequence[TraceSet], cap_name: str = "PIERCE_SETS"):
+def _validate_family(family: Sequence[TraceSet]):
     if not family:
         raise PreconditionError("family is empty")
-    limit = guard_limit(cap_name)
-    if len(family) > limit:
-        raise GuardExceededError("family size", len(family), limit)
+    check_guard("PIERCE_SETS", "family size", len(family))
     for j, t in enumerate(family):
         if t.is_empty:
             raise PreconditionError(
@@ -260,10 +254,14 @@ def pierce_all(family: Sequence[TraceSet]) -> PiercingResult:
 # (p,q) properties
 
 
-def _pq_guard(work: int, override: int | None):
-    limit = guard_limit("PQ_WORK", override)
-    if work > limit:
-        raise GuardExceededError("(p,q) enumeration", work, limit)
+PQ_KINDS = ("plain", "colorful-first", "colorful-second")
+
+
+def _check_pq_parameters(p: int, q: int, kind: str) -> None:
+    if p < 1 or q < 1 or q > p:
+        raise ValueError("need p ≥ q ≥ 1")
+    if kind not in PQ_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
 
 
 def pq_check(
@@ -271,7 +269,6 @@ def pq_check(
     p: int,
     q: int,
     kind: str = "plain",
-    work_guard: int | None = None,
 ) -> tuple[bool, tuple | None]:
     """Exhaustive (p,q) verification.
 
@@ -282,15 +279,14 @@ def pq_check(
     colorful-second: p families; every colorful p-tuple has q members
     sharing a point.
     """
-    if p < 1 or q < 1 or q > p:
-        raise ValueError("need p ≥ q ≥ 1")
+    _check_pq_parameters(p, q, kind)
     if kind == "plain":
         if len(families) != 1:
             raise ValueError("plain kind takes exactly one family")
         family = families[0]
         if len(family) < p:
             raise ValueError(f"family has {len(family)} < p = {p} members")
-        _pq_guard(comb(len(family), p) * p, work_guard)
+        check_guard("PQ_WORK", "(p,q) enumeration", comb(len(family), p) * p)
         for idx in itertools.combinations(range(len(family)), p):
             cover, _ = max_point_cover([family[j] for j in idx])
             if cover < q:
@@ -305,7 +301,7 @@ def pq_check(
         choice_work = 1
         for f in families:
             choice_work *= comb(len(f), p)
-        _pq_guard(choice_work * p**q * q, work_guard)
+        check_guard("PQ_WORK", "(p,q) enumeration", choice_work * p**q * q)
         for choices in itertools.product(
             *(itertools.combinations(range(len(f)), p) for f in families)
         ):
@@ -314,23 +310,21 @@ def pq_check(
                 return False, choices
         return True, None
 
-    if kind == "colorful-second":
-        if len(families) != p:
-            raise ValueError(f"colorful-second takes p = {p} families")
-        if any(not f for f in families):
-            raise ValueError("families must be nonempty")
-        work = 1
-        for f in families:
-            work *= len(f)
-        _pq_guard(work * p, work_guard)
-        for combo in itertools.product(*(range(len(f)) for f in families)):
-            members = [families[i][j] for i, j in enumerate(combo)]
-            cover, _ = max_point_cover(members)
-            if cover < q:
-                return False, combo
-        return True, None
-
-    raise ValueError(f"unknown kind {kind!r}")
+    # colorful-second
+    if len(families) != p:
+        raise ValueError(f"colorful-second takes p = {p} families")
+    if any(not f for f in families):
+        raise ValueError("families must be nonempty")
+    work = 1
+    for f in families:
+        work *= len(f)
+    check_guard("PQ_WORK", "(p,q) enumeration", work * p)
+    for combo in itertools.product(*(range(len(f)) for f in families)):
+        members = [families[i][j] for i, j in enumerate(combo)]
+        cover, _ = max_point_cover(members)
+        if cover < q:
+            return False, combo
+    return True, None
 
 
 # ---------------------------------------------------------------------------

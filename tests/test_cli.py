@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dintervals import Instance, PointSet, dump_instance, gen_helly_lower_bound
-from dintervals import cli
+from dintervals import cli, generators
 from dintervals.cli import run_command
 from helpers import p6
 
@@ -290,6 +290,46 @@ def test_gen_draw_cap_below_one_exits_two(capsys):
         assert "error: draw cap must be ≥ 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "predicate, message",
+    [
+        ("colorful-helly:0", "k must lie in [1, 1]"),
+        ("colorful-helly:2", "k must lie in [1, 1]"),
+        ("k-rich:0:1/2", "k must lie in [1, 1]"),
+        ("pq:3:2:bogus", "unknown kind 'bogus'"),
+        ("pq:2:3", "need p ≥ q ≥ 1"),
+        ("pq:0:0", "need p ≥ q ≥ 1"),
+    ],
+)
+def test_gen_rejects_bad_predicate_parameters_before_drawing(
+    predicate, message, monkeypatch, capsys
+):
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(generators, "_draw", no_draw)
+    code = run_command([
+        "gen", "--d", "1", "--points", "4", "--range", "0:5", "--sets", "2",
+        "--predicate", predicate,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_gen_pq_predicate_on_too_few_sets_exits_two(capsys):
+    # every draw has 2 sets, so none can have 3 to choose from
+    code = run_command([
+        "gen", "--d", "1", "--points", "4", "--range", "0:5", "--sets", "2",
+        "--predicate", "pq:3:2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: family has 2 < p = 3 members" in captured.err
+
+
 def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
     builds = []
     build = cli.build_parser
@@ -345,6 +385,23 @@ def test_nerve_face_budget_breach_exits_two(tmp_path, capsys):
     path = write(tmp_path, "dense.json", json.dumps(doc))
     assert run_command(["nerve", path]) == 2
     assert "nerve face count" in capsys.readouterr().err
+
+
+def test_the_face_guard_variable_bounds_the_walk_and_the_search(
+    tmp_path, monkeypatch, capsys
+):
+    # the hollow triangle's nerve has 7 faces, the empty one included
+    path = triple_instance(tmp_path)
+    for limit, code in (("3", 2), ("6", 2), ("7", 0)):
+        monkeypatch.setenv("DINTERVALS_GUARD_COLLAPSE_FACES", limit)
+        assert run_command(["nerve", path]) == code
+        assert run_command(["dcollapse-oracle", path, "--bound", "2"]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            message = f"nerve face count: size {int(limit) + 1} exceeds guard limit {limit}"
+            assert err.count(message) == 2
+    assert run_command(["dcollapse-oracle", path, "--bound", "2", "--face-guard", "9"]) == 2
+    assert "unrecognized arguments: --face-guard" in capsys.readouterr().err
 
 
 def test_frac_helly_subfamily_walk_breach_exits_two(tmp_path, capsys):
@@ -428,6 +485,15 @@ def test_experiment_radon_rejects_unsupported_d(capsys):
     assert captured.out == ""
     assert "d from 1 to 6" in captured.err
     assert "randrange" not in captured.err
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_experiment_rejects_d_below_one(suite, capsys):
+    for d in ("0", "1,0", "-1"):
+        assert run_command(["experiment", "--suite", suite, "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: d must be ≥ 1" in captured.err
 
 
 def test_experiment_rejects_trials_below_one(capsys):

@@ -408,9 +408,10 @@ def test_full_simplex_collapses_through_vertices_alone():
     assert ok and seq.replays_to_empty()
 
 
-def test_collapsibility_guard_is_enforced():
+def test_collapsibility_guard_is_enforced(monkeypatch):
+    monkeypatch.setenv("DINTERVALS_GUARD_COLLAPSE_FACES", "3")
     with pytest.raises(GuardExceededError):
-        is_d_collapsible(hollow_triangle(), 2, face_guard=3)
+        is_d_collapsible(hollow_triangle(), 2)
 
 
 def test_oracle_collapses_a_path_longer_than_the_recursion_limit():

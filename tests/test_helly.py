@@ -387,7 +387,7 @@ def _full_sets(points_per_level: int) -> list[TraceSet]:
     return [TraceSet(ground, ((0, points_per_level - 1),) * 3)] * 4
 
 
-def test_max_k_subfamily_counts_its_walk_against_the_work_guard():
+def test_max_k_subfamily_counts_its_walk_against_the_work_guard(monkeypatch):
     # 100 covered cells a level, k = 3: 100^3 · 3 cell tuples > 10^6
     fam = _full_sets(100)
     start = time.perf_counter()
@@ -397,7 +397,9 @@ def test_max_k_subfamily_counts_its_walk_against_the_work_guard():
     assert exc.value.size == 3 * 10**6
     with pytest.raises(GuardExceededError):
         frac_helly_stats(fam, 3)
-    # the bound is inclusive, and frac_helly_stats hands its work_guard down
-    assert max_k_intersecting_subfamily(_full_sets(3), 3, work_guard=81) == (0, 1, 2, 3)
-    with pytest.raises(GuardExceededError):
-        frac_helly_stats(_full_sets(3), 3, work_guard=80)
+    # the bound is inclusive
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "81")
+    assert max_k_intersecting_subfamily(_full_sets(3), 3) == (0, 1, 2, 3)
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "80")
+    with pytest.raises(GuardExceededError, match="k-intersecting subfamily search"):
+        frac_helly_stats(_full_sets(3), 3)

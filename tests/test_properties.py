@@ -1,5 +1,6 @@
 """Differential property tests: the index-space queries of ``piercing``
-and ``helly`` against the brute-force oracles of ``bench/oracles.py``.
+and ``helly`` against the brute-force oracles of ``bench/oracles.py``,
+and the instance format's parse → serialize → parse round trip.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -23,10 +24,12 @@ from dintervals import (
     TraceSet,
     cfh_stats,
     colorful_helly_points,
+    dump_instance,
     frac_helly_stats,
     max_k_intersecting_subfamily,
     max_point_cover,
     maxima_witness_subfamily,
+    parse_instance,
     pq_check,
     tau_exact,
 )
@@ -169,3 +172,102 @@ def test_plain_pq_matches_the_oracle(case, data):
     sets = [O.expand(t) for t in fam]
     assert ok == O.pq_holds(sets, p, q)
     assert O.check_pq(sets, p, q, ok, counterexample) == []
+
+
+def _first_failure(choices, holds):
+    """``(True, None)`` when every choice holds, else ``(False, first)``."""
+    failing = [c for c in choices if not holds(c)]
+    return (False, failing[0]) if failing else (True, None)
+
+
+@given(st.data())
+def test_colorful_first_pq_matches_a_brute_force(data):
+    # q families; among any p members picked from each, some colorful
+    # q-tuple of the picks has a common point
+    ground = data.draw(grounds(max_d=2))
+    p = data.draw(st.integers(1, 3))
+    q = data.draw(st.integers(1, min(p, 2)))
+    fams = [
+        data.draw(st.lists(traces(ground), min_size=p, max_size=p + 1)) for _ in range(q)
+    ]
+    sets = [[O.expand(t) for t in fam] for fam in fams]
+    expected = _first_failure(
+        itertools.product(*(itertools.combinations(range(len(f)), p) for f in sets)),
+        lambda picks: any(
+            O.common(tup)
+            for tup in itertools.product(
+                *([fam[j] for j in pick] for fam, pick in zip(sets, picks))
+            )
+        ),
+    )
+    assert pq_check(fams, p, q, "colorful-first") == expected
+
+
+@given(st.data())
+def test_colorful_second_pq_matches_a_brute_force(data):
+    # p families; every colorful p-tuple has q members sharing a point
+    ground = data.draw(grounds(max_d=2))
+    p = data.draw(st.integers(1, 3))
+    q = data.draw(st.integers(1, p))
+    fams = [data.draw(st.lists(traces(ground), min_size=1, max_size=3)) for _ in range(p)]
+    sets = [[O.expand(t) for t in fam] for fam in fams]
+    expected = _first_failure(
+        itertools.product(*(range(len(f)) for f in sets)),
+        lambda combo: any(
+            O.common(sub)
+            for sub in itertools.combinations(
+                [sets[i][j] for i, j in enumerate(combo)], q
+            )
+        ),
+    )
+    assert pq_check(fams, p, q, "colorful-second") == expected
+
+
+def _spelling(draw, x: Fraction):
+    """One of the literal forms the format accepts for ``x``."""
+    m = draw(st.integers(1, 3))
+    forms = [f" {x.numerator * m}/{x.denominator * m}", f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        forms.append(x.numerator)
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def documents(draw) -> dict:
+    """Instance documents as a user might write them: points in any order,
+    coordinates in any accepted spelling, set pieces wider than the ground
+    they cover, and optional family groups."""
+    d = draw(st.integers(1, 3))
+    denom = draw(st.integers(1, 3))
+    points = [
+        [_spelling(draw, Fraction(c, denom)), lvl]
+        for lvl in range(1, d + 1)
+        for c in draw(st.lists(st.integers(-6, 6), max_size=4, unique=True))
+    ]
+    sets = []
+    for i in range(draw(st.integers(1, 4))):
+        levels = []
+        for lvl in range(1, d + 1):
+            if draw(st.integers(0, 3)) == 0:
+                continue
+            lo, hi = sorted(Fraction(draw(st.integers(-14, 14)), 2) for _ in range(2))
+            levels.append(
+                {"level": lvl, "lo": _spelling(draw, lo), "hi": _spelling(draw, hi)}
+            )
+        sets.append({"name": f"S{i}", "levels": draw(st.permutations(levels))})
+    doc = {"d": d, "points": draw(st.permutations(points)), "sets": sets}
+    if draw(st.booleans()):
+        members = st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=3)
+        doc["families"] = draw(st.lists(members, min_size=1, max_size=3))
+    return doc
+
+
+@given(documents())
+def test_parse_serialize_parse_is_idempotent(doc):
+    first, _ = parse_instance(doc)
+    text = dump_instance(first)
+    second, _ = parse_instance(text)
+    assert (second.ground, second.sets, second.names, second.families) == (
+        first.ground, first.sets, first.names, first.families,
+    )
+    assert dump_instance(second) == text
