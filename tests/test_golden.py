@@ -21,7 +21,9 @@ report without its timing.  The point and sweep-order queries of
 ``piercing`` and ``helly`` (largest point cover, largest k-intersecting
 subfamily, maxima witness, τ with its points, fractional Helly
 statistics, plain and colorful-second (p,q)) are digested on seeded
-families, empty sets included.
+families, empty sets included.  Radon partitions (both sides and the
+witness) are digested on seeded subsets below and at or above 2d+1
+points, beside the brute-force Radon number at several caps.
 """
 
 import hashlib
@@ -40,6 +42,7 @@ from dintervals import (
     Instance,
     KIntersectRich,
     PointSet,
+    Point,
     PqProperty,
     SweepInvariantError,
     TheoremViolationError,
@@ -57,6 +60,8 @@ from dintervals import (
     nerve,
     pierce_all,
     pq_check,
+    radon_number_bruteforce,
+    radon_partition,
     sweep_collapse,
     tau_exact,
 )
@@ -71,6 +76,7 @@ COLORFUL_INSTANCES = 1500
 LPS = 2400
 PIERCE_FAMILIES = 320
 QUERY_FAMILIES = 600
+RADON_GROUNDS = 240
 
 GOLDEN = {
     "sweep": (
@@ -220,6 +226,10 @@ GOLDEN = {
     "index-queries": (
         "d9a94a849ab499c4a2470d3c0e47c44f"
         "c52b34356def49bdcfe61c9244285476"
+    ),
+    "radon": (
+        "2c86a8b7be2fccc6e5c61d303e9a5c38"
+        "cb06ee1cb1b82b6c03349193cdc9ae93"
     ),
 }
 
@@ -734,3 +744,51 @@ def test_point_queries_match_the_golden_digest():
     assert verdicts == {True, False}
     assert any(len(row) > 7 for row in rows)
     assert _digest(rows) == GOLDEN["index-queries"]
+
+
+# ------------------------------------------------------------------- Radon
+
+
+def _radon_grounds():
+    """Seeded grounds of up to four points a level, d = 1..3, empty
+    levels included."""
+    rng = random.Random(20250115)
+    for i in range(RADON_GROUNDS):
+        d = 1 + i % 3
+        yield rng, d, random_ground(rng, d, max_per_level=4)
+
+
+def _partition(ground, subset):
+    part = radon_partition(ground, subset)
+    return None if part is None else [_points(part.side_a), _points(part.side_b), _points([part.witness])]
+
+
+def _radon_outputs(rng, d, ground):
+    pts = list(ground.points())
+    subsets = [rng.sample(pts, rng.randrange(len(pts) + 1)) for _ in range(8)]
+    if pts:
+        # repeated points count once; a foreign point is refused
+        subsets.append(pts + pts[:2])
+        subsets.append(pts[:2] + [Point(Fraction(99), 1 + rng.randrange(d))])
+    caps = (0, 1, d + 1, 2 * d, 2 * d + 1, 2 * d + 2)
+    return [
+        d,
+        [_outcome(lambda: _partition(ground, s)) for s in subsets],
+        [_outcome(lambda: radon_number_bruteforce(ground, cap)) for cap in caps],
+    ]
+
+
+def test_radon_partitions_and_numbers_match_the_golden_digest():
+    rows = [_radon_outputs(*case) for case in _radon_grounds()]
+    parts = [(d, o) for d, row, _ in rows for o in row]
+    numbers = [o for _, _, row in rows for o in row]
+    # refusals, no partition, and partitions of fewer and of at least
+    # 2d+1 points occur; so do numbers within and past the cap
+    assert {o[0] for _, o in parts} == {"ok", "ValueError"}
+    assert any(o == ["ok", None] for _, o in parts)
+    found = [(d, len(o[1][0]) + len(o[1][1])) for d, o in parts if o[0] == "ok" and o[1]]
+    assert any(n < 2 * d + 1 for d, n in found) and any(n >= 2 * d + 1 for d, n in found)
+    assert {o[0] for o in numbers} == {"ok", "ValueError"}
+    assert any(o == ["ok", None] for o in numbers)
+    assert any(o[0] == "ok" and o[1] is not None for o in numbers)
+    assert _digest(rows) == GOLDEN["radon"]
