@@ -285,7 +285,7 @@ def cmd_gen(args) -> int:
     predicate = _parse_predicate(args.predicate) if args.predicate else None
     n_families = args.families
     if n_families is None:
-        n_families = predicate.families_needed(args.d) if predicate else 1
+        n_families = predicate.families_needed(args.d, args.sets) if predicate else 1
     spec = GenSpec(
         d=args.d,
         points_per_level=_parse_points(args.points, args.d),

@@ -212,9 +212,15 @@ def gen_radon_lower_bound(
 # conditioned sampling
 
 
-def _check_level_count(k: int, d: int) -> None:
-    if not 1 <= k <= d:
+def _check_k_predicate(predicate, d: int, n_sets: int, least: int) -> None:
+    """Refuse k outside [1, d], and families of fewer than ``least`` sets,
+    which no draw can satisfy."""
+    if not 1 <= predicate.k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
+    if n_sets < least:
+        raise ValueError(
+            f"predicate {predicate.name} needs at least {least} sets per family, spec has {n_sets}"
+        )
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,8 @@ class ColorfulHellyProperty:
 
     name = "colorful-helly-property"
 
-    def families_needed(self, d: int) -> int:
-        _check_level_count(self.k, d)
+    def families_needed(self, d: int, n_sets: int) -> int:
+        _check_k_predicate(self, d, n_sets, 1)
         return 2 * d - self.k + 1
 
     def check(self, ground: PointSet, families) -> bool:
@@ -250,7 +256,7 @@ class PqProperty:
     def name(self) -> str:
         return f"pq-property({self.p},{self.q},{self.kind})"
 
-    def families_needed(self, d: int) -> int:
+    def families_needed(self, d: int, n_sets: int) -> int:
         if self.kind == "plain":
             return 1
         return self.q if self.kind == "colorful-first" else self.p
@@ -269,8 +275,8 @@ class KIntersectRich:
 
     name = "k-intersect-rich"
 
-    def families_needed(self, d: int) -> int:
-        _check_level_count(self.k, d)
+    def families_needed(self, d: int, n_sets: int) -> int:
+        _check_k_predicate(self, d, n_sets, 2 * d - self.k + 1)
         return 1
 
     def check(self, ground: PointSet, families) -> bool:
@@ -324,7 +330,7 @@ def gen_conditioned(
     cap = guard_limit("DRAWS", cap_draws)
     if cap < 1:
         raise ValueError("draw cap must be ≥ 1")
-    needed = predicate.families_needed(spec.d)
+    needed = predicate.families_needed(spec.d, spec.n_sets)
     if spec.n_families != needed:
         raise ValueError(
             f"predicate {predicate.name} needs {needed} families, spec has {spec.n_families}"

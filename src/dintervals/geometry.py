@@ -94,11 +94,9 @@ class PointSet:
 
     def index_of(self, p: Point) -> int:
         """Index of a point within its level's sorted coordinates."""
-        coords = self.levels[p.level - 1]
-        i = bisect_left(coords, p.coord)
-        if i >= len(coords) or coords[i] != p.coord:
+        if p not in self:
             raise ValueError(f"point {p} not in ground set")
-        return i
+        return bisect_left(self.levels[p.level - 1], p.coord)
 
 
 @dataclass(frozen=True)
@@ -300,8 +298,6 @@ def hull(ground: PointSet, subset: Iterable[Point]) -> TraceSet:
     """
     spans: dict[int, tuple[int, int]] = {}
     for p in subset:
-        if p not in ground:
-            raise ValueError(f"point {p} not in ground set")
         i = ground.index_of(p)
         if p.level in spans:
             lo, hi = spans[p.level]

@@ -1,13 +1,16 @@
 """Radon, Helly, colorful Helly and fractional Helly procedures.
 
 Everything here is constructive and exhaustively re-verified: Radon
-partitions are checked by intersecting hulls, witness subfamilies by
-recomputing sweep values, colorful selections by direct membership of
-the returned points.  Brute-force counterparts (used by tests as
-oracles) live beside the constructions.
+partitions by meeting the sides' index spans (``RadonPartition.verify``
+intersects their hulls again), witness subfamilies by recomputing sweep
+values, colorful selections by direct membership of the returned
+points.  Brute-force counterparts (used by tests as oracles) live beside
+the constructions.
 
-Outside Radon and those checks, queries read the runs: point counts via
-``geometry._incidence``, sweep comparisons via ``geometry._sweep_key``.
+The Radon search runs on cells (level − 1, index); points appear only in
+the partitions it returns.  Outside ``RadonPartition.verify`` and those
+checks, queries read the runs: point counts via ``geometry._incidence``,
+sweep comparisons via ``geometry._sweep_key``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .geometry import (
     TraceSet,
     _incidence,
     _key_value,
+    _meet,
     _sweep_key,
     colorful_tuples,
     hull,
@@ -38,10 +42,6 @@ from .geometry import (
     k_intersects,
 )
 from .piercing import max_point_cover
-
-
-def _point_sort_key(p: Point):
-    return (p.level, p.coord)
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,49 @@ class HellyReport:
 # Radon
 
 
+def _point(ground: PointSet, cell: tuple[int, int]) -> Point:
+    return Point(ground.levels[cell[0]][cell[1]], cell[0] + 1)
+
+
+def _least_meet(side_a, side_b, d: int) -> tuple[int, int] | None:
+    """Least cell in both sides' hulls, or None when the hulls miss.  A
+    side lists cells in (level, index) order, so its hull on a level
+    runs from its first to its last cell there."""
+    spans = [[None] * d, [None] * d]
+    for runs, side in zip(spans, (side_a, side_b)):
+        for lvl, i in side:
+            runs[lvl] = (i, i) if runs[lvl] is None else (runs[lvl][0], i)
+    meet = _meet(*spans) or ()
+    return next(((lvl, run[0]) for lvl, run in enumerate(meet) if run is not None), None)
+
+
+def _radon_cells(ground: PointSet, cells: Sequence[tuple[int, int]]):
+    """``radon_partition`` on distinct cells (level − 1, index) in
+    order: ``(side_a, side_b, witness)`` as cells, or None."""
+    d = ground.d
+    if len(cells) >= 2 * d + 1:
+        # the second cell on the least level that holds three
+        middle = next(cells[j + 1] for j in range(len(cells) - 2) if cells[j][0] == cells[j + 2][0])
+        side_a = [c for c in cells if c != middle]
+        if _least_meet(side_a, [middle], d) != middle:
+            raise TheoremViolationError(
+                "constructed partition failed verification",
+                diagnostics={"subset": tuple(_point(ground, c) for c in cells)},
+            )
+        return side_a, [middle], middle
+
+    check_guard("RADON_POINTS", "radon subset size", len(cells))
+    if len(cells) < 2:
+        return None
+    head, rest = cells[0], cells[1:]
+    for picks in itertools.product((0, 1), repeat=len(rest)):
+        side_a = [head] + [c for c, s in zip(rest, picks) if s == 0]
+        side_b = [c for c, s in zip(rest, picks) if s == 1]
+        if side_b and (witness := _least_meet(side_a, side_b, d)) is not None:
+            return side_a, side_b, witness
+    return None
+
+
 def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition | None:
     """Split the points into two parts with intersecting hulls.
 
@@ -80,42 +123,16 @@ def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition
     outer side) always works, and the middle point is the witness.
     Below that threshold all splits are tried; None is definitive.
     """
-    pts = sorted(set(subset), key=_point_sort_key)
-    for p in pts:
-        if p not in ground:
-            raise ValueError(f"point {p} not in ground set")
-    d = ground.d
-
-    if len(pts) >= 2 * d + 1:
-        by_level: dict[int, list[Point]] = {}
-        for p in pts:
-            by_level.setdefault(p.level, []).append(p)
-        lvl = min(l for l, ps in by_level.items() if len(ps) >= 3)
-        x1, x2, x3 = by_level[lvl][:3]
-        side_b = (x2,)
-        side_a = tuple(p for p in pts if p != x2)
-        part = RadonPartition(side_a, side_b, x2)
-        if not part.verify(ground):
-            raise TheoremViolationError(
-                "constructed partition failed verification",
-                diagnostics={"subset": tuple(pts)},
-            )
-        return part
-
-    check_guard("RADON_POINTS", "radon subset size", len(pts))
-    if len(pts) < 2:
+    pts = sorted(set(subset), key=lambda p: (p.level, p.coord))
+    found = _radon_cells(ground, [(p.level - 1, ground.index_of(p)) for p in pts])
+    if found is None:
         return None
-    head, rest = pts[0], pts[1:]
-    for picks in itertools.product((0, 1), repeat=len(rest)):
-        side_a = [head] + [p for p, s in zip(rest, picks) if s == 0]
-        side_b = [p for p, s in zip(rest, picks) if s == 1]
-        if not side_b:
-            continue
-        joint, _ = intersect_all([hull(ground, side_a), hull(ground, side_b)])
-        if not joint.is_empty:
-            witness = min(joint.points(), key=_point_sort_key)
-            return RadonPartition(tuple(side_a), tuple(side_b), witness)
-    return None
+    side_a, side_b, witness = found
+    return RadonPartition(
+        tuple(_point(ground, c) for c in side_a),
+        tuple(_point(ground, c) for c in side_b),
+        _point(ground, witness),
+    )
 
 
 def radon_number_bruteforce(ground: PointSet, cap: int) -> int | None:
@@ -126,11 +143,11 @@ def radon_number_bruteforce(ground: PointSet, cap: int) -> int | None:
     if cap < 1:
         raise ValueError("radon cap must be ≥ 1")
     check_guard("RADON_POINTS", "ground set size", len(ground))
-    pts = sorted(ground.points(), key=_point_sort_key)
+    cells = [(lvl, i) for lvl, coords in enumerate(ground.levels) for i in range(len(coords))]
     for n in range(1, cap + 1):
         if all(
-            radon_partition(ground, subset) is not None
-            for subset in itertools.combinations(pts, n)
+            _radon_cells(ground, subset) is not None
+            for subset in itertools.combinations(cells, n)
         ):
             return n
     return None

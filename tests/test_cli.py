@@ -318,6 +318,31 @@ def test_gen_rejects_bad_predicate_parameters_before_drawing(
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # every family must be nonempty
+        (["--d", "1", "--sets", "0", "--predicate", "colorful-helly:1"],
+         "colorful-helly-property needs at least 1 sets per family, spec has 0"),
+        # α needs 2d−k+1 sets to choose from
+        (["--d", "2", "--sets", "1", "--predicate", "k-rich:1:1/2"],
+         "k-intersect-rich needs at least 4 sets per family, spec has 1"),
+        (["--d", "2", "--sets", "2", "--predicate", "k-rich:2:1/2"],
+         "k-intersect-rich needs at least 3 sets per family, spec has 2"),
+    ],
+)
+def test_gen_rejects_a_predicate_no_draw_can_satisfy(args, message, monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(generators, "_draw", no_draw)
+    code = run_command(["gen", "--points", "3", "--range", "0:5", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: predicate {message}" in captured.err
+
+
 def test_gen_pq_predicate_on_too_few_sets_exits_two(capsys):
     # every draw has 2 sets, so none can have 3 to choose from
     code = run_command([

@@ -223,6 +223,20 @@ def test_conditioned_family_count_must_match_the_predicate():
         gen_conditioned(spec, ColorfulHellyProperty(k=1), cap_draws=10)
 
 
+def test_conditioned_sets_too_few_for_the_predicate_are_refused_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(generators, "_draw", no_draw)
+    cases = [
+        (spec_of(d=1, points_per_level=(4,), n_sets=0, n_families=2), ColorfulHellyProperty(1)),
+        (spec_of(d=2, n_sets=3), KIntersectRich(1, Fraction(1, 2))),
+    ]
+    for spec, predicate in cases:
+        with pytest.raises(ValueError, match=f"predicate {predicate.name} needs at least"):
+            gen_conditioned(spec, predicate, cap_draws=10)
+
+
 def test_a_rejected_colorful_draw_builds_only_the_sets_it_reads(monkeypatch):
     # narrow windows and half presence: the first draw fails on an early
     # thin prefix

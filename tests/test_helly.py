@@ -87,6 +87,20 @@ def test_radon_number_exceeds_cap_on_two_points():
     assert radon_number_bruteforce(line(0, 1), cap=2) is None
 
 
+def test_a_failed_witness_check_on_the_constructed_partition_raises(monkeypatch):
+    # report every meet of index spans as empty: the middle point then
+    # seems to lie outside the outer side's hull, which must not pass
+    import dintervals.helly as helly
+
+    monkeypatch.setattr(helly, "_meet", lambda a, b: None)
+    P = line(0, 1, 2)
+    with pytest.raises(TheoremViolationError, match="constructed partition failed") as info:
+        radon_partition(P, P.points())
+    assert info.value.diagnostics == {"subset": tuple(P.points())}
+    with pytest.raises(TheoremViolationError, match="constructed partition failed"):
+        radon_number_bruteforce(P, cap=3)
+
+
 def test_every_large_subset_has_a_verified_partition():
     rng = random.Random(301)
     for _ in range(60):

@@ -1,6 +1,7 @@
 """Differential property tests: the index-space queries of ``piercing``
 and ``helly`` against the brute-force oracles of ``bench/oracles.py``,
-and the instance format's parse → serialize → parse round trip.
+the Radon search against its closed form, and the instance format's
+parse → serialize → parse round trip.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -31,6 +32,8 @@ from dintervals import (
     maxima_witness_subfamily,
     parse_instance,
     pq_check,
+    radon_number_bruteforce,
+    radon_partition,
     tau_exact,
 )
 
@@ -221,6 +224,35 @@ def test_colorful_second_pq_matches_a_brute_force(data):
         ),
     )
     assert pq_check(fams, p, q, "colorful-second") == expected
+
+
+def _per_level(points) -> list[int]:
+    """How many distinct points sit on each level."""
+    counts: dict[int, int] = {}
+    for p in set(points):
+        counts[p.level] = counts.get(p.level, 0) + 1
+    return list(counts.values())
+
+
+@given(grounds(), st.data())
+def test_radon_partition_exists_exactly_when_a_level_holds_three(ground, data):
+    # two hulls meet iff on some level the sides interleave, which takes
+    # three points there; repeated points count once
+    pts = list(ground.points())
+    subset = data.draw(st.lists(st.sampled_from(pts), max_size=len(pts) + 2)) if pts else []
+    part = radon_partition(ground, subset)
+    assert (part is None) == all(n < 3 for n in _per_level(subset))
+    if part is not None:
+        assert not set(part.side_a) & set(part.side_b)
+        assert set(part.side_a) | set(part.side_b) == set(subset)
+        assert part.verify(ground)
+
+
+@given(grounds(), st.integers(1, 8))
+def test_radon_number_is_the_closed_form(ground, cap):
+    # the least n forcing three points onto one level of every n-subset
+    number = sum(min(n, 2) for n in _per_level(ground.points())) + 1
+    assert radon_number_bruteforce(ground, cap) == (number if number <= cap else None)
 
 
 def _spelling(draw, x: Fraction):
