@@ -80,6 +80,15 @@ def test_hull_rejects_foreign_points():
         hull(p6(), [Point(Fraction(7), 1)])
 
 
+@pytest.mark.parametrize("level", [0, 3])
+def test_points_off_the_levels_are_not_in_the_ground(level):
+    # level 0 must not wrap round to the last level
+    P, p = p6(), Point(Fraction(2), level)
+    for build in (P.index_of, lambda p: hull(P, [p]), lambda p: TraceSet.from_points(P, [p])):
+        with pytest.raises(ValueError, match="not in ground set"):
+            build(p)
+
+
 # ---------------------------------------------------------- intersect_all
 
 

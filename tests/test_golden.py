@@ -760,7 +760,9 @@ def _radon_grounds():
 
 def _partition(ground, subset):
     part = radon_partition(ground, subset)
-    return None if part is None else [_points(part.side_a), _points(part.side_b), _points([part.witness])]
+    if part is None:
+        return None
+    return [_points(part.side_a), _points(part.side_b), _points([part.witness])]
 
 
 def _radon_outputs(rng, d, ground):

@@ -101,6 +101,17 @@ def test_a_failed_witness_check_on_the_constructed_partition_raises(monkeypatch)
         radon_number_bruteforce(P, cap=3)
 
 
+def test_the_radon_search_builds_no_traces(monkeypatch):
+    import dintervals.helly as helly
+
+    for name in ("hull", "intersect_all", "TraceSet"):
+        monkeypatch.setattr(helly, name, None)
+    P = p6()
+    assert radon_number_bruteforce(P, cap=6) == 5
+    assert radon_partition(P, [p for p in P.points() if p.coord != 1]) is None
+    assert radon_partition(P, P.points()).witness == Point(Fraction(1), 1)
+
+
 def test_every_large_subset_has_a_verified_partition():
     rng = random.Random(301)
     for _ in range(60):
