@@ -47,9 +47,7 @@ error diagnostics.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .config import check_guard, guard_limit
@@ -86,6 +84,13 @@ class SimplicialComplex:
             for v in f:
                 if f - {v} not in self.faces:
                     raise ValueError(f"not downward closed at face {sorted(f)}")
+
+    @classmethod
+    def _trusted(cls, faces: frozenset) -> "SimplicialComplex":
+        """Unchecked, for face sets closed by construction (the face walk's)."""
+        K = object.__new__(cls)
+        object.__setattr__(K, "faces", faces)
+        return K
 
     @classmethod
     def from_faces(cls, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -292,7 +297,7 @@ def nerve(
     if not family:
         return SimplicialComplex(frozenset())
     faces = _nerve_faces(family[0].ground, _face_joints(runs))
-    return SimplicialComplex(frozenset(faces))
+    return SimplicialComplex._trusted(frozenset(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -448,33 +453,6 @@ def _cut_within(runs: tuple, level: int, m: int) -> tuple:
     return cut
 
 
-def truncate_family(
-    family: Sequence[TraceSet],
-    support: Iterable[int],
-    i: int,
-    a_i,
-    labels: Sequence[int] | None = None,
-) -> list[TraceSet]:
-    """Truncate the supported sets: at level i drop coords ≤ a_i, and drop
-    all levels above i; other sets pass through unchanged."""
-    if labels is None:
-        labels = list(range(1, len(family) + 1))
-    chosen = set(support)
-    unknown = chosen - set(labels)
-    if unknown:
-        raise ValueError(f"support labels {sorted(unknown)} not in family")
-    threshold = a_i if isinstance(a_i, Fraction) else Fraction(a_i)
-    out = []
-    for lab, t in zip(labels, family):
-        if not 1 <= i <= t.ground.d:
-            raise ValueError(f"level {i} outside [1, {t.ground.d}]")
-        if lab in chosen:
-            m = bisect_right(t.ground.level_coords(i), threshold) - 1
-            t = TraceSet(t.ground, _cut_within(t.runs, i, m))
-        out.append(t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the sweep
 
@@ -571,7 +549,7 @@ def sweep_collapse(
         f: (_sweep_key(joint), len(f), tuple(sorted(f)))
         for f, joint in joints.items()
     }
-    initial = SimplicialComplex(frozenset(faces))
+    initial = SimplicialComplex._trusted(frozenset(faces))
     all_steps: list[CollapseStep] = []
     iterations: list[SweepIteration] = []
 

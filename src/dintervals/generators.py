@@ -69,28 +69,40 @@ def _stream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n ≥ 1, drawn as CPython's
+    ``_randbelow_with_getrandbits`` draws it, so the stream is the same,
+    without ``randrange``'s argument handling."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_distinct(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     # partial Fisher–Yates: random.sample switches algorithms by input
     # size, this stays byte-stable
     pool = list(range(lo, hi + 1))
     for i in range(count):
-        j = i + rng.randrange(len(pool) - i)
+        j = i + _below(rng, len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
     return sorted(pool[:count])
 
 
 def _bernoulli(rng: random.Random, probability: Fraction) -> bool:
-    return rng.randrange(probability.denominator) < probability.numerator
+    return _below(rng, probability.denominator) < probability.numerator
 
 
 def _draw(spec: GenSpec, seed: int) -> tuple[PointSet, Callable[[int, int], TraceSet]]:
     """The ground set of the draw with this seed, and the builder of its
     set j in family fam.  Each level's run is the ground points inside
-    the set's int window [start, start + width], found by bisection."""
+    the set's int window [start, start + width], found by bisection.
+    Sorted distinct coordinates and bisected runs skip the public checks."""
     rng = _stream(seed, "points")
     lo, hi = spec.coord_range
     coords = [_sample_distinct(rng, lo, hi, count) for count in spec.points_per_level]
-    ground = PointSet(spec.d, tuple(tuple(map(Fraction, level)) for level in coords))
+    ground = PointSet._trusted(spec.d, tuple(tuple(map(Fraction, level)) for level in coords))
 
     def build(fam: int, j: int) -> TraceSet:
         rng = _stream(seed, f"set:{fam}:{j}")
@@ -99,12 +111,12 @@ def _draw(spec: GenSpec, seed: int) -> tuple[PointSet, Callable[[int, int], Trac
             if not _bernoulli(rng, spec.presence):
                 runs.append(None)
                 continue
-            width = rng.randrange(spec.max_width + 1)
-            start = rng.randrange(lo, hi - width + 1)
+            width = _below(rng, spec.max_width + 1)
+            start = lo + _below(rng, hi - width + 1 - lo)
             first = bisect_left(level, start)
             last = bisect_right(level, start + width) - 1
             runs.append((first, last) if first <= last else None)
-        return TraceSet(ground, tuple(runs))
+        return TraceSet._trusted(ground, tuple(runs))
 
     return ground, build
 
@@ -237,10 +249,7 @@ class ColorfulHellyProperty:
         if any(not fam for fam in families):
             return False
         # rejection sampling leans hard on the walk's cut of thin prefixes
-        return all(
-            joint.level_count >= self.k
-            for _, joint in colorful_tuples(families, self.k)
-        )
+        return all(levels >= self.k for _, _, levels in colorful_tuples(families, self.k))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,14 @@ class PointSet:
                 raise ValueError("level coordinates must be strictly increasing")
 
     @classmethod
+    def _trusted(cls, d: int, levels: tuple) -> "PointSet":
+        """Unchecked, for d levels sorted and distinct by construction."""
+        ground = object.__new__(cls)
+        object.__setattr__(ground, "d", d)
+        object.__setattr__(ground, "levels", levels)
+        return ground
+
+    @classmethod
     def from_points(cls, d: int, points: Iterable[Point]) -> "PointSet":
         buckets: list[list[Fraction]] = [[] for _ in range(d)]
         for p in points:
@@ -171,6 +179,15 @@ class TraceSet:
                 raise ValueError(f"run {run} out of range on level {lvl}")
 
     @classmethod
+    def _trusted(cls, ground: PointSet, runs: tuple) -> "TraceSet":
+        """Unchecked, for runs in range by construction.  Setting the fields
+        one by one keeps the instance dict key-shared, a third the size."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "ground", ground)
+        object.__setattr__(trace, "runs", runs)
+        return trace
+
+    @classmethod
     def empty(cls, ground: PointSet) -> "TraceSet":
         return cls(ground, (None,) * ground.d)
 
@@ -249,18 +266,6 @@ class LexValue:
         if len(self.components) != len(other.components):
             raise DimensionMismatchError("comparing values of different lengths")
         return self._key() < other._key()
-
-    def first_finite(self) -> tuple[int, Fraction]:
-        """(level, value) of the first finite component; raises if all −∞."""
-        for i, c in enumerate(self.components, start=1):
-            if c is not None:
-                return i, c
-        raise ValueError("all components are -inf")
-
-    def finite_items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(
-            (i, c) for i, c in enumerate(self.components, start=1) if c is not None
-        )
 
     def __str__(self) -> str:
         parts = ["-inf" if c is None else format_rational(c) for c in self.components]
@@ -365,38 +370,47 @@ def k_intersects(traces: Sequence[TraceSet], k: int) -> bool:
 
 def colorful_tuples(
     families: Sequence[Sequence[TraceSet]], k: int
-) -> Iterator[tuple[tuple[int, ...], TraceSet]]:
+) -> Iterator[tuple[tuple[int, ...], tuple | None, int]]:
     """Colorful tuples (one member from each family, by index) with their
     intersections, depth first in index order.
 
-    Yields ``(indices, intersection)`` for every full tuple and, once,
+    Yields ``(indices, runs, levels)`` for every full tuple and, once,
     for each prefix whose intersection meets fewer than k levels; such a
-    prefix is not extended, because intersections only shrink.  Callers
-    tell the two apart by ``intersection.level_count < k``.  With k ≤ 0
-    no prefix is cut and the yields are exactly the full tuples.
+    prefix is not extended, because intersections only shrink.  ``runs``
+    is the intersection's run tuple, None when it is empty, and
+    ``levels`` its count of nonempty levels; callers tell the two kinds
+    of yield apart by ``levels < k``.  With k ≤ 0 no prefix is cut and
+    the yields are exactly the full tuples.  Every member visited must
+    lie over the first one's ground set.
     """
-    if not families:
+    if not families or not families[0]:
         return
     last = len(families) - 1
+    ground = families[0][0].ground
     # picks[i] is the member taken from family i on the current prefix,
-    # joints[i] the intersection of the prefix through family i
+    # joints[i] the runs of the prefix's intersection through family i
     picks: list[int] = []
-    joints: list[TraceSet] = []
+    joints: list[tuple | None] = []
     j = 0
     while True:
         i = len(picks)
         if j < len(families[i]):
             t = families[i][j]
+            if t.ground is not ground and t.ground != ground:
+                raise GroundSetMismatchError("traces lie over different ground sets")
             if i:
-                joint, levels = intersect_all([joints[-1], t])
+                runs = None if joints[-1] is None else _meet(joints[-1], t.runs)
+                levels = 0 if runs is None else len(runs) - runs.count(None)
             else:
-                joint, levels = t, t.level_count
+                # an empty first member is an empty joint too
+                levels = len(t.runs) - t.runs.count(None)
+                runs = t.runs if levels else None
             if levels < k or i == last:
-                yield (*picks, j), joint
+                yield (*picks, j), runs, levels
                 j += 1
             else:
                 picks.append(j)
-                joints.append(joint)
+                joints.append(runs)
                 j = 0
         elif picks:
             j = picks.pop() + 1

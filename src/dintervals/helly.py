@@ -313,23 +313,24 @@ def colorful_helly_points(
 
     _colorful_work(families)
     # any completion of a thin prefix serves as the violating witness
-    for combo, joint in colorful_tuples(families, k):
-        if joint.level_count < k:
+    for combo, _, levels in colorful_tuples(families, k):
+        if levels < k:
             raise PreconditionError(
                 "a colorful tuple fails to k-intersect",
                 witness=combo + (0,) * (arity - len(combo)),
             )
 
     omit_candidates = range(arity) if designated is None else (designated,)
+    empty = (-1,) * d
     key, claim_family, combo = min(
-        (_sweep_key(joint.runs), omit, combo)
+        (empty if runs is None else _sweep_key(runs), omit, combo)
         for omit in omit_candidates
-        for combo, joint in colorful_tuples(
+        for combo, runs, _ in colorful_tuples(
             [fam for i, fam in enumerate(families) if i != omit], 0
         )
     )
     minimum = _key_value(ground, key)
-    finite = minimum.finite_items()
+    finite = [(lvl, a) for lvl, a in enumerate(minimum.components, start=1) if a is not None]
     if len(finite) < k:
         raise TheoremViolationError(
             "minimizing tuple meets fewer levels than k",
@@ -435,7 +436,7 @@ def cfh_stats(families: Sequence[Sequence[TraceSet]]) -> HellyReport:
         raise ValueError(f"expected {2 * d} families, got {len(families)}")
 
     work = _colorful_work(families)
-    hitting = sum(1 for _, joint in colorful_tuples(families, 1) if not joint.is_empty)
+    hitting = sum(1 for _, runs, _ in colorful_tuples(families, 1) if runs is not None)
     alpha = Fraction(hitting, work)
 
     # β̂_i: the most members of family i through one point

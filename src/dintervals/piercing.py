@@ -306,7 +306,7 @@ def pq_check(
             *(itertools.combinations(range(len(f)), p) for f in families)
         ):
             picked = [[fam[j] for j in choice] for fam, choice in zip(families, choices)]
-            if not any(not joint.is_empty for _, joint in colorful_tuples(picked, 1)):
+            if all(runs is None for _, runs, _ in colorful_tuples(picked, 1)):
                 return False, choices
         return True, None
 

@@ -6,9 +6,10 @@ library against independently constructed inputs.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
-from dintervals import Point, PointSet, TraceSet
+from dintervals import LexValue, Point, PointSet, TraceSet, complexes
 
 
 def p6() -> PointSet:
@@ -37,6 +38,37 @@ def random_trace(rng: random.Random, ground: PointSet, empty_bias: float = 0.3) 
         first = rng.randrange(n)
         runs.append((first, rng.randrange(first, n)))
     return TraceSet(ground, tuple(runs))
+
+
+def first_finite(value: LexValue) -> tuple[int, Fraction]:
+    """(level, value) of a sweep value's first finite component; raises
+    if every component is −∞."""
+    for i, c in enumerate(value.components, start=1):
+        if c is not None:
+            return i, c
+    raise ValueError("all components are -inf")
+
+
+def truncate_family(family, support, i, a_i, labels=None) -> list[TraceSet]:
+    """Truncate the supported sets: at level i drop coords ≤ a_i, and drop
+    all levels above i; other sets pass through unchanged.  The threshold
+    becomes the index the sweep's own cut (``complexes._cut_within``)
+    takes, so the reference sweep cuts as the sweep does."""
+    if labels is None:
+        labels = list(range(1, len(family) + 1))
+    chosen = set(support)
+    unknown = chosen - set(labels)
+    if unknown:
+        raise ValueError(f"support labels {sorted(unknown)} not in family")
+    out = []
+    for lab, t in zip(labels, family):
+        if not 1 <= i <= t.ground.d:
+            raise ValueError(f"level {i} outside [1, {t.ground.d}]")
+        if lab in chosen:
+            m = bisect_right(t.ground.level_coords(i), Fraction(a_i)) - 1
+            t = TraceSet(t.ground, complexes._cut_within(t.runs, i, m))
+        out.append(t)
+    return out
 
 
 def random_family(rng: random.Random, ground: PointSet, size: int) -> list[TraceSet]:

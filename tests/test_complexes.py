@@ -28,10 +28,9 @@ from dintervals import (
     nerve,
     sweep_collapse,
     trace_of,
-    truncate_family,
 )
 from dintervals import complexes
-from helpers import p6, random_ground, random_trace
+from helpers import first_finite, p6, random_ground, random_trace, truncate_family
 
 
 def three_set_family():
@@ -112,6 +111,14 @@ def test_nerve_matches_bruteforce_enumeration():
         ground = random_ground(rng, rng.randrange(1, 4), max_per_level=4)
         fam = [random_trace(rng, ground) for _ in range(rng.randrange(0, 6))]
         assert nerve(fam).faces == nerve_bruteforce(fam)
+
+
+def test_public_complexes_still_refuse_face_sets_that_are_not_closed():
+    edge, vertex = frozenset({1, 2}), frozenset({1})
+    with pytest.raises(ValueError, match="downward closed"):
+        SimplicialComplex(frozenset({frozenset(), vertex, edge}))
+    with pytest.raises(ValueError, match="empty face"):
+        SimplicialComplex(frozenset({vertex}))
 
 
 # ------------------------------------------------------- elementary_collapse
@@ -254,7 +261,7 @@ def reference_sweep(family):
             del working[gone]
             mode, steps, K = "delete", (step,), K_coll
         else:
-            i, a_i = value.first_finite()
+            i, a_i = first_finite(value)
             cut = dict(zip(labs, truncate_family(fam, pivot, i, a_i, labels=labs)))
             if nerve([cut[lab] for lab in labs], labels=labs).faces == K_coll.faces:
                 working, mode, steps, K = cut, "truncate", (step,), K_coll

@@ -45,6 +45,72 @@ def spec_of(**overrides) -> GenSpec:
     return GenSpec(**base)
 
 
+# ------------------------------------------------------- trusted sampling
+
+
+def test_below_draws_exactly_as_randrange():
+    # the generator's streams rest on this replica of CPython's draw; a
+    # Python whose randrange draws otherwise fails here
+    sizes = [1, 2, 4, 8, 2**10, 2**31, 2**64]
+    pick = random.Random(5)
+    sizes += [pick.randrange(1, 10**6) for _ in range(200)]
+    sizes += [pick.randrange(1, 2**70) for _ in range(20)]
+    ours, theirs = random.Random("below"), random.Random("below")
+    for n in sizes:
+        assert generators._below(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+        lo = pick.randrange(-50, 50)
+        assert lo + generators._below(ours, n) == theirs.randrange(lo, lo + n)
+        assert ours.getstate() == theirs.getstate()
+
+
+def _revalidates(ground, families) -> bool:
+    """Every set and the ground pass the public constructors' checks."""
+    assert PointSet(ground.d, ground.levels) == ground
+    for fam in families:
+        for t in fam:
+            assert TraceSet(t.ground, t.runs) == t
+    return True
+
+
+def test_unchecked_draws_pass_the_public_checks():
+    rng = random.Random(23)
+    specs = [
+        spec_of(presence=Fraction(1, 3), max_width=0),
+        spec_of(points_per_level=(0, 4), max_width=0),
+        spec_of(d=3, points_per_level=(0, 0, 0), coord_range=(0, 0), max_width=0),
+    ]
+    for seed in range(80):
+        d = rng.randrange(1, 4)
+        hi = rng.randrange(0, 8)
+        specs.append(GenSpec(
+            d=d,
+            points_per_level=tuple(rng.randrange(0, min(hi + 1, 5) + 1) for _ in range(d)),
+            coord_range=(0, hi),
+            n_sets=rng.randrange(0, 5),
+            presence=Fraction(rng.randrange(0, 5), 4),
+            max_width=rng.randrange(0, hi + 1),
+            seed=seed,
+            n_families=rng.randrange(1, 3),
+        ))
+    assert any(0 in s.points_per_level for s in specs)
+    for spec in specs:
+        assert _revalidates(*gen_instance(spec))
+    accepted = 0
+    for seed in range(30):
+        d = 1 + seed % 3
+        k = 1 + (seed // 3) % d
+        spec = spec_of(
+            d=d, points_per_level=(3,) * d, coord_range=(0, 3), n_sets=1 + seed % 2,
+            presence=Fraction(7, 8) if seed % 4 == 0 else 1, max_width=2 + seed % 2,
+            n_families=2 * d - k + 1, seed=seed,
+        )
+        got = gen_conditioned(spec, ColorfulHellyProperty(k), cap_draws=200)
+        if got.found:
+            accepted += _revalidates(got.ground, got.families)
+    assert accepted >= 20
+
+
 # ------------------------------------------------------------- determinism
 
 

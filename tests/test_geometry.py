@@ -146,7 +146,7 @@ def test_colorful_tuples_match_a_product_brute_force():
         ]
         combos = list(itertools.product(*(range(len(f)) for f in families)))
         # with no cut the walk is the product itself
-        assert [combo for combo, _ in colorful_tuples(families, 0)] == combos
+        assert [combo for combo, _, _ in colorful_tuples(families, 0)] == combos
         expected = []
         for combo in combos:
             levels = [
@@ -158,12 +158,43 @@ def test_colorful_tuples_match_a_product_brute_force():
             if not expected or expected[-1] != prefix:
                 expected.append(prefix)
         got = list(colorful_tuples(families, k))
-        assert [combo for combo, _ in got] == expected
-        for combo, joint in got:
+        assert [combo for combo, _, _ in got] == expected
+        for combo, runs, levels in got:
             members = [families[i][j] for i, j in enumerate(combo)]
-            assert joint == intersect_all(members)[0]
+            joint = intersect_all(members)[0]
+            assert runs == (None if joint.is_empty else joint.runs)
+            assert levels == joint.level_count
             if len(combo) < len(families):
-                assert joint.level_count < k
+                assert levels < k
+
+
+def test_colorful_tuples_cut_an_empty_first_member():
+    P = p6()
+    empty, full = TraceSet.empty(P), TraceSet(P, ((0, 2), (0, 2)))
+    got = list(colorful_tuples([[empty, full], [full]], 1))
+    assert got == [((0,), None, 0), ((1, 0), ((0, 2), (0, 2)), 2)]
+    # uncut, the empty member's tuples run on with an empty joint
+    assert list(colorful_tuples([[empty], [full]], 0)) == [((0, 0), None, 0)]
+
+
+def test_colorful_tuples_reject_mixed_ground_sets():
+    P = p6()
+    Q = PointSet(2, ((Fraction(0),), (Fraction(1),)))
+    with pytest.raises(GroundSetMismatchError):
+        list(colorful_tuples([[TraceSet.empty(P)], [TraceSet.empty(Q)]], 0))
+    # an equal ground built apart is the same ground
+    twin = PointSet(2, P.levels)
+    assert len(list(colorful_tuples([[TraceSet.empty(P)], [TraceSet.empty(twin)]], 0))) == 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_colorful_tuples_with_k_at_most_zero_yield_the_product(k):
+    P = p6()
+    a, b = TraceSet(P, ((0, 0), None)), TraceSet(P, ((2, 2), None))
+    families = [[a, b], [b, TraceSet.empty(P)], [a]]
+    got = list(colorful_tuples(families, k))
+    assert [combo for combo, _, _ in got] == list(itertools.product(range(2), range(2), range(1)))
+    assert all(runs is None and levels == 0 for _, runs, levels in got)
 
 
 # ------------------------------------------------------- minimal_dinterval

@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 from dintervals import (
     PointSet,
     PreconditionError,
+    SimplicialComplex,
     TraceSet,
     cfh_stats,
     colorful_helly_points,
@@ -30,10 +31,12 @@ from dintervals import (
     max_k_intersecting_subfamily,
     max_point_cover,
     maxima_witness_subfamily,
+    nerve,
     parse_instance,
     pq_check,
     radon_number_bruteforce,
     radon_partition,
+    sweep_collapse,
     tau_exact,
 )
 
@@ -72,6 +75,14 @@ def families(draw, max_size: int = 6):
 
 def _points(points) -> frozenset:
     return frozenset(O.point_key(p) for p in points)
+
+
+@given(families())
+def test_the_nerve_and_the_sweeps_initial_complex_pass_the_public_check(case):
+    # both are built unchecked from the face walk, which closes them
+    _, fam = case
+    for K in (nerve(fam), sweep_collapse(fam).sequence.initial):
+        assert SimplicialComplex(K.faces) == K
 
 
 @given(families())
