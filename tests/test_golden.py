@@ -21,7 +21,8 @@ report without its timing.  The point and sweep-order queries of
 ``piercing`` and ``helly`` (largest point cover, largest k-intersecting
 subfamily, maxima witness, τ with its points, fractional Helly
 statistics, plain and colorful-second (p,q)) are digested on seeded
-families, empty sets included.  Radon partitions (both sides and the
+families, empty sets included; so are every ``helly_check`` report and
+ν on the same families.  Radon partitions (both sides and the
 witness) are digested on seeded subsets below and at or above 2d+1
 points, beside the brute-force Radon number at several caps.
 """
@@ -53,11 +54,13 @@ from dintervals import (
     frac_helly_stats,
     gen_conditioned,
     gen_instance,
+    helly_check,
     is_d_collapsible,
     max_k_intersecting_subfamily,
     max_point_cover,
     maxima_witness_subfamily,
     nerve,
+    nu_exact,
     pierce_all,
     pq_check,
     radon_number_bruteforce,
@@ -226,6 +229,10 @@ GOLDEN = {
     "index-queries": (
         "d9a94a849ab499c4a2470d3c0e47c44f"
         "c52b34356def49bdcfe61c9244285476"
+    ),
+    "helly-nu": (
+        "7062d5bc913a82db11940aef442f7318"
+        "e401504401fbb6929dc206f6ce029c6e"
     ),
     "radon": (
         "2c86a8b7be2fccc6e5c61d303e9a5c38"
@@ -744,6 +751,29 @@ def test_point_queries_match_the_golden_digest():
     assert verdicts == {True, False}
     assert any(len(row) > 7 for row in rows)
     assert _digest(rows) == GOLDEN["index-queries"]
+
+
+def _helly_nu_outputs(d, fam):
+    reports = []
+    for m in range(1, 2 * d + 1):
+        for k in range(1, d + 1):
+            rep = helly_check(fam, m, k)
+            reports.append([m, k, rep.verdict, rep.statistics, rep.witnesses])
+    nonempty = [t for t in fam if not t.is_empty]
+    return [reports, _outcome(lambda: nu_exact(nonempty))]
+
+
+def test_helly_checks_and_nu_match_the_golden_digest():
+    rows = [_helly_nu_outputs(d, fam) for d, fam in _query_families()]
+    # both verdicts, failed hypotheses, violations, refused and solved ν,
+    # and ν above 1 occur
+    reports = [r for row in rows for r in row[0]]
+    assert {r[2] for r in reports} == {True, False}
+    assert any("failing_hypothesis_subfamily" in r[3] for r in reports)
+    assert any(r[4] for r in reports)
+    assert {row[1][0] for row in rows} == {"ok", "PreconditionError"}
+    assert any(row[1][0] == "ok" and row[1][1][0] > 1 for row in rows)
+    assert _digest(rows) == GOLDEN["helly-nu"]
 
 
 # ------------------------------------------------------------------- Radon
