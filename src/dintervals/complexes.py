@@ -52,13 +52,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import check_guard, guard_limit
 from .errors import (
-    GroundSetMismatchError,
     GuardExceededError,
     NotAFaceError,
     NotFreeError,
     SweepInvariantError,
 )
-from .geometry import LexValue, PointSet, TraceSet, _key_value, _meet, _sweep_key
+from .geometry import LexValue, PointSet, TraceSet, _key_value, _meet, _runs, _sweep_key
 
 Face = frozenset
 
@@ -235,10 +234,7 @@ def _index_family(
         labels = list(range(1, len(family) + 1))
     if len(labels) != len(family) or len(set(labels)) != len(family):
         raise ValueError("labels must be distinct and match the family length")
-    for t in family[1:]:
-        if t.ground != family[0].ground:
-            raise GroundSetMismatchError("family spans several ground sets")
-    return {lab: t.runs for lab, t in zip(labels, family)}
+    return dict(zip(labels, _runs(family)))
 
 
 def _face_joints(runs: Mapping[int, tuple]) -> dict[frozenset, tuple]:

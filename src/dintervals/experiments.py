@@ -28,7 +28,7 @@ from .generators import (
     gen_instance,
     gen_radon_lower_bound,
 )
-from .geometry import f_value, intersect_all, k_intersects
+from .geometry import _joint, _levels, _runs, _sweep_key
 from .helly import (
     cfh_stats,
     colorful_helly_points,
@@ -411,21 +411,24 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
             full_presence=True,
         )
         _, family = gen_family(spec)
-        if not family or not k_intersects(family, k):
+        runs = _runs(family)
+        joint = _joint(runs) if runs else None
+        if _levels(joint) < k:
             continue
         row = {"attempt": attempt, "d": d, "k": k, "n": len(family)}
         with _row(report, row, (DIntervalError, ValueError)):
             indices = maxima_witness_subfamily(family, k)
-            target = f_value(intersect_all(list(family))[0])
+            target = _sweep_key(joint)
             bound = 2 * d - k
             if len(indices) > bound:
                 raise TheoremViolationError("witness too large")
-            # oracle: some subfamily within the size bound matches f
+            # oracle: some subfamily within the size bound has the same
+            # sweep key, which over one ground is the same sweep value
             brute = False
             for size in range(1, min(bound, len(family)) + 1):
                 for idx in itertools.combinations(range(len(family)), size):
-                    joint, _ = intersect_all([family[j] for j in idx])
-                    if f_value(joint) == target:
+                    sub = _joint(runs[j] for j in idx)
+                    if sub is not None and _sweep_key(sub) == target:
                         brute = True
                         break
                 if brute:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .config import guard_limit
 from .errors import TheoremViolationError
-from .geometry import Point, PointSet, TraceSet, colorful_tuples, intersect_all
+from .geometry import Point, PointSet, TraceSet, _joint, colorful_tuples
 from .helly import frac_helly_stats, radon_partition
 from .piercing import _check_pq_parameters, pq_check
 from .rationals import parse_rational
@@ -190,12 +190,13 @@ def gen_helly_lower_bound(
                 runs.append((min(ia, ib), max(ia, ib)))
         family.append(TraceSet(ground, tuple(runs)))
 
-    if not intersect_all(family)[0].is_empty:
+    runs = [t.runs for t in family]
+    if _joint(runs) is not None:
         raise TheoremViolationError(
             "lower-bound family unexpectedly has a common point"
         )
     for idx in itertools.combinations(range(2 * d), 2 * d - 1):
-        if intersect_all([family[j] for j in idx])[0].is_empty:
+        if _joint(runs[j] for j in idx) is None:
             raise TheoremViolationError(
                 "a (2d−1)-subfamily of the lower-bound family fails to meet",
                 diagnostics={"subfamily": idx},

@@ -8,12 +8,15 @@ contiguous run of P's sorted coordinates (or empty).  Everything else in
 the workbench — nerves, sweep collapses, Helly numbers, piercing LPs —
 is computed on these traces with exact rational arithmetic.
 
-Queries read ``TraceSet.runs`` through three package-private primitives:
-``_incidence`` (covered cells (level − 1, index) in coordinate order, with
-the sets through each), ``_meet`` (two run tuples intersected) and
-``_sweep_key`` (per-level last indices, −1 on empty levels).  Over one
-ground the key orders traces exactly as ``f_value``, its rendering: the
-per-level maxima, lexicographic with −∞ below every finite value.
+Queries check a family's ground once, with ``_runs`` (its run tuples),
+then work on runs through package-private primitives: ``_meet`` and
+``_joint`` (two, or one or more, run tuples intersected; None if empty),
+``_levels`` (a joint's nonempty levels), ``_incidence`` (covered cells
+(level − 1, index) in coordinate order, with the sets through each),
+``_point`` (a cell's ``Point``) and ``_sweep_key`` (per-level last
+indices, −1 on empty levels).  Over one ground the key orders traces
+exactly as ``f_value``, its rendering: the per-level maxima,
+lexicographic with −∞ below every finite value.
 """
 
 from __future__ import annotations
@@ -212,11 +215,6 @@ class TraceSet:
     def is_empty(self) -> bool:
         return all(r is None for r in self.runs)
 
-    @property
-    def level_count(self) -> int:
-        """Number of levels on which the trace is nonempty."""
-        return sum(1 for r in self.runs if r is not None)
-
     def level_run(self, level: int) -> tuple[int, int] | None:
         return self.runs[level - 1]
 
@@ -313,6 +311,20 @@ def hull(ground: PointSet, subset: Iterable[Point]) -> TraceSet:
     return TraceSet(ground, runs)
 
 
+def _point(ground: PointSet, cell: tuple[int, int]) -> Point:
+    return Point(ground.levels[cell[0]][cell[1]], cell[0] + 1)
+
+
+def _runs(family: Sequence[TraceSet]) -> list[tuple]:
+    """The members' run tuples; every member must lie over the first
+    one's ground set."""
+    ground = family[0].ground if family else None
+    for t in family:
+        if t.ground is not ground and t.ground != ground:
+            raise GroundSetMismatchError("traces lie over different ground sets")
+    return [t.runs for t in family]
+
+
 def _meet(a: tuple, b: tuple) -> tuple | None:
     """Per-level intersection of two run tuples; None when it is empty."""
     runs = []
@@ -329,6 +341,20 @@ def _meet(a: tuple, b: tuple) -> tuple | None:
     return tuple(runs) if alive else None
 
 
+def _joint(runs: Iterable[tuple]) -> tuple | None:
+    """Intersection of one or more run tuples; None when it is empty."""
+    first, *rest = runs
+    joint = first if any(first) else None
+    for r in rest:
+        joint = joint and _meet(joint, r)
+    return joint
+
+
+def _levels(joint: tuple | None) -> int:
+    """Number of nonempty levels of a joint (0 for None)."""
+    return 0 if joint is None else len(joint) - joint.count(None)
+
+
 def intersect_all(traces: Sequence[TraceSet]) -> tuple[TraceSet, int]:
     """Intersection of one or more traces plus its count of nonempty levels.
 
@@ -338,25 +364,16 @@ def intersect_all(traces: Sequence[TraceSet]) -> tuple[TraceSet, int]:
     if not traces:
         raise ValueError("intersect_all requires at least one trace")
     ground = traces[0].ground
-    for t in traces[1:]:
-        if t.ground != ground:
-            raise GroundSetMismatchError("traces lie over different ground sets")
-    runs = traces[0].runs
-    for t in traces[1:]:
-        runs = _meet(runs, t.runs)
-        if runs is None:
-            runs = (None,) * ground.d
-            break
-    trace = TraceSet(ground, runs)
-    return trace, trace.level_count
+    joint = _joint(_runs(traces))
+    return TraceSet._trusted(ground, joint or (None,) * ground.d), _levels(joint)
 
 
 def _incidence(family: Sequence[TraceSet]) -> dict[tuple[int, int], list[int]]:
     """The cells (level − 1, index) that some set covers, in coordinate
     order, each with the indices of the sets through it, ascending."""
     through: dict[tuple[int, int], list[int]] = {}
-    for j, t in enumerate(family):
-        for lvl, run in enumerate(t.runs):
+    for j, runs in enumerate(_runs(family)):
+        for lvl, run in enumerate(runs):
             if run is not None:
                 for k in range(run[0], run[1] + 1):
                     through.setdefault((lvl, k), []).append(j)

@@ -22,24 +22,10 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from .config import check_guard, guard_limit
-from .errors import (
-    GuardExceededError,
-    PreconditionError,
-    TheoremViolationError,
-)
+from .errors import GuardExceededError, PreconditionError, TheoremViolationError
 from .geometry import (
-    LexValue,
-    Point,
-    PointSet,
-    TraceSet,
-    _incidence,
-    _key_value,
-    _meet,
-    _sweep_key,
-    colorful_tuples,
-    hull,
-    intersect_all,
-    k_intersects,
+    LexValue, Point, PointSet, TraceSet, _incidence, _joint, _key_value, _levels, _meet,
+    _point, _runs, _sweep_key, colorful_tuples, hull, intersect_all,
 )
 from .piercing import max_point_cover
 
@@ -70,10 +56,6 @@ class HellyReport:
 
 # ---------------------------------------------------------------------------
 # Radon
-
-
-def _point(ground: PointSet, cell: tuple[int, int]) -> Point:
-    return Point(ground.levels[cell[0]][cell[1]], cell[0] + 1)
 
 
 def _least_meet(side_a, side_b, d: int) -> tuple[int, int] | None:
@@ -173,9 +155,10 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     )
     if not family:
         return report
-    d = family[0].ground.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}]")
+    ground = family[0].ground
+    if not 1 <= k <= ground.d:
+        raise ValueError(f"k must lie in [1, {ground.d}]")
+    runs = _runs(family)
 
     limit = guard_limit("PQ_WORK")
     work = 0
@@ -185,19 +168,21 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
             work += size
             if work > limit:
                 raise GuardExceededError("helly subset enumeration", work, limit)
-            if not k_intersects([family[j] for j in idx], k):
+            if _levels(_joint(runs[j] for j in idx)) < k:
                 hypothesis = False
                 report.statistics["failing_hypothesis_subfamily"] = idx
                 break
         if not hypothesis:
             break
-    joint, levels = intersect_all(list(family))
-    conclusion = levels >= k
+    joint = _joint(runs)
+    levels = _levels(joint)
     report.statistics["intersection_levels"] = levels
-    report.verdict = (not hypothesis) or conclusion
+    report.verdict = (not hypothesis) or levels >= k
     if not report.verdict:
         report.witnesses["violating_family"] = tuple(range(len(family)))
-        report.witnesses["intersection_points"] = tuple(joint.points())
+        report.witnesses["intersection_points"] = (
+            () if joint is None else TraceSet._trusted(ground, joint).points()
+        )
     return report
 
 
@@ -215,14 +200,14 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
     d = family[0].ground.d
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
-    joint, levels = intersect_all(list(family))
-    if levels < k:
+    runs = _runs(family)
+    joint = _joint(runs)
+    if (levels := _levels(joint)) < k:
         raise PreconditionError(
             f"family meets only {levels} levels, needs {k}",
             witness=tuple(range(len(family))),
         )
-    target = _sweep_key(joint.runs)
-    runs = [t.runs for t in family]
+    target = _sweep_key(joint)
     members = range(len(family))
     chosen: list[int] = []
     for lvl in range(d):
@@ -247,8 +232,8 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
             f"witness has {len(indices)} sets, exceeding {2 * d - k}",
             diagnostics={"indices": indices},
         )
-    sub_joint, _ = intersect_all([family[j] for j in indices])
-    if _sweep_key(sub_joint.runs) != target:
+    sub_joint = _joint(runs[j] for j in indices)
+    if sub_joint is None or _sweep_key(sub_joint) != target:
         raise TheoremViolationError(
             "witness subfamily changes the sweep value",
             diagnostics={"indices": indices},
@@ -387,6 +372,7 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     d = family[0].ground.d
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
+    runs = _runs(family)
     r = 2 * d - k + 1
     n = len(family)
     report = HellyReport("fractional", {"k": k, "r": r, "family_size": n}, True)
@@ -402,11 +388,10 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     # k-intersecting r-subsets grouped by the sweep key of their joint
     classes: dict[tuple[int, ...], set[int]] = {}
     for idx in itertools.combinations(range(n), r):
-        members = [family[j] for j in idx]
-        joint, levels = intersect_all(members)
-        if levels >= k:
+        joint = _joint(runs[j] for j in idx)
+        if _levels(joint) >= k:
             hitting += 1
-            classes.setdefault(_sweep_key(joint.runs), set()).update(idx)
+            classes.setdefault(_sweep_key(joint), set()).update(idx)
     alpha = Fraction(hitting, total)
     grouped_best = max((len(s) for s in classes.values()), default=0)
     direct_best = max_k_intersecting_subfamily(family, k)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .config import check_guard
 from .errors import PreconditionError, TheoremViolationError
-from .geometry import Point, PointSet, TraceSet, _incidence, colorful_tuples, intersect_all
+from .geometry import Point, TraceSet, _incidence, _meet, _point, _runs, colorful_tuples
 from .lp import SimplexOutcome, simplex_maximize
 
 
@@ -43,7 +43,8 @@ class PiercingResult:
     lp: LPSolution
 
 
-def _validate_family(family: Sequence[TraceSet]):
+def _validate_family(family: Sequence[TraceSet]) -> list[tuple]:
+    """The family's run tuples, once it is checked fit to pierce."""
     if not family:
         raise PreconditionError("family is empty")
     check_guard("PIERCE_SETS", "family size", len(family))
@@ -52,15 +53,7 @@ def _validate_family(family: Sequence[TraceSet]):
             raise PreconditionError(
                 f"set {j} has empty trace; piercing undefined", witness=j
             )
-    ground = family[0].ground
-    for t in family[1:]:
-        if t.ground != ground:
-            raise PreconditionError("family spans several ground sets")
-
-
-def _point(ground: PointSet, cell: tuple[int, int]) -> Point:
-    lvl, k = cell
-    return Point(ground.levels[lvl][k], lvl + 1)
+    return _runs(family)
 
 
 def max_point_cover(family: Sequence[TraceSet]) -> tuple[int, Point | None]:
@@ -150,12 +143,11 @@ def tau_exact(
 def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
     """Maximum pairwise-disjoint subfamily: independent set in the
     intersection graph, by include/exclude with a size cutoff."""
-    _validate_family(family)
+    runs = _validate_family(family)
     n = len(family)
     adj = [set() for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        joint, _ = intersect_all([family[i], family[j]])
-        if not joint.is_empty:
+        if _meet(runs[i], runs[j]) is not None:
             adj[i].add(j)
             adj[j].add(i)
 
@@ -177,8 +169,7 @@ def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
     extend([], order)
     witness = tuple(sorted(best))
     for i, j in itertools.combinations(witness, 2):
-        joint, _ = intersect_all([family[i], family[j]])
-        if not joint.is_empty:
+        if _meet(runs[i], runs[j]) is not None:
             raise TheoremViolationError(
                 "disjointness witness overlaps", diagnostics={"pair": (i, j)}
             )

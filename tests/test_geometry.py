@@ -15,10 +15,20 @@ from dintervals import (
     PointSet,
     TraceSet,
     f_value,
+    frac_helly_stats,
+    fractional_lp,
+    helly_check,
     hull,
     intersect_all,
     k_intersects,
+    max_k_intersecting_subfamily,
+    max_point_cover,
+    maxima_witness_subfamily,
     minimal_dinterval,
+    nerve,
+    nu_exact,
+    pq_check,
+    tau_exact,
     trace_of,
 )
 from dintervals.geometry import colorful_tuples
@@ -131,6 +141,30 @@ def test_intersect_all_rejects_mixed_ground_sets():
         intersect_all([TraceSet.empty(P), TraceSet.empty(Q)])
 
 
+MIXED_GROUND_QUERIES = {
+    "max_point_cover": lambda a, b: max_point_cover([a, b]),
+    "max_k_intersecting_subfamily": lambda a, b: max_k_intersecting_subfamily([a, b], 1),
+    "pq_check-plain": lambda a, b: pq_check([[a, b]], 2, 2),
+    "pq_check-colorful-second": lambda a, b: pq_check([[a], [b]], 2, 2, "colorful-second"),
+    "frac_helly_stats": lambda a, b: frac_helly_stats([a, b], 1),
+    "tau_exact": lambda a, b: tau_exact([a, b]),
+    "nu_exact": lambda a, b: nu_exact([a, b]),
+    "fractional_lp": lambda a, b: fractional_lp([a, b]),
+    "helly_check": lambda a, b: helly_check([a, b], 1),
+    "maxima_witness_subfamily": lambda a, b: maxima_witness_subfamily([a, b], 1),
+    "nerve": lambda a, b: nerve([a, b]),
+}
+
+
+@pytest.mark.parametrize("query", MIXED_GROUND_QUERIES.values(), ids=MIXED_GROUND_QUERIES)
+def test_every_family_query_refuses_mixed_ground_sets(query):
+    # equal run tuples over different grounds are different sets
+    a = TraceSet(PointSet(1, (tuple(map(Fraction, (0, 1, 2))),)), ((0, 1),))
+    b = TraceSet(PointSet(1, (tuple(map(Fraction, (10, 11, 12))),)), ((1, 2),))
+    with pytest.raises(GroundSetMismatchError):
+        query(a, b)
+
+
 # --------------------------------------------------------- colorful_tuples
 
 
@@ -163,7 +197,7 @@ def test_colorful_tuples_match_a_product_brute_force():
             members = [families[i][j] for i, j in enumerate(combo)]
             joint = intersect_all(members)[0]
             assert runs == (None if joint.is_empty else joint.runs)
-            assert levels == joint.level_count
+            assert levels == sum(r is not None for r in joint.runs)
             if len(combo) < len(families):
                 assert levels < k
 
@@ -282,7 +316,7 @@ def test_intersection_is_again_a_trace():
         traces = [random_trace(rng, ground) for _ in range(rng.randrange(1, 5))]
         got, levels = intersect_all(traces)
         assert trace_of(minimal_dinterval(got), ground) == got
-        assert levels == got.level_count
+        assert levels == sum(r is not None for r in got.runs)
         assert k_intersects(traces, levels)
         assert not k_intersects(traces, levels + 1)
 

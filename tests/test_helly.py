@@ -9,6 +9,7 @@ import pytest
 
 from dintervals import (
     DInterval,
+    DIntervalError,
     GuardExceededError,
     Point,
     PointSet,
@@ -26,6 +27,7 @@ from dintervals import (
     k_intersects,
     max_k_intersecting_subfamily,
     maxima_witness_subfamily,
+    nu_exact,
     radon_number_bruteforce,
     radon_partition,
     trace_of,
@@ -110,6 +112,52 @@ def test_the_radon_search_builds_no_traces(monkeypatch):
     assert radon_number_bruteforce(P, cap=6) == 5
     assert radon_partition(P, [p for p in P.points() if p.coord != 1]) is None
     assert radon_partition(P, P.points()).witness == Point(Fraction(1), 1)
+
+
+def _answer(call, *args):
+    try:
+        return call(*args)
+    except (DIntervalError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _loop_answers(d, fam, helly_cases):
+    """The answers of the queries that loop over subfamilies; a failing
+    Helly check is left out, because its witness is a trace."""
+    ks = range(1, d + 1)
+    return [
+        [_answer(frac_helly_stats, fam, k) for k in ks],
+        [_answer(maxima_witness_subfamily, fam, k) for k in ks],
+        _answer(nu_exact, [t for t in fam if not t.is_empty]),
+        [helly_check(fam, m, k) for m, k in helly_cases],
+    ]
+
+
+def test_the_query_loops_build_no_traces(monkeypatch):
+    rng = random.Random(307)
+    cases = []
+    for _ in range(60):
+        d = rng.randrange(1, 4)
+        ground = random_ground(rng, d, max_per_level=4)
+        fam = [random_trace(rng, ground) for _ in range(rng.randrange(1, 7))]
+        passing = [
+            (m, k) for m in range(1, 2 * d + 1) for k in range(1, d + 1)
+            if helly_check(fam, m, k).verdict
+        ]
+        cases.append((d, fam, passing, _loop_answers(d, fam, passing)))
+    # witnesses and refusals both occur, ν above 1, and passing checks
+    answers = [ans for *_, ans in cases]
+    assert {type(a[0]) for ans in answers for a in ans[1]} == {int, str}
+    assert {ans[2][0] for ans in answers} >= {"PreconditionError", 2}
+    assert sum(len(passing) for _, _, passing, _ in cases) > 100
+
+    def built(*args, **kwargs):
+        raise AssertionError("a trace was built")
+
+    monkeypatch.setattr(TraceSet, "__post_init__", built)
+    monkeypatch.setattr(TraceSet, "_trusted", built)
+    for d, fam, passing, expected in cases:
+        assert _loop_answers(d, fam, passing) == expected
 
 
 def test_every_large_subset_has_a_verified_partition():

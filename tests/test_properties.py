@@ -1,7 +1,7 @@
-"""Differential property tests: the index-space queries of ``piercing``
-and ``helly`` against the brute-force oracles of ``bench/oracles.py``,
-the Radon search against its closed form, and the instance format's
-parse → serialize → parse round trip.
+"""Differential property tests: the nerve and the index-space queries of
+``piercing`` and ``helly`` against the brute-force oracles of
+``bench/oracles.py``, the Radon search against its closed form, and the
+instance format's parse → serialize → parse round trip.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -28,10 +28,13 @@ from dintervals import (
     colorful_helly_points,
     dump_instance,
     frac_helly_stats,
+    fractional_lp,
+    helly_check,
     max_k_intersecting_subfamily,
     max_point_cover,
     maxima_witness_subfamily,
     nerve,
+    nu_exact,
     parse_instance,
     pq_check,
     radon_number_bruteforce,
@@ -83,6 +86,38 @@ def test_the_nerve_and_the_sweeps_initial_complex_pass_the_public_check(case):
     _, fam = case
     for K in (nerve(fam), sweep_collapse(fam).sequence.initial):
         assert SimplicialComplex(K.faces) == K
+
+
+@given(families())
+def test_the_nerve_and_helly_checks_match_the_oracles(case):
+    # both read which subfamilies meet, and on how many levels
+    ground, fam = case
+    sets = [O.expand(t) for t in fam]
+    assert nerve(fam).faces == O.brute_nerve(sets, len(ground) > 0)
+    for m in range(1, 2 * ground.d + 1):
+        for k in range(1, ground.d + 1):
+            rep = helly_check(fam, m, k)
+            levels = rep.statistics["intersection_levels"]
+            assert O.check_helly(sets, m, k, rep.verdict, levels) == []
+            if "failing_hypothesis_subfamily" in rep.statistics:
+                idx = rep.statistics["failing_hypothesis_subfamily"]
+                assert len(idx) <= m and O.levels_met(O.common(sets[j] for j in idx)) < k
+            if not rep.verdict:
+                assert _points(rep.witnesses["intersection_points"]) == O.common(sets)
+
+
+@given(families())
+def test_nu_matches_the_oracle_and_the_piercing_chain(case):
+    ground, fam = case
+    fam = [t for t in fam if not t.is_empty]
+    if not fam:
+        return
+    nu, witness = nu_exact(fam)
+    assert O.check_nu([O.expand(t) for t in fam], nu, witness) == []
+    tau_star = fractional_lp(fam).value
+    tau, _ = tau_exact(fam, tau_star)
+    assert nu <= tau_star <= tau
+    assert O.check_tau_bound(ground.d, tau, nu) == []
 
 
 @given(families())
