@@ -424,16 +424,12 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
                 raise TheoremViolationError("witness too large")
             # oracle: some subfamily within the size bound has the same
             # sweep key, which over one ground is the same sweep value
-            brute = False
-            for size in range(1, min(bound, len(family)) + 1):
-                for idx in itertools.combinations(range(len(family)), size):
-                    sub = _joint(runs[j] for j in idx)
-                    if sub is not None and _sweep_key(sub) == target:
-                        brute = True
-                        break
-                if brute:
-                    break
-            if not brute:
+            empty = (None,) * d
+            if not any(
+                _sweep_key(_joint(runs[j] for j in idx) or empty) == target
+                for size in range(1, min(bound, len(family)) + 1)
+                for idx in itertools.combinations(range(len(family)), size)
+            ):
                 raise TheoremViolationError("brute force finds no witness at all")
             row["size"] = len(indices)
         if len(report.rows) == trials:

@@ -22,7 +22,11 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from .config import check_guard, guard_limit
-from .errors import GuardExceededError, PreconditionError, TheoremViolationError
+from .errors import (
+    GuardExceededError,
+    PreconditionError,
+    TheoremViolationError,
+)
 from .geometry import (
     LexValue, Point, PointSet, TraceSet, _incidence, _joint, _key_value, _levels, _meet,
     _point, _runs, _sweep_key, colorful_tuples, hull, intersect_all,
