@@ -10,7 +10,8 @@ the constructions.
 The Radon search runs on cells (level − 1, index); points appear only in
 the partitions it returns.  Outside ``RadonPartition.verify`` and those
 checks, queries read the runs: point counts via ``geometry._incidence``,
-sweep comparisons via ``geometry._sweep_key``.
+subfamily intersections via ``geometry._joint``, sweep comparisons via
+``geometry._sweep_key``.
 """
 
 from __future__ import annotations

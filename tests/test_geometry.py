@@ -158,7 +158,7 @@ MIXED_GROUND_QUERIES = {
 
 @pytest.mark.parametrize("query", MIXED_GROUND_QUERIES.values(), ids=MIXED_GROUND_QUERIES)
 def test_every_family_query_refuses_mixed_ground_sets(query):
-    # equal run tuples over different grounds are different sets
+    # the runs overlap at index 1, but the sets share no point
     a = TraceSet(PointSet(1, (tuple(map(Fraction, (0, 1, 2))),)), ((0, 1),))
     b = TraceSet(PointSet(1, (tuple(map(Fraction, (10, 11, 12))),)), ((1, 2),))
     with pytest.raises(GroundSetMismatchError):
