@@ -113,3 +113,25 @@ def random_lp(rng: random.Random, kind: str) -> tuple[list, list, list]:
     elif fault < 0.05:
         A[rng.randrange(m)].append(Fraction(1))
     return c, A, b
+
+
+def random_tree(rng: random.Random, edges: int, path: bool = False) -> frozenset:
+    """Faces of a tree (a path when ``path``) on ``edges`` edges, its
+    vertices labelled by a shuffle of 0..edges; the empty face included."""
+    labels = list(range(edges + 1))
+    rng.shuffle(labels)
+    faces = {frozenset()}
+    for v in range(1, edges + 1):
+        u = v - 1 if path else rng.randrange(v)
+        faces |= {frozenset([labels[u], labels[v]]), frozenset([labels[u]]), frozenset([labels[v]])}
+    return frozenset(faces)
+
+
+def cliff_complex(n: int) -> complexes.SimplicialComplex:
+    """A hollow triangle on 1, 2, 3 plus n disjoint 3-edge paths (the
+    j-th on 4j .. 4j+3): not 1-collapsible, and the collapse search must
+    try every order of the paths' collapses before it can say so."""
+    edges = [[1, 2], [2, 3], [1, 3]]
+    for j in range(1, n + 1):
+        edges += [[4 * j + i, 4 * j + i + 1] for i in range(3)]
+    return complexes.SimplicialComplex.from_faces(edges)

@@ -9,9 +9,11 @@ corpora and on corpora whose checkers fail on a fixed pattern.  A
 refactor of the collapse search, the sweep, the piercing pipeline, the
 colorful tuple enumeration or the suite driver must leave every digest
 unchanged; a digest that moves means an answer, a witness or a report
-changed.  The sweep's pivot values and the diagnostics its strict mode
-raises are digested on their own, the face lists of the diagnostics in
-sorted order.  Generator output (plain instances, conditioned outcomes
+changed.  The collapse oracle is also digested on seeded trees and
+paths of 40-100 edges and on a hollow triangle beside disjoint paths,
+which forces the search to backtrack.  The sweep's pivot values and
+the diagnostics its strict mode raises are digested on their own, the
+face lists of the diagnostics in sorted order.  Generator output (plain instances, conditioned outcomes
 and the files ``dintervals gen`` writes) is digested too: the seeded
 streams define every corpus, so a faster generator must reproduce them
 exactly.  The piercing LP is digested at three depths: raw simplex
@@ -45,6 +47,7 @@ from dintervals import (
     PointSet,
     Point,
     PqProperty,
+    SimplicialComplex,
     SweepInvariantError,
     TheoremViolationError,
     TraceSet,
@@ -72,9 +75,17 @@ from dintervals import experiments
 from dintervals.cli import run_command
 from dintervals.experiments import run_suite
 from dintervals.lp import simplex_maximize
-from helpers import LP_KINDS, random_ground, random_lp, random_trace
+from helpers import (
+    LP_KINDS,
+    cliff_complex,
+    random_ground,
+    random_lp,
+    random_trace,
+    random_tree,
+)
 
 FAMILIES = 102
+LARGE_TREES = 40
 COLORFUL_INSTANCES = 1500
 LPS = 2400
 PIERCE_FAMILIES = 320
@@ -101,6 +112,10 @@ GOLDEN = {
     "oracle-bound-2d-1": (
         "fc64fc6cb1e7c54135eb13ef22675669"
         "ad985d0de5ebf9ca9c1a778aefa45287"
+    ),
+    "collapse-large": (
+        "c535e2fd24c81fdf43f592f2915c89fb"
+        "c4b05b583ca789f6d4de0b714781bb95"
     ),
     "suite-collapse": (
         "411a3e8a3e7682dfaa19c0137bf50f97"
@@ -298,6 +313,29 @@ def test_collapse_witnesses_match_the_golden_digests():
     assert _digest(sweeps) == GOLDEN["sweep"]
     assert _digest(bound_1) == GOLDEN["oracle-bound-1"]
     assert _digest(bound_top) == GOLDEN["oracle-bound-2d-1"]
+
+
+def _large_complexes():
+    """Seeded trees and paths of 40-100 edges at bound 1, then the hollow
+    triangle with n = 1..3 disjoint paths at bounds 1 and 2."""
+    rng = random.Random(20250119)
+    for i in range(LARGE_TREES):
+        faces = random_tree(rng, rng.randrange(40, 101), path=i % 2 == 1)
+        yield SimplicialComplex(faces), 1
+    for n in range(1, 4):
+        for bound in (1, 2):
+            yield cliff_complex(n), bound
+
+
+def test_large_collapse_verdicts_match_the_golden_digest():
+    rows = []
+    for K, bound in _large_complexes():
+        ok, witness = is_d_collapsible(K, bound)
+        rows.append([bound, ok, None if witness is None else _steps(witness.steps)])
+    # trees and paths collapse; the triangle needs bound 2
+    assert [ok for _, ok, _ in rows[LARGE_TREES:]] == [False, True] * 3
+    assert all(ok for _, ok, _ in rows[:LARGE_TREES])
+    assert _digest(rows) == GOLDEN["collapse-large"]
 
 
 def test_sweep_values_match_the_golden_digest():
