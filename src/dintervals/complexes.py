@@ -9,12 +9,12 @@ b-collapsible when collapses at free faces of size ≤ b (dimension
 empty face is implicit and never recorded.
 
 One collapse search serves both the ``is_d_collapsible`` oracle and the
-sweep's star fallback.  It is iterative (an explicit stack, one face set
-edited in place and restored on backtrack), computes the facets once per
-search state, reads each free face's removal set off the faces between
-it and its facet, and memoizes failed states.  The oracle tries the free
-faces that remove the most faces first, the fallback the smallest; both
-then break ties by the sorted face.
+sweep's star fallback.  It is iterative (an explicit stack of states),
+keeps the counts that find free faces across steps (updated on a
+collapse, restored on backtrack), reads each free face's removal set off
+the faces between it and its facet, and memoizes failed states.  The
+oracle tries the free faces that remove the most faces first, the
+fallback the smallest; both then break ties by the sorted face.
 
 ``sweep_collapse`` drives a nerve of trace sets down to nothing while
 maintaining, at every iteration, a family whose nerve equals the
@@ -37,9 +37,12 @@ the per-level last indices, which orders faces exactly as ``f_value``
 does.  One face walk builds the nerve and every face's intersection.
 The sweep keeps both across iterations and re-intersects only the faces
 that contain a changed set: none on a delete, the pivot support on a
-truncation, the star on a fallback.  Cuts only shrink sets (the cut
-asserts it), so the rebuilt family's nerve lies inside the current
-complex and is found among its faces.  Fractions, points and
+truncation, the star on a fallback; a face's key is recomputed only
+when its joint changed, and a truncation's refresh stops at the first
+face whose fate disagrees with the collapse.  Cuts only shrink sets
+(the cut asserts it), so the rebuilt family's nerve lies inside the
+current complex, and equals the collapsed complex exactly when the
+faces that died are the faces collapsed.  Fractions, points and
 ``LexValue``s are built only for the pivot values returned and for
 error diagnostics.
 """
@@ -47,6 +50,7 @@ error diagnostics.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -58,8 +62,6 @@ from .errors import (
     SweepInvariantError,
 )
 from .geometry import LexValue, PointSet, TraceSet, _key_value, _meet, _runs, _sweep_key
-
-Face = frozenset
 
 
 def face(*vertices: int) -> frozenset:
@@ -324,10 +326,15 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
     (every face containing a ``todo`` face is in ``todo``).  Collapses
     keep it so and never touch the faces outside it, so facets, free
     faces and removal sets are all read off the faces still to remove.
-    A face is a facet unless it equals g − {v} for a face g; a face is
-    free when exactly one facet contains it; the faces removed at σ are
-    those between σ and its facet.
+    A face is a facet when no face g − {v} equals it; a face is free
+    when exactly one facet contains it; the faces removed at σ are those
+    between σ and its facet.  Each face's count of cofaces g still to
+    remove and each small face's owning facets are kept across steps: a
+    collapse updates them, backtracking restores them, and a state known
+    to fail is skipped before any count moves.
     """
+    if not todo:
+        return []
     canon = {f: f for f in todo}
     # per face: its faces g − {v} inside ``todo``; per facet, filled the
     # first time it is one: its subsets of size ≤ bound inside ``todo``
@@ -335,63 +342,88 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
         g: tuple(canon[h] for h in (g - {v} for v in g) if h in canon) for g in todo
     }
     facet_subsets: dict = {}
-    remaining = set(todo)
+    cofaces: dict = {}
+    for below in boundary.values():
+        for h in below:
+            cofaces[h] = cofaces.get(h, 0) + 1
+    # per face of size ≤ bound: the facets containing it.  A removed face
+    # keeps none, so the free faces are those with exactly one
+    owners: dict = defaultdict(set)
+    free: set = set()
+    made: dict = {}  # (σ, its facet) → the step, once tried
 
-    def free_faces():
-        covered = set()
-        for g in remaining:
-            covered.update(boundary[g])
-        owner: dict = {}
-        for top in remaining:
-            if top in covered:
-                continue
-            subsets = facet_subsets.get(top)
-            if subsets is None:
-                subsets = facet_subsets[top] = tuple(
-                    canon[s]
-                    for k in range(1, min(bound, len(top)) + 1)
-                    for s in map(frozenset, itertools.combinations(top, k))
-                    if s in canon
-                )
-            for sigma in subsets:
-                if sigma in remaining:
-                    owner[sigma] = None if sigma in owner else top
-        free = [(sigma, top) for sigma, top in owner.items() if top is not None]
-        return iter(sorted(free, key=lambda c: order(*c)))
+    def own(top: frozenset, add: bool) -> None:
+        # ``top`` becomes a facet, or stops being one
+        found = facet_subsets.get(top)
+        if found is None:
+            found = facet_subsets[top] = tuple(
+                canon[s]
+                for k in range(1, min(bound, len(top)) + 1)
+                for s in map(frozenset, itertools.combinations(top, k))
+                if s in canon
+            )
+        for sigma in found:
+            tops = owners[sigma]
+            if add:
+                tops.add(top)
+            else:
+                tops.discard(top)
+            if len(tops) == 1:
+                free.add(sigma)
+            else:
+                free.discard(sigma)
 
-    if not remaining:
-        return []
+    def move(step: CollapseStep, undo: bool) -> None:
+        # the counts across ``step``, or back: its facet goes, and a face
+        # whose coface count reaches 0 becomes a facet (leaves 0: stops
+        # being one).  The removed faces' counts wait for their return
+        gone = step.removed_faces
+        own(step.unique_maximal, undo)
+        for h in gone:
+            for g in boundary[h]:
+                if g not in gone:
+                    cofaces[g] += 1 if undo else -1
+                    if cofaces[g] == int(undo):
+                        own(g, not undo)
+
+    def options():
+        candidates = [(sigma, top) for sigma in free for top in owners[sigma]]
+        return iter(sorted(candidates, key=lambda c: order(*c)))
+
+    for top in todo:
+        if top not in cofaces:
+            own(top, True)
     dead: set = set()
     steps: list[CollapseStep] = []
     # one frame per state on the current path: (state, untried candidates)
-    frames = [(todo, free_faces())]
+    frames = [(todo, options())]
     while frames:
-        state, options = frames[-1]
-        option = next(options, None)
+        state, untried = frames[-1]
+        option = next(untried, None)
         if option is None:
             dead.add(state)
             frames.pop()
             if steps:
-                remaining.update(steps.pop().removed_faces)
+                move(steps.pop(), undo=True)
             continue
-        sigma, top = option
-        extra = tuple(top - sigma)
-        removed = frozenset(
-            canon[sigma.union(combo)]
-            for k in range(len(extra) + 1)
-            for combo in itertools.combinations(extra, k)
-        )
-        remaining.difference_update(removed)
-        step = CollapseStep(sigma, top, removed)
-        if not remaining:
-            steps.append(step)
-            return steps
-        child = frozenset(remaining)
+        step = made.get(option)
+        if step is None:
+            sigma, top = option
+            extra = tuple(top - sigma)
+            removed = frozenset(
+                canon[sigma.union(combo)]
+                for k in range(len(extra) + 1)
+                for combo in itertools.combinations(extra, k)
+            )
+            step = made[option] = CollapseStep(sigma, top, removed)
+        child = state - step.removed_faces
         if child in dead:
-            remaining.update(removed)
             continue
         steps.append(step)
-        frames.append((child, free_faces()))
+        if not child:
+            return steps
+        move(step, undo=False)
+        frames.append((child, options()))
     return None
 
 
@@ -408,11 +440,11 @@ def is_d_collapsible(K: SimplicialComplex, b: int) -> tuple[bool, CollapseSequen
     """Exhaustive backtracking over collapse orders with free faces of
     size ≤ b.  Collapsibility is order-sensitive, so greedy choices are
     not enough.  The search is iterative, so its depth is not bounded by
-    the interpreter's recursion limit; each state computes the facets
-    once, tries the free faces that remove the most faces first (then
-    smaller, then lexicographically least), and failed states are
-    memoized.  Returns a replay-verifiable witness on success, a
-    definitive negative otherwise.
+    the interpreter's recursion limit; it keeps the facets and free
+    faces across steps, tries the free faces that remove the most faces
+    first (then smaller, then lexicographically least), and failed
+    states are memoized.  Returns a replay-verifiable witness on
+    success, a definitive negative otherwise.
     """
     check_guard("COLLAPSE_FACES", "complex face count", len(K.faces))
     if b < 1:
@@ -491,23 +523,32 @@ def _refresh(
     parents: Mapping[frozenset, tuple[frozenset, int]],
     working: Mapping[int, tuple],
     changed,
-) -> dict[frozenset, tuple | None]:
+    dying=None,
+) -> dict[frozenset, tuple | None] | None:
     """Joints under ``working`` of the faces in ``joints`` that contain a
     label in ``changed``: None where the members no longer meet or one
     of them is gone.  Every other face keeps its joint.  ``joints`` lists
-    each face after its parent f − {max f}, as the face walk adds them."""
+    each face after its parent f − {max f}, as the face walk adds them.
+
+    Given the set of faces expected to die (each must contain a changed
+    label), the refresh stops early and returns None at the first face
+    whose fate disagrees: a face of ``dying`` that keeps a joint, or a
+    face outside it that loses its joint."""
     fresh: dict[frozenset, tuple | None] = {}
     for f in joints:
         if f.isdisjoint(changed):
             continue
         rest, top = parents[f]
         if top not in working:
-            fresh[f] = None
+            joint = None
         elif not rest:
-            fresh[f] = working[top] if any(working[top]) else None
+            joint = working[top] if any(working[top]) else None
         else:
             base = fresh[rest] if rest in fresh else joints[rest]
-            fresh[f] = None if base is None else _meet(base, working[top])
+            joint = None if base is None else _meet(base, working[top])
+        if dying is not None and (joint is None) != (f in dying):
+            return None
+        fresh[f] = joint
     return fresh
 
 
@@ -537,17 +578,20 @@ def sweep_collapse(
     bound = 2 * ground.d - 1
     # the nonempty faces of the current complex K, each with its joint
     # under ``working``, its parent f − {max f} and its sweep key: the
-    # value, the support size and the sorted labels
+    # value, the support size and the sorted labels.  K is these faces
+    # and the empty face (the ground is nonempty while any remain)
     joints = _face_joints(working)
-    faces = _nerve_faces(ground, joints)
     parents = {f: (f - {max(f)}, max(f)) for f in joints}
     keys = {
         f: (_sweep_key(joint), len(f), tuple(sorted(f)))
         for f, joint in joints.items()
     }
-    initial = SimplicialComplex._trusted(frozenset(faces))
+    initial = SimplicialComplex._trusted(frozenset(_nerve_faces(ground, joints)))
     all_steps: list[CollapseStep] = []
     iterations: list[SweepIteration] = []
+
+    def faces_without(gone) -> tuple:
+        return _face_list(_nerve_faces(ground, joints) - gone)
 
     while joints:
         value, n, support = min(keys.values())
@@ -568,35 +612,34 @@ def sweep_collapse(
                 maximal_faces=_face_list(maximal),
             )
         step = CollapseStep(pivot, maximal[0], frozenset(removed))
+        gone, steps = removed, (step,)
 
         if n == 1:
             working = {lab: r for lab, r in working.items() if lab not in pivot}
-            changed = pivot
-            K_next = faces - removed
-            steps = (step,)
+            fresh = _refresh(joints, parents, working, pivot)
             mode = "delete"
         else:
             i = next(lvl for lvl, m in enumerate(value, start=1) if m >= 0)
             m = value[i - 1]
-            K_coll = faces - removed
             candidate = dict(working)
             for lab in pivot:
                 candidate[lab] = _cut_within(working[lab], i, m)
-            fresh = _refresh(joints, parents, candidate, pivot)
-            K_trunc = faces - {f for f, joint in fresh.items() if joint is None}
-            if K_trunc == K_coll:
+            # the truncated family's nerve is the collapse exactly when
+            # the faces through the pivot, and only they, die
+            fresh = _refresh(joints, parents, candidate, pivot, removed)
+            if fresh is not None:
                 working = candidate
-                changed = pivot
-                K_next = K_coll
-                steps = (step,)
                 mode = "truncate"
             elif strict:
+                fresh = _refresh(joints, parents, candidate, pivot)
                 raise _sweep_diag(
                     "nerve of the truncated family differs from the collapse",
                     family=_family_snapshot(ground, working),
                     pivot=support,
-                    collapsed_faces=_face_list(K_coll),
-                    truncated_nerve_faces=_face_list(K_trunc),
+                    collapsed_faces=faces_without(removed),
+                    truncated_nerve_faces=faces_without(
+                        {f for f, joint in fresh.items() if joint is None}
+                    ),
                 )
             else:
                 # fall back: cut every set containing the pivot point and
@@ -630,33 +673,33 @@ def sweep_collapse(
                         block=_face_list(block),
                     )
                 steps = tuple(found)
-                K_next = faces - block
                 working = dict(working)
                 for lab in star:
                     working[lab] = _cut_within(working[lab], i, m)
-                changed = star
+                fresh = _refresh(joints, parents, working, star)
+                gone = block
                 mode = "star"
 
-        if mode != "truncate":
-            fresh = _refresh(joints, parents, working, changed)
         # the nerve of the rebuilt family: no set grew, so it lies inside
-        # K, and only the faces through a changed set can have died
-        check_faces = faces - {f for f, joint in fresh.items() if joint is None}
-        if check_faces != K_next:
+        # K, and only the faces through a changed set can have died.  The
+        # dead faces and the collapsed ones both lie inside K, so K less
+        # the one equals K less the other exactly when they are equal
+        dead = {f for f, joint in fresh.items() if joint is None}
+        if dead != gone:
             raise _sweep_diag(
                 "rebuilt family's nerve does not match the collapsed complex",
                 family=_family_snapshot(ground, working),
                 pivot=support,
-                expected_faces=_face_list(K_next),
-                actual_faces=_face_list(check_faces),
+                expected_faces=faces_without(gone),
+                actual_faces=faces_without(dead),
             )
-        for f in faces - K_next:
+        for f in gone:
             del joints[f], parents[f], keys[f]
         for f, joint in fresh.items():
-            if joint is not None:
+            # a face's key moves only with its joint
+            if joint is not None and joint != joints[f]:
                 joints[f] = joint
                 keys[f] = (_sweep_key(joint), *keys[f][1:])
-        faces = K_next
         all_steps.extend(steps)
         iterations.append(SweepIteration(pivot, pivot_value, mode, steps))
 

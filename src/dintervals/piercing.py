@@ -278,9 +278,13 @@ def pq_check(
         if len(family) < p:
             raise ValueError(f"family has {len(family)} < p = {p} members")
         check_guard("PQ_WORK", "(p,q) enumeration", comb(len(family), p) * p)
+        # one incidence of the whole family: per covered cell, the mask
+        # of the sets through it; a subset's cover at a cell is the count
+        # of its sets in that mask
+        cells = [sum(1 << j for j in through) for through in _incidence(family).values()]
         for idx in itertools.combinations(range(len(family)), p):
-            cover, _ = max_point_cover([family[j] for j in idx])
-            if cover < q:
+            subset = sum(1 << j for j in idx)
+            if not any((cell & subset).bit_count() >= q for cell in cells):
                 return False, idx
         return True, None
 

@@ -5,6 +5,7 @@ through the package's own generators, so the property tests exercise the
 library against independently constructed inputs.
 """
 
+import itertools
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -135,3 +136,75 @@ def cliff_complex(n: int) -> complexes.SimplicialComplex:
     for j in range(1, n + 1):
         edges += [[4 * j + i, 4 * j + i + 1] for i in range(3)]
     return complexes.SimplicialComplex.from_faces(edges)
+
+
+def reference_collapse_search(todo: frozenset, bound: int, order):
+    """A per-state reference for ``complexes._collapse_search``: every
+    search state recomputes the facets (faces no g − {v} equals) and the
+    free faces from the faces still to remove, then tries the free faces
+    in ``order``.  Returns the steps, or None."""
+    canon = {f: f for f in todo}
+    # per face: its faces g − {v} inside ``todo``; per facet, filled the
+    # first time it is one: its subsets of size ≤ bound inside ``todo``
+    boundary = {
+        g: tuple(canon[h] for h in (g - {v} for v in g) if h in canon) for g in todo
+    }
+    facet_subsets: dict = {}
+    remaining = set(todo)
+
+    def free_faces():
+        covered = set()
+        for g in remaining:
+            covered.update(boundary[g])
+        owner: dict = {}
+        for top in remaining:
+            if top in covered:
+                continue
+            subsets = facet_subsets.get(top)
+            if subsets is None:
+                subsets = facet_subsets[top] = tuple(
+                    canon[s]
+                    for k in range(1, min(bound, len(top)) + 1)
+                    for s in map(frozenset, itertools.combinations(top, k))
+                    if s in canon
+                )
+            for sigma in subsets:
+                if sigma in remaining:
+                    owner[sigma] = None if sigma in owner else top
+        free = [(sigma, top) for sigma, top in owner.items() if top is not None]
+        return iter(sorted(free, key=lambda c: order(*c)))
+
+    if not remaining:
+        return []
+    dead: set = set()
+    steps: list[CollapseStep] = []
+    # one frame per state on the current path: (state, untried candidates)
+    frames = [(todo, free_faces())]
+    while frames:
+        state, options = frames[-1]
+        option = next(options, None)
+        if option is None:
+            dead.add(state)
+            frames.pop()
+            if steps:
+                remaining.update(steps.pop().removed_faces)
+            continue
+        sigma, top = option
+        extra = tuple(top - sigma)
+        removed = frozenset(
+            canon[sigma.union(combo)]
+            for k in range(len(extra) + 1)
+            for combo in itertools.combinations(extra, k)
+        )
+        remaining.difference_update(removed)
+        step = complexes.CollapseStep(sigma, top, removed)
+        if not remaining:
+            steps.append(step)
+            return steps
+        child = frozenset(remaining)
+        if child in dead:
+            remaining.update(removed)
+            continue
+        steps.append(step)
+        frames.append((child, free_faces()))
+    return None

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,16 @@ from dintervals import (
     trace_of,
 )
 from dintervals import complexes
-from helpers import first_finite, p6, random_ground, random_trace, truncate_family
+from helpers import (
+    cliff_complex,
+    first_finite,
+    p6,
+    random_ground,
+    random_trace,
+    random_tree,
+    reference_collapse_search,
+    truncate_family,
+)
 
 
 def three_set_family():
@@ -440,6 +450,57 @@ def test_oracle_confirms_the_sweep_bound_on_random_nerves():
         assert ok
         assert seq.replays_to_empty()
 
+
+
+def search_cases():
+    """(faces to remove, bound) for the collapse search: seeded nerves at
+    every bound 1..2d−1, and the union of a few faces' stars in each
+    (closed upward, as the sweep's fallback blocks are); trees and paths
+    at bound 1; the hollow triangle beside n disjoint paths at bounds 1
+    and 2, which makes the search backtrack."""
+    rng = random.Random(211)
+    for n in range(60):
+        d = 1 + n % 3
+        ground = random_ground(rng, d, max_per_level=4)
+        fam = [random_trace(rng, ground) for _ in range(rng.randrange(1, 8))]
+        faces = sorted((f for f in nerve(fam).faces if f), key=sorted)
+        centres = rng.sample(faces, min(len(faces), rng.randrange(1, 4)))
+        stars = frozenset(f for f in faces if any(c <= f for c in centres))
+        for bound in range(1, 2 * d):
+            yield frozenset(faces), bound
+            yield stars, bound
+    for i in range(12):
+        tree = random_tree(rng, rng.randrange(5, 30), path=i % 2 == 1)
+        yield frozenset(f for f in tree if f), 1
+    for n in range(1, 4):
+        for bound in (1, 2):
+            yield frozenset(f for f in cliff_complex(n).faces if f), bound
+
+
+@pytest.mark.parametrize(
+    "order", [complexes._most_removed_first, complexes._smallest_first]
+)
+def test_collapse_search_matches_a_per_state_reference(order):
+    # the counts kept across steps and restored on backtrack must give
+    # the same steps, and offer the same free faces in every state the
+    # search visits, as recomputing them per state: ``order`` is asked
+    # about each free face of each state once
+    outcomes = []
+    for todo, bound in search_cases():
+        offered = {"got": Counter(), "want": Counter()}
+
+        def asked(name):
+            def key(sigma, top):
+                offered[name][sigma, top] += 1
+                return order(sigma, top)
+
+            return key
+
+        got = complexes._collapse_search(todo, bound, asked("got"))
+        assert got == reference_collapse_search(todo, bound, asked("want")), (todo, bound)
+        assert offered["got"] == offered["want"], (todo, bound)
+        outcomes.append(got is not None)
+    assert outcomes.count(False) >= 40 and outcomes.count(True) >= 300
 
 # ------------------------------------------------------------------ replay
 

@@ -10,6 +10,7 @@ import pytest
 
 from dintervals import (
     DInterval,
+    GroundSetMismatchError,
     GuardExceededError,
     Point,
     PointSet,
@@ -28,6 +29,7 @@ from dintervals import (
     tau_exact,
     trace_of,
 )
+from dintervals import piercing
 from dintervals.lp import SimplexOutcome, simplex_maximize
 from helpers import LP_KINDS, p6, random_ground, random_lp, random_trace
 
@@ -478,6 +480,34 @@ def test_colorful_first_checks_cross_family_picks():
     high = [window(Q, {1: (3, 3)}), window(Q, {1: (4, 4)})]
     ok, choices = pq_check([low, high], p=2, q=2, kind="colorful-first")
     assert not ok and choices == ((0, 1), (0, 1))
+
+
+def test_plain_pq_reads_one_incidence_per_call(monkeypatch):
+    # every p-subset is read off the whole family's incidence, built once
+    calls = []
+    incidence = piercing._incidence
+    monkeypatch.setattr(
+        piercing, "_incidence", lambda family: calls.append(len(family)) or incidence(family)
+    )
+    rng = random.Random(27)
+    ground = random_ground(rng, 2, max_per_level=5)
+    fam = [random_trace(rng, ground) for _ in range(12)]
+    # both verdicts, and counterexamples past the first subset, occur
+    for p, q in ((5, 2), (3, 1), (4, 2), (6, 3), (12, 12)):
+        calls.clear()
+        ok, counterexample = pq_check([fam], p, q)
+        assert calls == [12]
+        subsets = itertools.combinations(range(12), p)
+        first = next((idx for idx in subsets if max_point_cover([fam[j] for j in idx])[0] < q), None)
+        assert (ok, counterexample) == (first is None, first)
+
+
+def test_plain_pq_refuses_mixed_grounds_before_any_subset():
+    P, Q = line(0, 1), line(0, 2)
+    fam = [window(P, {1: (0, 0)}), window(P, {1: (1, 1)}), window(Q, {1: (0, 1)})]
+    # the first pair already fails, but the whole family is checked first
+    with pytest.raises(GroundSetMismatchError):
+        pq_check([fam], p=2, q=2)
 
 
 def test_pq_check_arity_errors():

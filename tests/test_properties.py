@@ -1,7 +1,8 @@
-"""Differential property tests: the nerve and the index-space queries of
-``piercing`` and ``helly`` against the brute-force oracles of
-``bench/oracles.py``, the Radon search against its closed form, and the
-instance format's parse → serialize → parse round trip.
+"""Differential property tests: the nerve, the sweep and the collapse
+oracle, and the index-space queries of ``piercing`` and ``helly``
+against the brute-force oracles of ``bench/oracles.py``, the Radon
+search against its closed form, and the instance format's parse →
+serialize → parse round trip.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -30,6 +31,7 @@ from dintervals import (
     frac_helly_stats,
     fractional_lp,
     helly_check,
+    is_d_collapsible,
     max_k_intersecting_subfamily,
     max_point_cover,
     maxima_witness_subfamily,
@@ -104,6 +106,21 @@ def test_the_nerve_and_helly_checks_match_the_oracles(case):
                 assert len(idx) <= m and O.levels_met(O.common(sets[j] for j in idx)) < k
             if not rep.verdict:
                 assert _points(rep.witnesses["intersection_points"]) == O.common(sets)
+
+
+@given(families())
+def test_the_sweep_and_the_oracle_collapse_the_brute_nerve_within_2d_minus_1(case):
+    # the sweep starts from the nerve and the oracle finds a witness on
+    # it; both replay to nothing with free faces of size ≤ 2d−1
+    ground, fam = case
+    faces = O.brute_nerve([O.expand(t) for t in fam], len(ground) > 0)
+    bound = 2 * ground.d - 1
+    res = sweep_collapse(fam)
+    assert res.sequence.initial.faces == faces
+    assert O.replay_collapses(faces, [s.free_face for s in res.sequence.steps], bound) == []
+    ok, witness = is_d_collapsible(nerve(fam), bound)
+    assert ok
+    assert O.replay_collapses(faces, [s.free_face for s in witness.steps], bound) == []
 
 
 @given(families())
