@@ -26,7 +26,11 @@ statistics, plain and colorful-second (p,q)) are digested on seeded
 families, empty sets included; so are every ``helly_check`` report and
 ν on the same families.  Radon partitions (both sides and the
 witness) are digested on seeded subsets below and at or above 2d+1
-points, beside the brute-force Radon number at several caps.
+points, beside the brute-force Radon number at several caps.  Instance
+parsing is digested on ``dump_instance`` documents of seeded draws and
+on variants of them: respelled literals, endpoints off the ground,
+pieces that cover no point, and documents broken in every way the
+parser refuses (the error's path and message are digested).
 """
 
 import hashlib
@@ -47,6 +51,7 @@ from dintervals import (
     PointSet,
     Point,
     PqProperty,
+    SchemaError,
     SimplicialComplex,
     SweepInvariantError,
     TheoremViolationError,
@@ -64,6 +69,7 @@ from dintervals import (
     maxima_witness_subfamily,
     nerve,
     nu_exact,
+    parse_instance,
     pierce_all,
     pq_check,
     radon_number_bruteforce,
@@ -91,6 +97,7 @@ LPS = 2400
 PIERCE_FAMILIES = 320
 QUERY_FAMILIES = 600
 RADON_GROUNDS = 240
+PARSE_DRAWS = 48
 
 GOLDEN = {
     "sweep": (
@@ -252,6 +259,10 @@ GOLDEN = {
     "radon": (
         "2c86a8b7be2fccc6e5c61d303e9a5c38"
         "cb06ee1cb1b82b6c03349193cdc9ae93"
+    ),
+    "instance-parse": (
+        "3a47eeb648c562b7827b89a84f22354b"
+        "0d3141eba97d4f64011b477affc13d32"
     ),
 }
 
@@ -862,3 +873,190 @@ def test_radon_partitions_and_numbers_match_the_golden_digest():
     assert any(o == ["ok", None] for o in numbers)
     assert any(o[0] == "ok" and o[1] is not None for o in numbers)
     assert _digest(rows) == GOLDEN["radon"]
+
+
+# ---------------------------------------------------------- instance parsing
+
+
+def _parse_bases():
+    """Seeded ``dump_instance`` documents of ``gen_instance`` draws, d = 1..3,
+    one or two families, empty levels and negative coordinates included."""
+    rng = random.Random(20250117)
+    for i in range(PARSE_DRAWS):
+        d = 1 + i % 3
+        lo = rng.randrange(-4, 3)
+        hi = lo + rng.randrange(2, 10)
+        n_sets = rng.randrange(1, 5)
+        n_families = 1 + rng.randrange(2)
+        spec = GenSpec(
+            d=d,
+            points_per_level=tuple(rng.randrange(min(6, hi - lo + 2)) for _ in range(d)),
+            coord_range=(lo, hi),
+            n_sets=n_sets,
+            presence=Fraction(3, 4),
+            max_width=rng.randrange(hi - lo + 1),
+            seed=rng.randrange(2**31),
+            n_families=n_families,
+        )
+        ground, families = gen_instance(spec)
+        flat = [t for fam in families for t in fam]
+        names = [f"S{j + 1}" for j in range(len(flat))]
+        groups = None
+        if n_families > 1:
+            groups = [list(range(f * n_sets, (f + 1) * n_sets)) for f in range(n_families)]
+        yield rng, json.loads(dump_instance(Instance(ground, flat, names, groups)))
+
+
+def _spell(rng, literal):
+    """The coordinate as written, padded with whitespace, as a scaled
+    fraction, and for integers and quarters as a bare int or a decimal."""
+    x = Fraction(literal)
+    forms = [literal, f" {literal}", f"{literal} ", f"{x.numerator * 3}/{x.denominator * 3}"]
+    if x.denominator == 1:
+        forms += [x.numerator, f"{x.numerator}.0"]
+    if x.denominator in (1, 2, 4):
+        forms.append(f"{float(x):.2f}")
+    return rng.choice(forms)
+
+
+def _pieces(doc):
+    return [(s, piece) for s in doc["sets"] for piece in s["levels"]]
+
+
+def _respelled(rng, doc):
+    for entry in doc["points"]:
+        entry[0] = _spell(rng, entry[0])
+    for _, piece in _pieces(doc):
+        piece["lo"], piece["hi"] = _spell(rng, piece["lo"]), _spell(rng, piece["hi"])
+    return doc
+
+
+def _off_ground(rng, doc):
+    # widen pieces past the ground, by halves ("7/2") or whole steps
+    for _, piece in _pieces(doc):
+        piece["lo"] = str(Fraction(piece["lo"]) - rng.choice((0, Fraction(1, 2), 3)))
+        piece["hi"] = str(Fraction(piece["hi"]) + rng.choice((0, Fraction(1, 2), Fraction(5, 2))))
+    return doc
+
+
+def _missing(rng, doc):
+    # one piece a set whose window holds no ground point: between two
+    # ground points, past either end, or on a level without points
+    for s in doc["sets"]:
+        level = 1 + rng.randrange(doc["d"])
+        coords = sorted(Fraction(c) for c, lvl in doc["points"] if lvl == level)
+        gaps = [(a, b) for a, b in zip(coords, coords[1:]) if b - a > Fraction(1, 2)]
+        if coords:
+            gaps += [(coords[0] - 2, coords[0]), (coords[-1], coords[-1] + 2)]
+        a, b = rng.choice(gaps) if gaps else (Fraction(0), Fraction(1))
+        lo = a + (b - a) / 4
+        hi = rng.choice((lo, a + (b - a) * 3 / 4))
+        s["levels"] = [p for p in s["levels"] if p["level"] != level]
+        s["levels"].append({"level": level, "lo": str(lo), "hi": str(hi)})
+    return doc
+
+
+def _broken(rng, doc):
+    """(document, strict) for each way the base document can be made
+    invalid, and lenient twins of the unknown-field cases."""
+    d = doc["d"]
+    edits = []
+    unknown = [
+        lambda x: x.__setitem__("extra", 1),
+        lambda x: x["sets"][0].__setitem__("color", "red"),
+    ]
+    if doc["points"]:
+        at = rng.randrange(len(doc["points"]))
+        c, lvl = doc["points"][at]
+        twin, slot = [_spell(rng, c), lvl], rng.randrange(len(doc["points"]) + 1)
+
+        def point(slot, value):
+            return lambda x: x["points"][at].__setitem__(slot, value)
+
+        edits += [
+            lambda x: x["points"].insert(slot, twin),
+            point(0, rng.choice((True, False))),
+            point(0, 2.5),
+            point(0, rng.choice(("abc", "1/0", ""))),
+            point(1, rng.choice((0, d + 1))),
+            point(1, str(lvl)),
+            lambda x: x["points"].__setitem__(at, [c]),
+        ]
+    pieces = _pieces(doc)
+    if pieces:
+        k = rng.randrange(len(pieces))
+        lo, hi = Fraction(pieces[k][1]["lo"]), Fraction(pieces[k][1]["hi"])
+        half = Fraction(1, 2)
+        end = rng.choice(("lo", "hi"))
+
+        def piece(j=k, **fields):
+            return lambda x: _pieces(x)[j][1].update(fields)
+
+        wide = [j for j, (_, p) in enumerate(pieces) if Fraction(p["lo"]) < Fraction(p["hi"])]
+        if wide:
+            # lo > hi with both endpoints on the ground
+            j = rng.choice(wide)
+            edits.append(piece(j, lo=pieces[j][1]["hi"], hi=pieces[j][1]["lo"]))
+        edits += [
+            # lo > hi with one or both endpoints off the ground
+            piece(lo=str(hi + half)),
+            piece(hi=str(lo - half)),
+            piece(lo=str(hi + 1), hi=str(hi + half)),
+            piece(**{end: rng.choice((True, False))}),
+            piece(**{end: 0.5}),
+            piece(**{end: "x/2"}),
+            piece(level=rng.choice((0, d + 1))),
+            lambda x: _pieces(x)[k][0]["levels"].append(dict(pieces[k][1])),
+            lambda x: _pieces(x)[k][1].pop(end),
+        ]
+        unknown.append(piece(note="wide"))
+    for edit in edits:
+        yield _edited(doc, edit), True
+    for edit in unknown:
+        for strict in (True, False):
+            yield _edited(doc, edit), strict
+
+
+def _edited(doc, edit):
+    copy = json.loads(json.dumps(doc))
+    edit(copy)
+    return copy
+
+
+def _parse_documents():
+    for rng, base in _parse_bases():
+        yield base, True
+        for build in (_respelled, _off_ground, _missing):
+            yield build(rng, json.loads(json.dumps(base))), True
+        yield _respelled(rng, _missing(rng, _off_ground(rng, json.loads(json.dumps(base))))), True
+        yield from _broken(rng, base)
+
+
+def _parse_outcome(doc, strict):
+    try:
+        inst, warnings = parse_instance(doc, strict)
+    except SchemaError as exc:
+        return ["SchemaError", exc.path, str(exc)]
+    return [
+        [[str(c) for c in level] for level in inst.ground.levels],
+        [t.runs for t in inst.sets],
+        inst.names,
+        inst.families,
+        warnings,
+    ]
+
+
+def test_instance_parses_match_the_golden_digest():
+    outcomes = [_parse_outcome(doc, strict) for doc, strict in _parse_documents()]
+    parsed = [o for o in outcomes if o[0] != "SchemaError"]
+    messages = " ".join(o[2] for o in outcomes if o[0] == "SchemaError")
+    # every refusal occurs, and so do warnings, empty runs and families
+    for text in (
+        "duplicate points", "> hi", "boolean", "floating-point", "not a rational",
+        "outside [1,", "duplicate level", "unknown field", "expected an integer",
+        "missing required field", "pair",
+    ):
+        assert text in messages, text
+    assert any(o[4] for o in parsed) and any(o[3] for o in parsed)
+    assert any(run is None for o in parsed for runs in o[1] for run in runs)
+    assert _digest(outcomes) == GOLDEN["instance-parse"]
