@@ -5,6 +5,9 @@ closed pieces), and optionally index groups ("families") for colorful
 inputs.  Coordinates travel as strings (or bare ints) so nothing is ever
 rounded; parsing is strict by default and dies with a path-precise
 message, a lenient flag downgrades unknown fields to warnings.
+The parse goes straight to runs: it builds ``Fraction``s only for
+ground coordinates and off-ground endpoints (each distinct literal
+once), and reads an endpoint written as a ground literal as its index.
 Canonical serialization shrinks every set to the minimal enclosing
 pieces of its trace, so parse→serialize is idempotent.
 """
@@ -12,20 +15,14 @@ pieces of its trace, so parse→serialize is idempotent.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any
 
 from .errors import SchemaError
-from .geometry import (
-    DInterval,
-    LevelInterval,
-    Point,
-    PointSet,
-    TraceSet,
-    minimal_dinterval,
-    trace_of,
-)
+from .geometry import PointSet, TraceSet, minimal_dinterval
 from .rationals import format_rational, parse_rational
 
 _TOP_FIELDS = {"d", "points", "sets", "families"}
@@ -95,19 +92,42 @@ def parse_instance(
     raw_points = _need(document, "points", "$")
     if not isinstance(raw_points, list):
         raise SchemaError("$.points", "expected an array")
-    points = []
+    parsed: dict[str, Fraction] = {}  # each distinct literal is parsed once
+
+    def coord(value, path: str) -> Fraction:
+        if not isinstance(value, str):
+            return _as_coord(value, path)
+        q = parsed.get(value)
+        if q is None:
+            q = parsed[value] = _as_coord(value, path)
+        return q
+
+    buckets: list[list[tuple[Fraction, Any]]] = [[] for _ in range(d)]
     for idx, entry in enumerate(raw_points):
         path = f"$.points[{idx}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError(path, "expected a [coord, level] pair")
-        coord = _as_coord(entry[0], path + "[0]")
+        q = coord(entry[0], path + "[0]")
         level = _as_int(entry[1], path + "[1]")
         if not 1 <= level <= d:
             raise SchemaError(path + "[1]", f"level {level} outside [1, {d}]")
-        points.append(Point(coord, level))
-    if len(set(points)) != len(points):
-        raise SchemaError("$.points", "duplicate points")
-    ground = PointSet.from_points(d, points)
+        buckets[level - 1].append((q, entry[0]))
+    levels, at = [], []  # at[i]: a ground literal of level i+1 -> its index
+    for bucket in buckets:
+        bucket.sort(key=itemgetter(0))
+        coords = tuple(q for q, _ in bucket)
+        if any(a == b for a, b in zip(coords, coords[1:])):
+            raise SchemaError("$.points", "duplicate points")
+        levels.append(coords)
+        at.append({lit: i for i, (_, lit) in enumerate(bucket) if isinstance(lit, str)})
+    ground = PointSet._trusted(d, tuple(levels))
+
+    def endpoint(value, level: int, path: str) -> tuple[int | None, Fraction]:
+        """(index, coord) of a ground literal of the level, else (None, coord)."""
+        i = at[level - 1].get(value) if isinstance(value, str) else None
+        if i is None:
+            return None, coord(value, path)
+        return i, levels[level - 1][i]
 
     raw_sets = _need(document, "sets", "$")
     if not isinstance(raw_sets, list):
@@ -124,7 +144,7 @@ def parse_instance(
         raw_levels = _need(raw, "levels", path)
         if not isinstance(raw_levels, list):
             raise SchemaError(path + ".levels", "expected an array")
-        pieces: dict[int, tuple[Fraction, Fraction]] = {}
+        runs: dict[int, tuple[int, int] | None] = {}
         for l_idx, piece in enumerate(raw_levels):
             lpath = f"{path}.levels[{l_idx}]"
             if not isinstance(piece, dict):
@@ -133,22 +153,19 @@ def parse_instance(
             level = _as_int(_need(piece, "level", lpath), lpath + ".level")
             if not 1 <= level <= d:
                 raise SchemaError(lpath + ".level", f"level {level} outside [1, {d}]")
-            if level in pieces:
+            if level in runs:
                 raise SchemaError(lpath + ".level", f"duplicate level {level}")
-            lo = _as_coord(_need(piece, "lo", lpath), lpath + ".lo")
-            hi = _as_coord(_need(piece, "hi", lpath), lpath + ".hi")
-            if lo > hi:
-                raise SchemaError(
-                    lpath, f"set {name!r} level {level}: lo {lo} > hi {hi}"
-                )
-            pieces[level] = (lo, hi)
-        interval = DInterval(
-            tuple(
-                LevelInterval(*pieces[lvl]) if lvl in pieces else LevelInterval.empty()
-                for lvl in range(1, d + 1)
-            )
-        )
-        traces.append(trace_of(interval, ground))
+            first, lo = endpoint(_need(piece, "lo", lpath), level, lpath + ".lo")
+            last, hi = endpoint(_need(piece, "hi", lpath), level, lpath + ".hi")
+            on_ground = first is not None and last is not None
+            if (first > last) if on_ground else (lo > hi):
+                raise SchemaError(lpath, f"set {name!r} level {level}: lo {lo} > hi {hi}")
+            if first is None:
+                first = bisect_left(levels[level - 1], lo)
+            if last is None:
+                last = bisect_right(levels[level - 1], hi) - 1
+            runs[level] = (first, last) if first <= last else None
+        traces.append(TraceSet._trusted(ground, tuple(map(runs.get, range(1, d + 1)))))
         names.append(name)
 
     families = None

@@ -314,10 +314,13 @@ def pq_check(
     for f in families:
         work *= len(f)
     check_guard("PQ_WORK", "(p,q) enumeration", work * p)
+    # the plain kind's masks, over the families concatenated
+    flat = [t for f in families for t in f]
+    cells = [sum(1 << j for j in through) for through in _incidence(flat).values()]
+    offsets = list(itertools.accumulate((len(f) for f in families[:-1]), initial=0))
     for combo in itertools.product(*(range(len(f)) for f in families)):
-        members = [families[i][j] for i, j in enumerate(combo)]
-        cover, _ = max_point_cover(members)
-        if cover < q:
+        picked = sum(1 << (offset + j) for offset, j in zip(offsets, combo))
+        if not any((cell & picked).bit_count() >= q for cell in cells):
             return False, combo
     return True, None
 

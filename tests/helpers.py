@@ -10,7 +10,27 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from dintervals import LexValue, Point, PointSet, TraceSet, complexes
+from dintervals import (
+    DInterval,
+    Instance,
+    LevelInterval,
+    LexValue,
+    Point,
+    PointSet,
+    SchemaError,
+    TraceSet,
+    complexes,
+    trace_of,
+)
+from dintervals.instances import (
+    _LEVEL_FIELDS,
+    _SET_FIELDS,
+    _TOP_FIELDS,
+    _as_coord,
+    _as_int,
+    _check_fields,
+    _need,
+)
 
 
 def p6() -> PointSet:
@@ -208,3 +228,97 @@ def reference_collapse_search(todo: frozenset, bound: int, order):
         steps.append(step)
         frames.append((child, free_faces()))
     return None
+
+
+def reference_parse_instance(document: dict, strict: bool = True):
+    """A reference for ``instances.parse_instance`` on decoded documents,
+    through the public geometry: every coordinate parsed where it occurs,
+    the ground built by ``PointSet.from_points``, each set as a
+    ``DInterval`` cut down by ``trace_of``.  Same checks, same errors."""
+    if not isinstance(document, dict):
+        raise SchemaError("$", "top level must be an object")
+    warnings: list[str] = []
+    _check_fields(document, _TOP_FIELDS, "$", strict, warnings)
+    d = _as_int(_need(document, "d", "$"), "$.d")
+    if d < 1:
+        raise SchemaError("$.d", "d must be ≥ 1")
+
+    raw_points = _need(document, "points", "$")
+    if not isinstance(raw_points, list):
+        raise SchemaError("$.points", "expected an array")
+    points = []
+    for idx, entry in enumerate(raw_points):
+        path = f"$.points[{idx}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise SchemaError(path, "expected a [coord, level] pair")
+        coord = _as_coord(entry[0], path + "[0]")
+        level = _as_int(entry[1], path + "[1]")
+        if not 1 <= level <= d:
+            raise SchemaError(path + "[1]", f"level {level} outside [1, {d}]")
+        points.append(Point(coord, level))
+    if len(set(points)) != len(points):
+        raise SchemaError("$.points", "duplicate points")
+    ground = PointSet.from_points(d, points)
+
+    raw_sets = _need(document, "sets", "$")
+    if not isinstance(raw_sets, list):
+        raise SchemaError("$.sets", "expected an array")
+    traces, names = [], []
+    for s_idx, raw in enumerate(raw_sets):
+        path = f"$.sets[{s_idx}]"
+        if not isinstance(raw, dict):
+            raise SchemaError(path, "expected an object")
+        _check_fields(raw, _SET_FIELDS, path, strict, warnings)
+        name = _need(raw, "name", path)
+        if not isinstance(name, str):
+            raise SchemaError(path + ".name", "expected a string")
+        raw_levels = _need(raw, "levels", path)
+        if not isinstance(raw_levels, list):
+            raise SchemaError(path + ".levels", "expected an array")
+        pieces: dict[int, tuple[Fraction, Fraction]] = {}
+        for l_idx, piece in enumerate(raw_levels):
+            lpath = f"{path}.levels[{l_idx}]"
+            if not isinstance(piece, dict):
+                raise SchemaError(lpath, "expected an object")
+            _check_fields(piece, _LEVEL_FIELDS, lpath, strict, warnings)
+            level = _as_int(_need(piece, "level", lpath), lpath + ".level")
+            if not 1 <= level <= d:
+                raise SchemaError(lpath + ".level", f"level {level} outside [1, {d}]")
+            if level in pieces:
+                raise SchemaError(lpath + ".level", f"duplicate level {level}")
+            lo = _as_coord(_need(piece, "lo", lpath), lpath + ".lo")
+            hi = _as_coord(_need(piece, "hi", lpath), lpath + ".hi")
+            if lo > hi:
+                raise SchemaError(lpath, f"set {name!r} level {level}: lo {lo} > hi {hi}")
+            pieces[level] = (lo, hi)
+        interval = DInterval(
+            tuple(
+                LevelInterval(*pieces[lvl]) if lvl in pieces else LevelInterval.empty()
+                for lvl in range(1, d + 1)
+            )
+        )
+        traces.append(trace_of(interval, ground))
+        names.append(name)
+
+    families = None
+    if "families" in document:
+        raw_fams = document["families"]
+        if not isinstance(raw_fams, list):
+            raise SchemaError("$.families", "expected an array")
+        families = []
+        for f_idx, group in enumerate(raw_fams):
+            path = f"$.families[{f_idx}]"
+            if not isinstance(group, list):
+                raise SchemaError(path, "expected an array of set indices")
+            cleaned = []
+            for g_idx, member in enumerate(group):
+                member = _as_int(member, f"{path}[{g_idx}]")
+                if not 0 <= member < len(traces):
+                    raise SchemaError(
+                        f"{path}[{g_idx}]",
+                        f"set index {member} outside [0, {len(traces) - 1}]",
+                    )
+                cleaned.append(member)
+            families.append(cleaned)
+
+    return Instance(ground, traces, names, families), warnings

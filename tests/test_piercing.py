@@ -510,6 +510,36 @@ def test_plain_pq_refuses_mixed_grounds_before_any_subset():
         pq_check([fam], p=2, q=2)
 
 
+def test_colorful_second_pq_reads_one_incidence_per_call(monkeypatch):
+    # every colorful tuple is read off one incidence of the concatenated
+    # families, built once
+    calls = []
+    incidence = piercing._incidence
+    monkeypatch.setattr(
+        piercing, "_incidence", lambda family: calls.append(len(family)) or incidence(family)
+    )
+    rng = random.Random(25)
+    ground = random_ground(rng, 2, max_per_level=5)
+    families = [[random_trace(rng, ground) for _ in range(n)] for n in (7, 8, 7)]
+    # both verdicts, and counterexamples past the first tuple, occur
+    for q in (1, 2, 3):
+        calls.clear()
+        ok, counterexample = pq_check(families, 3, q, "colorful-second")
+        assert calls == [22]
+        tuples = itertools.product(*(range(len(f)) for f in families))
+        members = lambda c: [families[i][j] for i, j in enumerate(c)]
+        first = next((c for c in tuples if max_point_cover(members(c))[0] < q), None)
+        assert (ok, counterexample) == (first is None, first)
+
+
+def test_colorful_second_pq_refuses_mixed_grounds_before_any_tuple():
+    P, Q = line(0, 1), line(0, 2)
+    families = [[window(P, {1: (0, 0)})], [window(P, {1: (1, 1)}), window(Q, {1: (0, 1)})]]
+    # the first tuple already fails, but every family is checked first
+    with pytest.raises(GroundSetMismatchError):
+        pq_check(families, p=2, q=2, kind="colorful-second")
+
+
 def test_pq_check_arity_errors():
     P = line(0, 1)
     f = [window(P, {1: (0, 1)})]

@@ -1,8 +1,10 @@
 """Differential property tests: the nerve, the sweep and the collapse
 oracle, and the index-space queries of ``piercing`` and ``helly``
 against the brute-force oracles of ``bench/oracles.py``, the Radon
-search against its closed form, and the instance format's parse →
-serialize → parse round trip.
+search against its closed form, the instance format's parse →
+serialize → parse round trip, and the parser against a reference that
+goes through the public geometry (``tests/helpers.py``), on documents
+valid and broken.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -23,6 +25,7 @@ from hypothesis import given, strategies as st
 from dintervals import (
     PointSet,
     PreconditionError,
+    SchemaError,
     SimplicialComplex,
     TraceSet,
     cfh_stats,
@@ -47,6 +50,7 @@ from dintervals import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import oracles as O  # noqa: E402
+from helpers import reference_parse_instance  # noqa: E402
 
 
 @st.composite
@@ -366,3 +370,85 @@ def test_parse_serialize_parse_is_idempotent(doc):
         first.ground, first.sets, first.names, first.families,
     )
     assert dump_instance(second) == text
+
+
+def _literal(x: Fraction, form: int):
+    """The coordinate written canonically, padded, as a scaled fraction,
+    or for integers also as a bare int or a decimal."""
+    canonical = str(x)
+    forms = [canonical, f" {canonical}", f"{x.numerator * 2}/{x.denominator * 2}"]
+    if x.denominator == 1:
+        forms += [x.numerator, f"{x.numerator}.0"]
+    return forms[form % len(forms)]
+
+
+# one draw a point, n = 15 (c + 6) + 5 (level − 1) + form, and one a
+# piece, n = 348 (b + 14) + 12 (a + 14) + 3 set + level − 1, for
+# numerators c in [-6, 6] and a, b in [-14, 14], and sets 0..3
+_POINTS = st.lists(st.integers(0, 13 * 15 - 1), max_size=7, unique_by=lambda n: n // 5)
+_PIECES = st.lists(st.integers(0, 29 * 348 - 1), max_size=6, unique_by=lambda n: n % 12)
+_BREAKS = st.sampled_from(
+    ("none", "duplicate point", "swap", "bad coord", "bad level", "duplicate level", "unknown")
+)
+
+
+@st.composite
+def parse_cases(draw) -> tuple[dict, bool]:
+    """A document whose ground points have denominator ``denom`` and whose
+    endpoints are multiples of 1/(2 denom), on the ground or between its
+    points, written in any accepted form; broken in at most one way the
+    parser refuses, at the place ``pick`` selects; with a strict flag."""
+    d, denom, n_sets, how, strict, pick = draw(
+        st.tuples(
+            st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), _BREAKS, st.booleans(),
+            st.integers(0, 2**16),
+        )
+    )
+    points = [
+        [_literal(Fraction(n // 15 - 6, denom), n), n // 5 % 3 + 1]
+        for n in draw(_POINTS)
+        if n // 5 % 3 < d
+    ]
+    sets = [{"name": f"S{i}", "levels": []} for i in range(n_sets)]
+    for n in draw(_PIECES):
+        level, i, a, b = n % 3 + 1, n // 3 % 4, n // 12 % 29 - 14, n // 348 - 14
+        if level <= d and i < n_sets:
+            lo, hi = sorted((Fraction(a, 2 * denom), Fraction(b, 2 * denom)))
+            sets[i]["levels"].append({"level": level, "lo": _literal(lo, a), "hi": _literal(hi, b)})
+    doc = {"d": d, "points": points, "sets": sets}
+    pieces = [(s, piece) for s in sets for piece in s["levels"]]
+    owner, piece = pieces[pick % len(pieces)] if pieces else (None, None)
+    if how == "duplicate point" and points:
+        c, level = points[pick % len(points)]
+        points.append([_literal(Fraction(c), pick), level])
+    elif how == "swap" and piece:
+        piece["lo"], piece["hi"] = piece["hi"], piece["lo"]
+    elif how == "bad coord" and (points or piece):
+        value = (True, 2.5, "1/0")[pick % 3]
+        if points and (pick % 2 or not piece):
+            points[pick % len(points)][0] = value
+        else:
+            piece[("lo", "hi")[pick // 3 % 2]] = value
+    elif how == "bad level" and piece:
+        piece["level"] = (0, d + 1)[pick % 2]
+    elif how == "duplicate level" and piece:
+        owner["levels"].append(dict(piece))
+    elif how == "unknown":
+        [doc, *sets, *(p for _, p in pieces)][pick % (1 + n_sets + len(pieces))]["note"] = 1
+    if sets and pick % 3 == 0:
+        doc["families"] = [list(range(min(n_sets, 2))), [pick % (n_sets + 1)]]
+    return doc, strict
+
+
+@given(parse_cases())
+def test_the_parse_matches_the_public_geometry_reference(case):
+    # equal instances and warnings, or the same error at the same path
+    doc, strict = case
+    try:
+        expected = reference_parse_instance(doc, strict)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            parse_instance(doc, strict)
+        assert (got.value.path, str(got.value)) == (exc.path, str(exc))
+    else:
+        assert parse_instance(doc, strict) == expected

@@ -6,15 +6,20 @@ from fractions import Fraction
 import pytest
 
 from dintervals import (
+    LevelInterval,
     Point,
+    PointSet,
     Report,
     SchemaError,
+    TraceSet,
     dump_instance,
     emit_report,
     jsonify,
     parse_instance,
     serialize_instance,
 )
+from dintervals import geometry, instances
+from test_golden import _parse_documents, _parse_outcome
 
 
 def minimal_doc() -> dict:
@@ -138,6 +143,40 @@ def test_family_traces_groups_sets():
     groups = inst.family_traces()
     assert [len(g) for g in groups] == [1, 2]
     assert groups[1][1] == inst.sets[0]
+
+
+def _coordinates(doc) -> list:
+    """Every coordinate value written in a document."""
+    values = [e[0] for e in doc.get("points", []) if isinstance(e, list) and e]
+    for s in doc.get("sets", []):
+        for piece in s.get("levels", []):
+            values += [piece[end] for end in ("lo", "hi") if end in piece]
+    return values
+
+
+def test_parsing_goes_straight_to_runs(monkeypatch):
+    # no public geometry constructor or check runs, and each distinct
+    # string literal is parsed at most once
+    cases = list(_parse_documents())
+    expected = [_parse_outcome(doc, strict) for doc, strict in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parse went through the public geometry")
+
+    for cls in (PointSet, LevelInterval, TraceSet):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(geometry, "trace_of", refuse)
+    calls = []
+    as_coord = instances._as_coord
+    monkeypatch.setattr(
+        instances, "_as_coord", lambda value, path: calls.append(value) or as_coord(value, path)
+    )
+    for (doc, strict), want in zip(cases, expected):
+        calls.clear()
+        assert _parse_outcome(doc, strict) == want
+        values = _coordinates(doc)
+        literals = {v for v in values if isinstance(v, str)}
+        assert len(calls) <= len(literals) + sum(not isinstance(v, str) for v in values)
 
 
 # -------------------------------------------------------------- round trips
