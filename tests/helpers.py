@@ -7,7 +7,7 @@ library against independently constructed inputs.
 
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from dintervals import (
@@ -146,6 +146,33 @@ def random_tree(rng: random.Random, edges: int, path: bool = False) -> frozenset
         u = v - 1 if path else rng.randrange(v)
         faces |= {frozenset([labels[u], labels[v]]), frozenset([labels[u]]), frozenset([labels[v]])}
     return frozenset(faces)
+
+
+def dense_families(count: int):
+    """``count`` seeded (d, family) pairs of 10-11 sets at d = 2 and 3
+    whose nerves hold 350-600 faces (the empty face included): wide runs
+    over 5-9 of 21 integer coordinates per level, so the sweep often
+    falls back to cutting a star and removes blocks of a hundred faces
+    or more by the collapse search."""
+    rng = random.Random(20251019)
+    made = 0
+    while made < count:
+        d, n = 2 + made % 2, 10 + made // 2 % 2
+        coords = [sorted(rng.sample(range(21), rng.randrange(5, 10))) for _ in range(d)]
+        ground = PointSet(d, tuple(tuple(map(Fraction, level)) for level in coords))
+        family = []
+        for _ in range(n):
+            runs = []
+            for level in coords:
+                width = rng.randrange(3, 15)
+                start = rng.randrange(0, 21 - width)
+                first = bisect_left(level, start)
+                last = bisect_right(level, start + width) - 1
+                runs.append((first, last) if first <= last else None)
+            family.append(TraceSet(ground, tuple(runs)))
+        if 350 <= len(complexes.nerve(family)) <= 600:
+            made += 1
+            yield d, family
 
 
 def cliff_complex(n: int) -> complexes.SimplicialComplex:

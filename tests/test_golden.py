@@ -11,7 +11,9 @@ colorful tuple enumeration or the suite driver must leave every digest
 unchanged; a digest that moves means an answer, a witness or a report
 changed.  The collapse oracle is also digested on seeded trees and
 paths of 40-100 edges and on a hollow triangle beside disjoint paths,
-which forces the search to backtrack.  The sweep's pivot values and
+which forces the search to backtrack.  Sweeps of seeded dense families
+(10-11 sets, 350-600 nerve faces), where the star fallback removes large
+blocks, have a digest of their own.  The sweep's pivot values and
 the diagnostics its strict mode raises are digested on their own, the
 face lists of the diagnostics in sorted order.  Generator output (plain instances, conditioned outcomes
 and the files ``dintervals gen`` writes) is digested too: the seeded
@@ -77,13 +79,14 @@ from dintervals import (
     sweep_collapse,
     tau_exact,
 )
-from dintervals import experiments
+from dintervals import complexes, experiments
 from dintervals.cli import run_command
 from dintervals.experiments import run_suite
 from dintervals.lp import simplex_maximize
 from helpers import (
     LP_KINDS,
     cliff_complex,
+    dense_families,
     random_ground,
     random_lp,
     random_trace,
@@ -91,6 +94,7 @@ from helpers import (
 )
 
 FAMILIES = 102
+DENSE_FAMILIES = 20
 LARGE_TREES = 40
 COLORFUL_INSTANCES = 1500
 LPS = 2400
@@ -119,6 +123,10 @@ GOLDEN = {
     "oracle-bound-2d-1": (
         "fc64fc6cb1e7c54135eb13ef22675669"
         "ad985d0de5ebf9ca9c1a778aefa45287"
+    ),
+    "sweep-dense": (
+        "44145a94fccd49517fee59606cd73c32"
+        "9643b5771764faab4f95f78c65bc0024"
     ),
     "collapse-large": (
         "c535e2fd24c81fdf43f592f2915c89fb"
@@ -292,22 +300,24 @@ def _families():
         yield d, [random_trace(rng, ground) for _ in range(rng.randrange(1, 9))]
 
 
+def _sweep_rows(res):
+    return [
+        [
+            sorted(it.pivot_face),
+            [None if c is None else str(c) for c in it.pivot_value.components],
+            it.mode,
+            _steps(it.steps),
+        ]
+        for it in res.iterations
+    ]
+
+
 def _canonical_outputs():
     sweeps, bound_1, bound_top = [], [], []
     modes = set()
     for d, fam in _families():
         res = sweep_collapse(fam)
-        sweeps.append(
-            [
-                [
-                    sorted(it.pivot_face),
-                    [None if c is None else str(c) for c in it.pivot_value.components],
-                    it.mode,
-                    _steps(it.steps),
-                ]
-                for it in res.iterations
-            ]
-        )
+        sweeps.append(_sweep_rows(res))
         modes.update(it.mode for it in res.iterations)
         K = nerve(fam)
         for bound, out in ((1, bound_1), (2 * d - 1, bound_top)):
@@ -324,6 +334,23 @@ def test_collapse_witnesses_match_the_golden_digests():
     assert _digest(sweeps) == GOLDEN["sweep"]
     assert _digest(bound_1) == GOLDEN["oracle-bound-1"]
     assert _digest(bound_top) == GOLDEN["oracle-bound-2d-1"]
+
+
+def test_dense_sweeps_match_the_golden_digest(monkeypatch):
+    # dense families make the sweep cut stars often, and its fallback
+    # search remove blocks of a hundred faces or more
+    blocks = []
+    search = complexes._collapse_search
+
+    def spy(todo, bound, order):
+        blocks.append(len(todo))
+        return search(todo, bound, order)
+
+    monkeypatch.setattr(complexes, "_collapse_search", spy)
+    sweeps = [_sweep_rows(sweep_collapse(fam)) for _, fam in dense_families(DENSE_FAMILIES)]
+    assert sum(row[2] == "star" for rows in sweeps for row in rows) >= 40
+    assert sum(size >= 100 for size in blocks) >= 3
+    assert _digest(sweeps) == GOLDEN["sweep-dense"]
 
 
 def _large_complexes():
