@@ -9,12 +9,17 @@ b-collapsible when collapses at free faces of size ≤ b (dimension
 empty face is implicit and never recorded.
 
 One collapse search serves both the ``is_d_collapsible`` oracle and the
-sweep's star fallback.  It is iterative (an explicit stack of states),
-keeps the counts that find free faces across steps (updated on a
-collapse, restored on backtrack), reads each free face's removal set off
-the faces between it and its facet, and memoizes failed states.  The
-oracle tries the free faces that remove the most faces first, the
-fallback the smallest; both then break ties by the sorted face.
+sweep's star fallback.  It is iterative (an explicit stack of states)
+and runs on face indices: a face is a vertex bitmask, a state is one int
+with a bit per face still to remove, and failed states are memoized as
+those ints.  It keeps the counts that find free faces across steps
+(updated on a collapse, restored on backtrack), reads each free face's
+removal set off the submasks between it and its facet, and builds
+``CollapseStep``s only for the path it returns.  The oracle tries the
+free faces that remove the most faces first, the fallback the smallest;
+both then break ties by the sorted face.  A face σ is free exactly when
+the union of the faces containing it is one of them; the sweep's pivot
+check and ``CollapseSequence.replay`` decide freeness so.
 
 ``sweep_collapse`` drives a nerve of trace sets down to nothing while
 maintaining, at every iteration, a family whose nerve equals the
@@ -34,7 +39,8 @@ The sweep works in index space: a set is its tuple of per-level runs
 (``TraceSet.runs``), a face's intersection is such a tuple too (built
 with ``geometry._meet``), and a sweep value is ``geometry._sweep_key``,
 the per-level last indices, which orders faces exactly as ``f_value``
-does.  One face walk builds the nerve and every face's intersection.
+does.  One face walk builds the nerve and every face's intersection,
+parent and sorted labels.
 The sweep keeps both across iterations and re-intersects only the faces
 that contain a changed set: none on a delete, the pivot support on a
 truncation, the star on a fallback; a face's key is recomputed only
@@ -50,7 +56,6 @@ error diagnostics.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -133,19 +138,6 @@ class SimplicialComplex:
     def sorted_faces(self) -> list[frozenset]:
         return sorted(self.faces, key=_face_sort_key)
 
-    def _is_maximal(self, f: frozenset, verts: tuple[int, ...]) -> bool:
-        # downward closure makes the one-vertex-extension test sufficient
-        return all(v in f or f | {v} not in self.faces for v in verts)
-
-    def maximal_faces_containing(self, sigma: frozenset) -> list[frozenset]:
-        verts = self.vertices
-        out = [
-            f
-            for f in self.faces
-            if sigma <= f and self._is_maximal(f, verts)
-        ]
-        return sorted(out, key=_face_sort_key)
-
 
 @dataclass(frozen=True)
 class CollapseStep:
@@ -160,9 +152,13 @@ class CollapseStep:
 
 def _coface_block(pool, sigma: frozenset) -> tuple[set, list[frozenset]]:
     """The faces of ``pool`` containing σ, and the maximal ones among
-    them, sorted: those that no g − {v} with g containing σ equals.
-    ``pool`` must hold every face of the complex that contains σ."""
+    them, sorted.  ``pool`` must hold every face of the complex that
+    contains σ.  σ is free exactly when the union of those faces is one
+    of them; otherwise the maximal ones are those no g − {v} equals."""
     removed = {f for f in pool if sigma <= f}
+    union = sigma.union(*removed)
+    if union in removed:
+        return removed, [union]
     covered = {g - {v} for g in removed for v in g - sigma}
     return removed, sorted(removed - covered, key=_face_sort_key)
 
@@ -183,9 +179,10 @@ class CollapseSequence:
         """Re-execute every step, verifying freeness, removal sets, and
         the size bound; returns the final complex.
 
-        The steps run on one face set, with the same checks and errors as
-        ``elementary_collapse``.  The faces containing σ are found among
-        the faces through one of its vertices.
+        The steps run on one face set, raising ``NotAFaceError`` where σ
+        is not a face and ``NotFreeError`` where it is not free.  The
+        faces containing σ are found among those through one of its
+        vertices.
         """
         faces = set(self.initial.faces)
         cofaces: dict = {}  # vertex -> the faces left that contain it
@@ -240,35 +237,38 @@ def _index_family(
 
 
 def _face_joints(runs: Mapping[int, tuple]) -> dict[frozenset, tuple]:
-    """Every nonempty face of the nerve of ``runs``, with its joint (the
-    runs of its members' intersection).
+    """Every nonempty face g of the nerve of ``runs``, with its row: its
+    joint (the runs of its members' intersection), its parent
+    g − {max g}, max g, and its labels in order.
 
     Faces grow in label order: the extensions of f ∪ {a} are the later
     extensions b of f whose runs still meet f ∪ {a}'s joint, so each
-    candidate costs one meet.  The faces, the empty one included, are
-    counted against the ``COLLAPSE_FACES`` guard as they are added.
+    candidate costs one meet, and f and a are the parent and the top
+    label of f ∪ {a}.  The faces, the empty one included, are counted
+    against the ``COLLAPSE_FACES`` guard as they are added.
     """
     limit = guard_limit("COLLAPSE_FACES")
-    joints: dict[frozenset, tuple] = {}
-    # (face, its extensions in label order, each with its joint)
+    rows: dict[frozenset, tuple] = {}
+    # (face, its labels, its extensions in label order, each with its joint)
     stack = [
-        (frozenset(), [(lab, r) for lab, r in sorted(runs.items()) if any(r)])
+        (frozenset(), (), [(lab, r) for lab, r in sorted(runs.items()) if any(r)])
     ]
     while stack:
-        f, extensions = stack.pop()
+        f, labels, extensions = stack.pop()
         for k, (lab, joint) in enumerate(extensions):
             g = f | {lab}
-            joints[g] = joint
-            if len(joints) >= limit:
-                raise GuardExceededError("nerve face count", len(joints) + 1, limit)
+            grown_labels = labels + (lab,)
+            rows[g] = (joint, f, lab, grown_labels)
+            if len(rows) >= limit:
+                raise GuardExceededError("nerve face count", len(rows) + 1, limit)
             grown = []
             for b, _ in extensions[k + 1 :]:
                 m = _meet(joint, runs[b])
                 if m is not None:
                     grown.append((b, m))
             if grown:
-                stack.append((g, grown))
-    return joints
+                stack.append((g, grown_labels, grown))
+    return rows
 
 
 def _nerve_faces(ground: PointSet, joints: Mapping[frozenset, tuple]) -> set:
@@ -302,19 +302,14 @@ def nerve(
 # collapses
 
 
-def elementary_collapse(
-    K: SimplicialComplex, sigma
-) -> tuple[SimplicialComplex, CollapseStep]:
-    """Collapse at a free face: remove every face containing it."""
-    sigma = frozenset(sigma)
-    if sigma not in K.faces:
-        raise NotAFaceError(f"{sorted(sigma)} is not a face")
-    maximal = K.maximal_faces_containing(sigma)
-    if len(maximal) != 1:
-        raise NotFreeError(sigma, tuple(maximal))
-    removed = frozenset(f for f in K.faces if sigma <= f)
-    step = CollapseStep(sigma, maximal[0], removed)
-    return SimplicialComplex(K.faces - removed), step
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first, each as an int of its own."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
 def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] | None:
@@ -326,60 +321,64 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
     (every face containing a ``todo`` face is in ``todo``).  Collapses
     keep it so and never touch the faces outside it, so facets, free
     faces and removal sets are all read off the faces still to remove.
-    A face is a facet when no face g − {v} equals it; a face is free
-    when exactly one facet contains it; the faces removed at σ are those
-    between σ and its facet.  Each face's count of cofaces g still to
-    remove and each small face's owning facets are kept across steps: a
-    collapse updates them, backtracking restores them, and a state known
-    to fail is skipped before any count moves.
+    A face is a facet when no face g − {v} (one bit cleared from its
+    mask) equals it; a face is free when exactly one facet contains it;
+    the faces removed at σ are those between σ and its facet.  Each
+    face's count of cofaces still to remove and each small face's facet
+    count are kept across steps: a collapse updates them, backtracking
+    restores them, and a state known to fail is skipped before any count
+    moves.
     """
     if not todo:
         return []
-    canon = {f: f for f in todo}
-    # per face: its faces g − {v} inside ``todo``; per facet, filled the
-    # first time it is one: its subsets of size ≤ bound inside ``todo``
-    boundary = {
-        g: tuple(canon[h] for h in (g - {v} for v in g) if h in canon) for g in todo
-    }
+    bit = {v: 1 << i for i, v in enumerate(frozenset().union(*todo))}
+    faces = list(todo)
+    masks = [sum(map(bit.__getitem__, f)) for f in faces]
+    index = {m: i for i, m in enumerate(masks)}
+    # per face: its faces g − {v} inside ``todo``, and its count of
+    # cofaces still to remove
+    boundary = [[index[h] for h in (m ^ low for low in _bits(m)) if h in index] for m in masks]
+    cofaces = [0] * len(faces)
+    for h in itertools.chain.from_iterable(boundary):
+        cofaces[h] += 1
+    # per facet, filled the first time it is one: its subsets of size
+    # ≤ bound inside ``todo``.  Per face of size ≤ bound: how many facets
+    # contain it, and the xor of their indices, which is the facet itself
+    # when there is one.  A removed face keeps none, so the free faces
+    # are those with exactly one
     facet_subsets: dict = {}
-    cofaces: dict = {}
-    for below in boundary.values():
-        for h in below:
-            cofaces[h] = cofaces.get(h, 0) + 1
-    # per face of size ≤ bound: the facets containing it.  A removed face
-    # keeps none, so the free faces are those with exactly one
-    owners: dict = defaultdict(set)
+    facet_count = [0] * len(faces)
+    facet_xor = [0] * len(faces)
     free: set = set()
-    made: dict = {}  # (σ, its facet) → the step, once tried
+    made: dict = {}  # (σ, its facet) → the faces removed, as a list, a set and a state
 
-    def own(top: frozenset, add: bool) -> None:
+    def own(top: int, add: bool) -> None:
         # ``top`` becomes a facet, or stops being one
         found = facet_subsets.get(top)
         if found is None:
-            found = facet_subsets[top] = tuple(
-                canon[s]
-                for k in range(1, min(bound, len(top)) + 1)
-                for s in map(frozenset, itertools.combinations(top, k))
-                if s in canon
-            )
+            bits = _bits(masks[top])
+            found = facet_subsets[top] = [
+                index[s]
+                for k in range(1, min(bound, len(bits)) + 1)
+                for s in map(sum, itertools.combinations(bits, k))
+                if s in index
+            ]
+        change = 1 if add else -1
         for sigma in found:
-            tops = owners[sigma]
-            if add:
-                tops.add(top)
-            else:
-                tops.discard(top)
-            if len(tops) == 1:
+            facet_xor[sigma] ^= top
+            facet_count[sigma] += change
+            if facet_count[sigma] == 1:
                 free.add(sigma)
             else:
                 free.discard(sigma)
 
-    def move(step: CollapseStep, undo: bool) -> None:
-        # the counts across ``step``, or back: its facet goes, and a face
+    def move(option: tuple, undo: bool) -> None:
+        # the counts across a step, or back: its facet goes, and a face
         # whose coface count reaches 0 becomes a facet (leaves 0: stops
         # being one).  The removed faces' counts wait for their return
-        gone = step.removed_faces
-        own(step.unique_maximal, undo)
-        for h in gone:
+        removed, gone, _ = made[option]
+        own(option[1], undo)
+        for h in removed:
             for g in boundary[h]:
                 if g not in gone:
                     cofaces[g] += 1 if undo else -1
@@ -387,42 +386,45 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
                         own(g, not undo)
 
     def options():
-        candidates = [(sigma, top) for sigma in free for top in owners[sigma]]
-        return iter(sorted(candidates, key=lambda c: order(*c)))
+        candidates = [(sigma, facet_xor[sigma]) for sigma in free]
+        candidates.sort(key=lambda c: order(faces[c[0]], faces[c[1]]))
+        return iter(candidates)
 
-    for top in todo:
-        if top not in cofaces:
+    for top, count in enumerate(cofaces):
+        if not count:
             own(top, True)
     dead: set = set()
-    steps: list[CollapseStep] = []
+    path: list = []  # the options taken to reach the current state
     # one frame per state on the current path: (state, untried candidates)
-    frames = [(todo, options())]
+    frames = [((1 << len(faces)) - 1, options())]
     while frames:
         state, untried = frames[-1]
         option = next(untried, None)
         if option is None:
             dead.add(state)
             frames.pop()
-            if steps:
-                move(steps.pop(), undo=True)
+            if path:
+                move(path.pop(), undo=True)
             continue
-        step = made.get(option)
-        if step is None:
-            sigma, top = option
-            extra = tuple(top - sigma)
-            removed = frozenset(
-                canon[sigma.union(combo)]
-                for k in range(len(extra) + 1)
-                for combo in itertools.combinations(extra, k)
-            )
-            step = made[option] = CollapseStep(sigma, top, removed)
-        child = state - step.removed_faces
+        cut = made.get(option)
+        if cut is None:
+            base = masks[option[0]]
+            extra = masks[option[1]] ^ base
+            removed, sub = [index[base | extra]], extra
+            while sub:
+                sub = (sub - 1) & extra
+                removed.append(index[base | sub])
+            cut = made[option] = (removed, frozenset(removed), sum(1 << i for i in removed))
+        child = state & ~cut[2]
         if child in dead:
             continue
-        steps.append(step)
+        path.append(option)
         if not child:
-            return steps
-        move(step, undo=False)
+            return [
+                CollapseStep(faces[s], faces[t], frozenset(faces[i] for i in made[s, t][0]))
+                for s, t in path
+            ]
+        move(option, undo=False)
         frames.append((child, options()))
     return None
 
@@ -577,15 +579,13 @@ def sweep_collapse(
     ground = family[0].ground
     bound = 2 * ground.d - 1
     # the nonempty faces of the current complex K, each with its joint
-    # under ``working``, its parent f − {max f} and its sweep key: the
-    # value, the support size and the sorted labels.  K is these faces
-    # and the empty face (the ground is nonempty while any remain)
-    joints = _face_joints(working)
-    parents = {f: (f - {max(f)}, max(f)) for f in joints}
-    keys = {
-        f: (_sweep_key(joint), len(f), tuple(sorted(f)))
-        for f, joint in joints.items()
-    }
+    # under ``working``, its parent f − {max f} with max f, and its sweep
+    # key: the value, the support size and the sorted labels.  K is these
+    # faces and the empty face (the ground is nonempty while any remain)
+    rows = _face_joints(working)
+    joints = {f: row[0] for f, row in rows.items()}
+    parents = {f: row[1:3] for f, row in rows.items()}
+    keys = {f: (_sweep_key(row[0]), len(f), row[3]) for f, row in rows.items()}
     initial = SimplicialComplex._trusted(frozenset(_nerve_faces(ground, joints)))
     all_steps: list[CollapseStep] = []
     iterations: list[SweepIteration] = []

@@ -11,13 +11,17 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from dintervals import (
+    CollapseStep,
     DInterval,
     Instance,
     LevelInterval,
     LexValue,
+    NotAFaceError,
+    NotFreeError,
     Point,
     PointSet,
     SchemaError,
+    SimplicialComplex,
     TraceSet,
     complexes,
     trace_of,
@@ -185,6 +189,32 @@ def cliff_complex(n: int) -> complexes.SimplicialComplex:
     return complexes.SimplicialComplex.from_faces(edges)
 
 
+def maximal_faces_containing(K: SimplicialComplex, sigma: frozenset) -> list[frozenset]:
+    """The maximal faces of K containing σ, sorted by size, then labels."""
+    verts = K.vertices
+    # downward closure makes the one-vertex-extension test sufficient
+    out = [
+        f
+        for f in K.faces
+        if sigma <= f and all(v in f or f | {v} not in K.faces for v in verts)
+    ]
+    return sorted(out, key=complexes._face_sort_key)
+
+
+def elementary_collapse(K: SimplicialComplex, sigma) -> tuple[SimplicialComplex, CollapseStep]:
+    """Collapse at a free face: remove every face containing it.  A
+    reference for ``CollapseSequence.replay``, one complex per step."""
+    sigma = frozenset(sigma)
+    if sigma not in K.faces:
+        raise NotAFaceError(f"{sorted(sigma)} is not a face")
+    maximal = maximal_faces_containing(K, sigma)
+    if len(maximal) != 1:
+        raise NotFreeError(sigma, tuple(maximal))
+    removed = frozenset(f for f in K.faces if sigma <= f)
+    step = CollapseStep(sigma, maximal[0], removed)
+    return SimplicialComplex(K.faces - removed), step
+
+
 def reference_collapse_search(todo: frozenset, bound: int, order):
     """A per-state reference for ``complexes._collapse_search``: every
     search state recomputes the facets (faces no g − {v} equals) and the
@@ -244,7 +274,7 @@ def reference_collapse_search(todo: frozenset, bound: int, order):
             for combo in itertools.combinations(extra, k)
         )
         remaining.difference_update(removed)
-        step = complexes.CollapseStep(sigma, top, removed)
+        step = CollapseStep(sigma, top, removed)
         if not remaining:
             steps.append(step)
             return steps

@@ -21,7 +21,6 @@ from dintervals import (
     SimplicialComplex,
     SweepInvariantError,
     TraceSet,
-    elementary_collapse,
     f_value,
     face,
     intersect_all,
@@ -33,6 +32,8 @@ from dintervals import (
 from dintervals import complexes
 from helpers import (
     cliff_complex,
+    dense_families,
+    elementary_collapse,
     first_finite,
     p6,
     random_ground,
@@ -452,12 +453,43 @@ def test_oracle_confirms_the_sweep_bound_on_random_nerves():
 
 
 
+def fallback_blocks(families):
+    """The (block, bound) pairs the sweep hands its collapse search while
+    it runs on ``families``."""
+    blocks = []
+    search = complexes._collapse_search
+
+    def spy(todo, bound, order):
+        blocks.append((todo, bound))
+        return search(todo, bound, order)
+
+    complexes._collapse_search = spy
+    try:
+        for _, fam in families:
+            sweep_collapse(fam)
+    finally:
+        complexes._collapse_search = search
+    return blocks
+
+
+def relabelled(todo: frozenset, rng) -> frozenset:
+    """``todo`` with its vertices renamed to distinct negative,
+    scattered or huge labels (at least 2^40)."""
+    verts = sorted(frozenset().union(*todo))
+    pool = list(range(-60, 0)) + list(range(0, 600, 37)) + [2**40 + k for k in range(0, 90, 3)]
+    new = dict(zip(verts, rng.sample(pool, len(verts))))
+    return frozenset(frozenset(new[v] for v in f) for f in todo)
+
+
 def search_cases():
     """(faces to remove, bound) for the collapse search: seeded nerves at
     every bound 1..2d−1, and the union of a few faces' stars in each
     (closed upward, as the sweep's fallback blocks are); trees and paths
     at bound 1; the hollow triangle beside n disjoint paths at bounds 1
-    and 2, which makes the search backtrack."""
+    and 2, which makes the search backtrack.  Then the blocks the sweep's
+    star fallback hands the search on dense families; nerves, stars and
+    cliffs relabelled with negative, scattered or huge vertex labels; and
+    a tree of 75 edges, whose vertex masks pass 64 bits."""
     rng = random.Random(211)
     for n in range(60):
         d = 1 + n % 3
@@ -475,6 +507,21 @@ def search_cases():
     for n in range(1, 4):
         for bound in (1, 2):
             yield frozenset(f for f in cliff_complex(n).faces if f), bound
+    yield from fallback_blocks(dense_families(20))
+    rng = random.Random(212)
+    for n in range(30):
+        d = 1 + n % 3
+        ground = random_ground(rng, d, max_per_level=4)
+        fam = [random_trace(rng, ground) for _ in range(rng.randrange(2, 8))]
+        faces = frozenset(f for f in nerve(fam).faces if f)
+        if faces:
+            centre = rng.choice(sorted(faces, key=sorted))
+            stars = frozenset(f for f in faces if centre <= f)
+            yield relabelled(faces, rng), 2 * d - 1
+            yield relabelled(stars, rng), rng.randrange(1, 2 * d)
+    for n in (2, 3):
+        yield relabelled(frozenset(f for f in cliff_complex(n).faces if f), rng), 1
+    yield relabelled(frozenset(f for f in random_tree(rng, 75) if f), rng), 1
 
 
 @pytest.mark.parametrize(

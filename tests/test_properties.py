@@ -50,7 +50,8 @@ from dintervals import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import oracles as O  # noqa: E402
-from helpers import reference_parse_instance  # noqa: E402
+from dintervals import complexes  # noqa: E402
+from helpers import maximal_faces_containing, reference_parse_instance  # noqa: E402
 
 
 @st.composite
@@ -125,6 +126,17 @@ def test_the_sweep_and_the_oracle_collapse_the_brute_nerve_within_2d_minus_1(cas
     ok, witness = is_d_collapsible(nerve(fam), bound)
     assert ok
     assert O.replay_collapses(faces, [s.free_face for s in witness.steps], bound) == []
+
+
+@given(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=4))
+def test_freeness_by_union_matches_the_maximal_faces(tops):
+    # σ is free exactly when the union of the faces containing it is one
+    # of them; otherwise the block lists every maximal face containing σ
+    K = SimplicialComplex.from_faces(tops)
+    for sigma in K.faces:
+        removed, maximal = complexes._coface_block(K.faces, sigma)
+        assert removed == {f for f in K.faces if sigma <= f}
+        assert maximal == maximal_faces_containing(K, sigma)
 
 
 @given(families())
