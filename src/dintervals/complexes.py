@@ -350,7 +350,7 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
     facet_count = [0] * len(faces)
     facet_xor = [0] * len(faces)
     free: set = set()
-    made: dict = {}  # (σ, its facet) → the faces removed, as a list, a set and a state
+    made: dict = {}  # (σ, its facet) → the faces removed, as a set and as a state
 
     def own(top: int, add: bool) -> None:
         # ``top`` becomes a facet, or stops being one
@@ -376,9 +376,9 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
         # the counts across a step, or back: its facet goes, and a face
         # whose coface count reaches 0 becomes a facet (leaves 0: stops
         # being one).  The removed faces' counts wait for their return
-        removed, gone, _ = made[option]
+        gone = made[option][0]
         own(option[1], undo)
-        for h in removed:
+        for h in gone:
             for g in boundary[h]:
                 if g not in gone:
                     cofaces[g] += 1 if undo else -1
@@ -414,8 +414,8 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
             while sub:
                 sub = (sub - 1) & extra
                 removed.append(index[base | sub])
-            cut = made[option] = (removed, frozenset(removed), sum(1 << i for i in removed))
-        child = state & ~cut[2]
+            cut = made[option] = (frozenset(removed), sum(1 << i for i in removed))
+        child = state & ~cut[1]
         if child in dead:
             continue
         path.append(option)
