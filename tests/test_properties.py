@@ -30,6 +30,7 @@ from dintervals import (
     TraceSet,
     cfh_stats,
     colorful_helly_points,
+    complexes,
     dump_instance,
     frac_helly_stats,
     fractional_lp,
@@ -50,7 +51,6 @@ from dintervals import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import oracles as O  # noqa: E402
-from dintervals import complexes  # noqa: E402
 from helpers import maximal_faces_containing, reference_parse_instance  # noqa: E402
 
 
