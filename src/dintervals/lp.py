@@ -1,28 +1,22 @@
-"""Exact simplex in integer arithmetic, enough for the piercing LPs.
+"""Exact revised simplex in integer arithmetic, enough for the piercing LPs.
 
-Maximize c·y subject to Ay ≤ b, y ≥ 0 with b ≥ 0, so the slack basis
-is feasible and no first phase is needed.  Bland's rule (least-index
-entering column, least-index basic leaving variable on ratio ties)
-guarantees termination without cycling.  Dual values are read off the
-slack columns of the final objective row.
+Maximize c·y subject to Ay ≤ b, y ≥ 0 with b ≥ 0, so the slack basis is
+feasible and no first phase is needed.  Bland's rule (least-index entering
+column, least-index basic leaving variable on ratio ties) guarantees
+termination.  Input is first scaled by the lcm of every denominator, which
+keeps the feasible set, the pivots and the dual.
 
-The tableau is fraction-free (integer-preserving pivoting, after
-Bareiss 1968): every entry is a Python int over one common denominator
-D, which starts at 1.  A pivot on the entry p > 0 replaces every other
-row, the objective row included, by (x·p − f·y) // D, where f is the
-row's entry in the pivot column and y the pivot row's entry; the
-division is exact, since every entry is a minor of the initial tableau,
-and then D = p.  Rows whose entry in the pivot column is 0 are rescaled
-the same way (x·p // D).  Because D > 0, the signs of reduced costs and
-the ratio test, done by cross-multiplying (rhs_i·coeff_r against
-rhs_r·coeff_i), are those of the rational tableau, ties included, so the
-pivot sequence, the vertex and the dual are the ones a Fraction tableau
-finds.  Rational input is first scaled by the lcm L of every denominator
-in c, A and b: scaling A and b by L keeps the feasible set, scaling c
-keeps the pivots, and together they keep the dual; the value is computed
-from the unscaled c.  Rows are stored sparse (column → nonzero entry),
-since slack columns stay mostly zero.  Fractions are built only for the
-returned value, primal and dual.
+The state is fraction-free (after Bareiss 1968) over one denominator D, the
+last pivot's entry (1 at first): D·B⁻¹ as one int column per slack, the rhs
+D·B⁻¹b and π = D·c_B·B⁻¹.  A basic slack's column, D times its row's unit
+vector, is not stored; it becomes explicit when the slack leaves the basis
+and implicit again when it re-enters.  Reduced costs are priced on demand,
+π·A_j − D·c_j over A's sparse column j and π_k for slack k, and the entering
+column D·B⁻¹A_j is summed from D·B⁻¹'s columns.  A pivot on p > 0 maps each
+kept vector x to (x·p − f·y) // D, an exact division, and sets D = p.  These
+are the entries a fraction-free tableau holds in the same places, so the
+pivots, ties included, the vertex and the dual are the tableau's, and those
+of a Fraction tableau.  Fractions are built only for the returned values.
 """
 
 from __future__ import annotations
@@ -41,20 +35,6 @@ class SimplexOutcome:
     dual: tuple[Fraction, ...]
 
 
-def _eliminate(
-    row: dict[int, int], pivot_row: dict[int, int], col: int, p: int, D: int
-) -> dict[int, int]:
-    """``row`` after the pivot on ``pivot_row[col] = p``, over the new
-    denominator p (the old one is D).  Rows map column to nonzero entry."""
-    f = row.get(col, 0)
-    if f == 0:
-        return row if p == D else {k: x * p // D for k, x in row.items()}
-    new = {k: x * p for k, x in row.items()}
-    for k, y in pivot_row.items():
-        new[k] = new.get(k, 0) - f * y
-    return {k: x // D for k, x in new.items() if x}
-
-
 def simplex_maximize(
     c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
@@ -70,49 +50,91 @@ def simplex_maximize(
     A = [[_rational(x) for x in row] for row in A]
     L = lcm(*(x.denominator for x in chain(c, b, *A)))
 
-    def sparse(entries) -> dict[int, int]:
-        return {j: x.numerator * (L // x.denominator) for j, x in entries if x}
+    def scaled(x) -> int:
+        return x.numerator * (L // x.denominator)
 
-    # columns: n structural, m slack, then the rhs
-    rhs = n + m
-    rows = [sparse([*enumerate(A[i]), (rhs, b[i])]) | {n + i: 1} for i in range(m)]
-    # reduced costs z_j − c_j, times D; optimal for a max problem when all ≥ 0
-    obj = sparse((j, -x) for j, x in enumerate(c))
+    cost = [scaled(x) for x in c]
+    # A's columns, sparse: (row, entry) per nonzero entry
+    columns = [[(i, scaled(row[j])) for i, row in enumerate(A) if row[j]] for j in range(n)]
+    rhs = [scaled(x) for x in b]
+    # variables: n structural, then m slack; basis[i] is row i's basic one
     basis = list(range(n, n + m))
+    row_of = {n + i: i for i in range(m)}
+    # D·B⁻¹ by columns, None for a basic slack's implicit unit column
+    inverse: list[list[int] | None] = [None] * m
+    pi = [0] * m
     D = 1
 
+    def price() -> tuple[int | None, int]:
+        """Bland's entering variable and its reduced cost, times D."""
+        for j in range(n):
+            if j not in row_of:
+                f = sum(pi[i] * a for i, a in columns[j]) - cost[j] * D
+                if f < 0:
+                    return j, f
+        for k, f in enumerate(pi):
+            if f < 0:
+                return n + k, f
+        return None, 0
+
     while True:
-        entering = min((j for j, x in obj.items() if x < 0 and j != rhs), default=None)
+        entering, f = price()
         if entering is None:
             break
-        pivot_row = None
-        for i, row in enumerate(rows):
-            coeff = row.get(entering, 0)
+        if entering >= n:
+            col = inverse[entering - n]
+        else:
+            col = [0] * m
+            for i, a in columns[entering]:
+                if inverse[i] is None:
+                    col[row_of[n + i]] += a * D
+                else:
+                    col = [x + a * y for x, y in zip(col, inverse[i])]
+        r = None
+        for i, coeff in enumerate(col):
             if coeff <= 0:
                 continue
-            if pivot_row is not None:
+            if r is not None:
                 # rhs_i / coeff_i against the best rhs_r / coeff_r so far
-                order = row.get(rhs, 0) * best_coeff - best_rhs * coeff
-                if order > 0 or (order == 0 and basis[i] > basis[pivot_row]):
+                order = rhs[i] * best_coeff - best_rhs * coeff
+                if order > 0 or (order == 0 and basis[i] > basis[r]):
                     continue
-            pivot_row, best_rhs, best_coeff = i, row.get(rhs, 0), coeff
-        if pivot_row is None:
+            r, best_rhs, best_coeff = i, rhs[i], coeff
+        if r is None:
             raise ValueError("LP is unbounded")
-        prow = rows[pivot_row]
-        p = prow[entering]
-        rows = [
-            row if i == pivot_row else _eliminate(row, prow, entering, p, D)
-            for i, row in enumerate(rows)
+        p, leaving = col[r], basis[r]
+
+        def pivoted(x: list[int]) -> list[int]:
+            """``x`` over the new denominator p; row r keeps its entry."""
+            y = x[r]
+            if y == 0 and p == D:
+                return x
+            new = [(v * p - u * y) // D for v, u in zip(x, col)]
+            new[r] = y
+            return new
+
+        # row r of D·B⁻¹ before the pivot, the leaving slack's unit column included
+        pivot_row = [
+            D if n + k == leaving else 0 if x is None else x[r] for k, x in enumerate(inverse)
         ]
-        obj = _eliminate(obj, prow, entering, p, D)
+        pi = [(x * p - f * y) // D for x, y in zip(pi, pivot_row)]
+        rhs = pivoted(rhs)
+        if entering >= n:
+            inverse[entering - n] = None
+        inverse = [x if x is None else pivoted(x) for x in inverse]
+        if leaving >= n:
+            inverse[leaving - n] = [-u for u in col]
+            inverse[leaving - n][r] = D
+        del row_of[leaving]
+        row_of[entering] = r
+        basis[r] = entering
         D = p
-        basis[pivot_row] = entering
 
     primal = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            primal[var] = Fraction(rows[i].get(rhs, 0), D)
-    dual = tuple(Fraction(obj.get(n + i, 0), D) for i in range(m))
+            primal[var] = Fraction(rhs[i], D)
+    dual = tuple(Fraction(x, D) for x in pi)
     value = sum((ci * yi for ci, yi in zip(c, primal)), Fraction(0))
     return SimplexOutcome(value, tuple(primal), dual)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, lcm
 from typing import Sequence
 
 from .config import check_guard
@@ -185,7 +185,8 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
 
     max Σ y_C  s.t.  Σ_{C ∋ p} y_C ≤ 1 per candidate point, y ≥ 0;
     the dual weights come from the slack columns and are rechecked
-    against every constraint before the certificate is granted.  The
+    against every constraint, in ints over the weights' common
+    denominator, before the certificate is granted.  The
     candidates are the family's covered cells, in (level, coordinate)
     order, read off the runs by ``geometry._incidence``.
     """
@@ -207,23 +208,27 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
     ground = family[0].ground
     candidates = tuple(_point(ground, cell) for cell in cover)
     y, x = out.primal, out.dual
-    if any(v < 0 for v in y) or any(v < 0 for v in x):
+    # every check runs on ints over the weights' common denominator q
+    q = lcm(*(w.denominator for w in itertools.chain(y, x)))
+    Y = [w.numerator * (q // w.denominator) for w in y]
+    X = [w.numerator * (q // w.denominator) for w in x]
+    if any(v < 0 for v in Y) or any(v < 0 for v in X):
         raise TheoremViolationError("LP produced negative weights")
     for i, through in enumerate(members):
-        if sum((y[j] for j in through), Fraction(0)) > 1:
+        if sum(Y[j] for j in through) > q:
             raise TheoremViolationError(
                 "matching weights overload a point", diagnostics={"point": candidates[i]}
             )
     for j, inside in enumerate(points):
-        if sum((x[i] for i in inside), Fraction(0)) < 1:
+        if sum(X[i] for i in inside) < q:
             raise TheoremViolationError(
                 "transversal weights miss a set", diagnostics={"set": j}
             )
-    dual_value = sum(x, Fraction(0))
-    if dual_value != out.value:
+    dual_value = sum(X)
+    if dual_value * out.value.denominator != out.value.numerator * q:
         raise TheoremViolationError(
             "duality gap",
-            diagnostics={"primal": out.value, "dual": dual_value},
+            diagnostics={"primal": out.value, "dual": Fraction(dual_value, q)},
         )
     return LPSolution(out.value, y, x, candidates, True)
 

@@ -140,6 +140,37 @@ def random_lp(rng: random.Random, kind: str) -> tuple[list, list, list]:
     return c, A, b
 
 
+def tall_lp(rng: random.Random) -> tuple[list, list, list]:
+    """One seeded tall LP (c, A, b) for max c·y s.t. Ay ≤ b, y ≥ 0: 20-60
+    rows over 2-8 columns, each row drawn from a pool of a few 0/1 rows,
+    so that rows repeat and the ratio test meets ties; small positive c
+    and b.  A column that is zero in the whole pool makes it unbounded."""
+    m, n = rng.randrange(20, 61), rng.randrange(2, 9)
+    pool = [[Fraction(int(rng.random() < 0.6)) for _ in range(n)] for _ in range(rng.randrange(2, 9))]
+    A = [list(rng.choice(pool)) for _ in range(m)]
+    c = [Fraction(rng.randrange(1, 6)) for _ in range(n)]
+    b = [Fraction(rng.randrange(1, 6)) for _ in range(m)]
+    return c, A, b
+
+
+def incidence_lp(rng: random.Random) -> tuple[list, list, list]:
+    """The fractional matching LP of the nonempty sets among 4-11 seeded
+    traces (d = 1, 2, 3): one 0/1 row per covered point, in level and
+    coordinate order, read off each set's runs; one column per set; c
+    and b all ones."""
+    ground = random_ground(rng, rng.randrange(1, 4), 8)
+    family = [random_trace(rng, ground, 0.2) for _ in range(rng.randrange(4, 12))]
+    family = [t for t in family if not t.is_empty]
+    A = []
+    for level, coords in enumerate(ground.levels):
+        runs = [t.runs[level] for t in family]
+        for i in range(len(coords)):
+            row = [int(r is not None and r[0] <= i <= r[1]) for r in runs]
+            if any(row):
+                A.append(list(map(Fraction, row)))
+    return [Fraction(1)] * len(family), A, [Fraction(1)] * len(A)
+
+
 def random_tree(rng: random.Random, edges: int, path: bool = False) -> frozenset:
     """Faces of a tree (a path when ``path``) on ``edges`` edges, its
     vertices labelled by a shuffle of 0..edges; the empty face included."""

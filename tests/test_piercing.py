@@ -31,7 +31,7 @@ from dintervals import (
 )
 from dintervals import piercing
 from dintervals.lp import SimplexOutcome, simplex_maximize
-from helpers import LP_KINDS, p6, random_ground, random_lp, random_trace
+from helpers import LP_KINDS, incidence_lp, p6, random_ground, random_lp, random_trace, tall_lp
 
 
 def line(*coords) -> PointSet:
@@ -120,9 +120,11 @@ def test_simplex_detects_unbounded_problems():
         simplex_maximize([Fraction(1)], [[Fraction(-1)]], [Fraction(1)])
 
 
-def reference_simplex(c, A, b) -> SimplexOutcome:
+def reference_simplex(c, A, b, pivots: list | None = None) -> SimplexOutcome:
     """Dense Fraction tableau with Bland's rule: the solver as it stood
-    before it went fraction-free, kept here as the differential oracle."""
+    before it went fraction-free, kept here as the differential oracle.
+    Each pivot's (entering, leaving) variables go to ``pivots`` if given;
+    slack i is variable n + i."""
     m, n = len(A), len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
@@ -163,6 +165,8 @@ def reference_simplex(c, A, b) -> SimplexOutcome:
         if obj[entering] != 0:
             factor = obj[entering]
             obj = [x - factor * y for x, y in zip(obj, rows[pivot_row])]
+        if pivots is not None:
+            pivots.append((entering, basis[pivot_row]))
         basis[pivot_row] = entering
     primal = [zero] * n
     for i, var in enumerate(basis):
@@ -197,6 +201,27 @@ def test_simplex_matches_the_fraction_reference():
     assert outcomes["ValueError: LP is unbounded"] > 500
     assert outcomes["ValueError: this solver needs b ≥ 0"] > 0
     assert outcomes["ValueError: inconsistent LP dimensions"] > 0
+
+
+def test_simplex_matches_the_reference_on_tall_and_incidence_lps():
+    # tall LPs with repeated rows tie in the ratio test; on these and on
+    # families' matching LPs, slacks leave the basis and enter it again
+    rng = random.Random(405)
+    cases = [tall_lp(rng) for _ in range(8)] + [incidence_lp(rng) for _ in range(200)]
+    reentered = 0
+    for i, (c, A, b) in enumerate(cases):
+        pivots = []
+        got = _solve(simplex_maximize, c, A, b)
+        want = _solve(lambda *lp: reference_simplex(*lp, pivots), c, A, b)
+        assert got == want, (i, c, A, b)
+        left = set()
+        for entering, leaving in pivots:
+            if entering in left:
+                reentered += 1
+                break
+            if leaving >= len(c):
+                left.add(leaving)
+    assert reentered >= 20
 
 
 # ------------------------------------------------------------- exact numbers
@@ -369,6 +394,20 @@ CORRUPTIONS = {
     "duality-gap": (
         lambda out: SimplexOutcome(out.value, out.primal, _edit(out.dual, 0, Fraction(1))),
         "duality gap", {"primal": Fraction(3, 2), "dual": Fraction(5, 2)},
+    ),
+    # off by 1/210: over one weight's own denominator the sums still look
+    # tight, so the checks must run over the weights' lcm (210)
+    "overloaded-by-1/210": (
+        lambda out: SimplexOutcome(
+            out.value, _edit(out.primal, 0, out.primal[0] + Fraction(1, 210)), out.dual
+        ),
+        "matching weights overload a point", {"point": Point(Fraction(1), 1)},
+    ),
+    "missed-by-1/210": (
+        lambda out: SimplexOutcome(
+            out.value, out.primal, _edit(out.dual, 1, out.dual[1] - Fraction(1, 210))
+        ),
+        "transversal weights miss a set", {"set": 0},
     ),
 }
 
