@@ -87,77 +87,3 @@ from .piercing import (
 from .reports import Report, emit_report, jsonify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlowUpFamily",
-    "CollapseSequence",
-    "CollapseStep",
-    "ColorfulHellyProperty",
-    "ColorfulSelection",
-    "ConditionedOutcome",
-    "DInterval",
-    "DIntervalError",
-    "DimensionMismatchError",
-    "GenSpec",
-    "GroundSetMismatchError",
-    "GuardExceededError",
-    "HellyReport",
-    "Instance",
-    "KIntersectRich",
-    "LPSolution",
-    "LevelInterval",
-    "LexValue",
-    "NotAFaceError",
-    "NotFreeError",
-    "PiercingResult",
-    "Point",
-    "PointSet",
-    "PqProperty",
-    "PreconditionError",
-    "RadonPartition",
-    "Report",
-    "SchemaError",
-    "SimplicialComplex",
-    "SweepInvariantError",
-    "SweepIteration",
-    "SweepResult",
-    "TheoremViolationError",
-    "TraceSet",
-    "blow_up",
-    "cfh_stats",
-    "colorful_helly_points",
-    "dump_instance",
-    "emit_report",
-    "f_value",
-    "face",
-    "frac_helly_stats",
-    "fractional_lp",
-    "gen_conditioned",
-    "gen_family",
-    "gen_ground",
-    "gen_helly_lower_bound",
-    "gen_instance",
-    "gen_radon_lower_bound",
-    "helly_check",
-    "hull",
-    "intersect_all",
-    "is_d_collapsible",
-    "jsonify",
-    "k_intersects",
-    "max_k_intersecting_subfamily",
-    "max_point_cover",
-    "maxima_witness_subfamily",
-    "minimal_dinterval",
-    "nerve",
-    "nu_exact",
-    "parse_instance",
-    "pierce_all",
-    "piercing_bound_check",
-    "pq_check",
-    "radon_number_bruteforce",
-    "radon_partition",
-    "serialize_instance",
-    "sweep_collapse",
-    "tau_exact",
-    "trace_of",
-]

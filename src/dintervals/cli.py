@@ -74,7 +74,7 @@ def _finish(report: Report, args, code: int = 0) -> int:
 
 def cmd_nerve(args) -> int:
     inst = _load_instance(args)
-    K = nerve(inst.sets, enumeration_guard=args.guard)
+    K = nerve(inst.sets)
     report = Report(
         "nerve",
         {"file": args.file, "sets": len(inst.sets), "d": inst.ground.d},
@@ -93,7 +93,7 @@ def cmd_nerve(args) -> int:
 
 def cmd_collapse(args) -> int:
     inst = _load_instance(args)
-    result = sweep_collapse(inst.sets, strict=args.strict, enumeration_guard=args.guard)
+    result = sweep_collapse(inst.sets, strict=args.strict)
     final = result.sequence.replay()
     rows = [
         {
@@ -123,7 +123,7 @@ def cmd_collapse(args) -> int:
 
 def cmd_dcollapse_oracle(args) -> int:
     inst = _load_instance(args)
-    K = nerve(inst.sets, enumeration_guard=args.guard)
+    K = nerve(inst.sets)
     ok, witness = is_d_collapsible(K, args.bound)
     steps = None
     if witness is not None:
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("nerve", help="intersection complex of the sets")
     _add_io(s)
-    s.add_argument("--guard", type=int, default=None, help="family-size guard override")
 
     s = subs.add_parser("collapse", help="run the sweep collapse")
     _add_io(s)
@@ -371,14 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="abort when literal truncation disagrees with the collapse",
     )
-    s.add_argument("--guard", type=int, default=None)
 
     s = subs.add_parser(
         "dcollapse-oracle", help="backtracking collapsibility decision"
     )
     _add_io(s)
     s.add_argument("--bound", type=int, required=True, help="max free-face size")
-    s.add_argument("--guard", type=int, default=None)
 
     s = subs.add_parser("radon", help="brute-force partition threshold of the points")
     _add_io(s)

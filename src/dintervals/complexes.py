@@ -222,18 +222,11 @@ class CollapseSequence:
 # nerve
 
 
-def _index_family(
-    family: Sequence[TraceSet],
-    labels: Sequence[int] | None,
-    enumeration_guard: int | None,
-) -> dict[int, tuple]:
-    """Check a family as ``nerve`` takes it; return label → runs."""
-    check_guard("NERVE", "nerve family size", len(family), enumeration_guard)
-    if labels is None:
-        labels = list(range(1, len(family) + 1))
-    if len(labels) != len(family) or len(set(labels)) != len(family):
-        raise ValueError("labels must be distinct and match the family length")
-    return dict(zip(labels, _runs(family)))
+def _index_family(family: Sequence[TraceSet]) -> dict[int, tuple]:
+    """Check a family against the ``NERVE`` guard and one ground; return
+    label → runs, the i-th set labelled i (from 1)."""
+    check_guard("NERVE", "nerve family size", len(family))
+    return dict(enumerate(_runs(family), 1))
 
 
 def _face_joints(runs: Mapping[int, tuple]) -> dict[frozenset, tuple]:
@@ -278,20 +271,17 @@ def _nerve_faces(ground: PointSet, joints: Mapping[frozenset, tuple]) -> set:
     return faces
 
 
-def nerve(
-    family: Sequence[TraceSet],
-    labels: Sequence[int] | None = None,
-    enumeration_guard: int | None = None,
-) -> SimplicialComplex:
+def nerve(family: Sequence[TraceSet]) -> SimplicialComplex:
     """Nerve: faces are the label sets whose members' intersection is
-    nonempty; the empty face is present iff the ground set is nonempty.
+    nonempty, the i-th set labelled i (from 1); the empty face is present
+    iff the ground set is nonempty.
 
     Empty traces are permitted; they simply contribute no vertex.  An
     empty family (no ground set in sight) yields the void complex.  More
     sets than the ``NERVE`` guard, or more faces than ``COLLAPSE_FACES``,
     raise ``GuardExceededError``.
     """
-    runs = _index_family(family, labels, enumeration_guard)
+    runs = _index_family(family)
     if not family:
         return SimplicialComplex(frozenset())
     faces = _nerve_faces(family[0].ground, _face_joints(runs))
@@ -499,7 +489,6 @@ class SweepIteration:
 class SweepResult:
     sequence: CollapseSequence
     iterations: tuple[SweepIteration, ...]
-    labels: tuple[int, ...]
 
     @property
     def step_count(self) -> int:
@@ -554,13 +543,9 @@ def _refresh(
     return fresh
 
 
-def sweep_collapse(
-    family: Sequence[TraceSet],
-    labels: Sequence[int] | None = None,
-    strict: bool = False,
-    enumeration_guard: int | None = None,
-) -> SweepResult:
-    """Collapse the family's nerve by the lexicographic sweep.
+def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepResult:
+    """Collapse the family's nerve (the i-th set labelled i, from 1) by the
+    lexicographic sweep.
 
     Per iteration: take the nonempty face whose intersection has the
     least sweep value (ties: smaller support, then lexicographically
@@ -570,11 +555,10 @@ def sweep_collapse(
     The returned sequence replays to the empty complex with every free
     face of size ≤ 2d−1.
     """
-    working = _index_family(family, labels, enumeration_guard)
-    labels = tuple(working)
+    working = _index_family(family)
     if not family:
         void = SimplicialComplex(frozenset())
-        return SweepResult(CollapseSequence(void, (), 1), (), ())
+        return SweepResult(CollapseSequence(void, (), 1), ())
 
     ground = family[0].ground
     bound = 2 * ground.d - 1
@@ -704,7 +688,5 @@ def sweep_collapse(
         iterations.append(SweepIteration(pivot, pivot_value, mode, steps))
 
     return SweepResult(
-        CollapseSequence(initial, tuple(all_steps), bound),
-        tuple(iterations),
-        labels,
+        CollapseSequence(initial, tuple(all_steps), bound), tuple(iterations)
     )

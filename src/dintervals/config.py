@@ -2,10 +2,10 @@
 
 ``DINTERVALS_GUARD_<NAME>`` overrides a default process-wide, which keeps
 the CLI usable on larger inputs without touching call sites.  The only
-per-call overrides are the nerve's ``enumeration_guard`` and
-``gen_conditioned``'s ``cap_draws``.  ``check_guard`` is the guard rule
-itself; the walks that count as they go (the nerve's face walk and
-``helly_check``) and the draw cap read ``guard_limit`` once instead.
+per-call override is ``gen_conditioned``'s ``cap_draws`` (the CLI's
+``--cap``).  ``check_guard`` is the guard rule itself; the walks that
+count as they go (the nerve's face walk and ``helly_check``) and the
+draw cap read ``guard_limit`` once instead.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def guard_limit(name: str, override: int | None = None) -> int:
     return _DEFAULTS[name]
 
 
-def check_guard(name: str, what: str, size: int, override: int | None = None) -> None:
+def check_guard(name: str, what: str, size: int) -> None:
     """Raise ``GuardExceededError(what, size, limit)`` when ``size`` is
     past the guard's limit (the bound is inclusive)."""
-    limit = guard_limit(name, override)
+    limit = guard_limit(name)
     if size > limit:
         raise GuardExceededError(what, size, limit)

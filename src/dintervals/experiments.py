@@ -213,11 +213,10 @@ def helly_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Report
     return report
 
 
-def colorful_suite(
-    trials: int = 200, seed: int = 7, d_choices=(1, 2, 3), cap_per_instance: int = 500
-) -> Report:
+def colorful_suite(trials: int = 200, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     """Per (d, k ≤ d): rejection-sample instances with the colorful
-    property, then run the point selection on each."""
+    property, at most 500 draws each, then run the point selection on
+    each."""
     report = _new_report("colorful-helly", trials, seed, d_choices)
     all_ok = True
     for d in d_choices:
@@ -244,9 +243,7 @@ def colorful_suite(
                     seed=_spec_seed(seed, attempt),
                     n_families=2 * d - k + 1,
                 )
-                outcome = gen_conditioned(
-                    spec, ColorfulHellyProperty(k), cap_draws=cap_per_instance
-                )
+                outcome = gen_conditioned(spec, ColorfulHellyProperty(k), cap_draws=500)
                 if not outcome.found:
                     continue
                 found += 1

@@ -37,7 +37,6 @@ class GenSpec:
     max_width: int
     seed: int
     n_families: int = 1
-    tag: str = ""
 
     def __post_init__(self):
         if self.d < 1:
@@ -145,49 +144,26 @@ def gen_family(spec: GenSpec) -> tuple[PointSet, list[TraceSet]]:
 # extremal families
 
 
-def _designated(ground: PointSet, designated) -> list[tuple[Fraction, Fraction]]:
-    if designated is not None:
-        out = [(parse_rational(a), parse_rational(b)) for a, b in designated]
-        if len(out) != ground.d:
-            raise ValueError("one designated pair per level required")
-        for lvl, (a, b) in enumerate(out, start=1):
-            if a == b:
-                raise ValueError(f"designated pair on level {lvl} must be distinct")
-            for c in (a, b):
-                if Point(c, lvl) not in ground:
-                    raise ValueError(f"designated coord {c} not on level {lvl}")
-        return out
-    out = []
-    for lvl in range(1, ground.d + 1):
-        coords = ground.level_coords(lvl)
+def _check_two_per_level(ground: PointSet) -> None:
+    for lvl, coords in enumerate(ground.levels, start=1):
         if len(coords) < 2:
             raise ValueError(f"level {lvl} needs at least 2 points")
-        out.append((coords[0], coords[-1]))
-    return out
 
 
-def gen_helly_lower_bound(
-    ground: PointSet, designated: Sequence[tuple] | None = None
-) -> list[TraceSet]:
+def gen_helly_lower_bound(ground: PointSet) -> list[TraceSet]:
     """The 2d sets whose every (2d−1)-subfamily meets while the whole
-    family does not: set k keeps a single designated point on level
-    ⌈k/2⌉ (the first of the pair for odd k, the second for even) and the
-    designated pair's full hull everywhere else."""
+    family does not: set k keeps a single point on level ⌈k/2⌉ (the
+    level's first point for odd k, its last for even) and the whole of
+    every other level."""
     d = ground.d
-    pairs = _designated(ground, designated)
+    _check_two_per_level(ground)
+    last = [len(coords) - 1 for coords in ground.levels]
     family = []
     for k in range(1, 2 * d + 1):
         own_level = (k + 1) // 2
-        runs = []
-        for lvl in range(1, d + 1):
-            a, b = pairs[lvl - 1]
-            ia = ground.index_of(Point(a, lvl))
-            ib = ground.index_of(Point(b, lvl))
-            if lvl == own_level:
-                keep = ia if k % 2 == 1 else ib
-                runs.append((keep, keep))
-            else:
-                runs.append((min(ia, ib), max(ia, ib)))
+        keep = 0 if k % 2 == 1 else last[own_level - 1]
+        runs = [(0, n) for n in last]
+        runs[own_level - 1] = (keep, keep)
         family.append(TraceSet(ground, tuple(runs)))
 
     runs = [t.runs for t in family]
@@ -204,15 +180,13 @@ def gen_helly_lower_bound(
     return family
 
 
-def gen_radon_lower_bound(
-    ground: PointSet, designated: Sequence[tuple] | None = None
-) -> tuple[Point, ...]:
-    """2d points (a designated pair per level) with no Radon partition."""
-    pairs = _designated(ground, designated)
+def gen_radon_lower_bound(ground: PointSet) -> tuple[Point, ...]:
+    """2d points, each level's first and last, with no Radon partition."""
+    _check_two_per_level(ground)
     points = tuple(
         Point(c, lvl)
-        for lvl, (a, b) in enumerate(pairs, start=1)
-        for c in (a, b)
+        for lvl, coords in enumerate(ground.levels, start=1)
+        for c in (coords[0], coords[-1])
     )
     if radon_partition(ground, points) is not None:
         raise TheoremViolationError(

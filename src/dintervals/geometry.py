@@ -68,23 +68,6 @@ class PointSet:
         object.__setattr__(ground, "levels", levels)
         return ground
 
-    @classmethod
-    def from_points(cls, d: int, points: Iterable[Point]) -> "PointSet":
-        buckets: list[list[Fraction]] = [[] for _ in range(d)]
-        for p in points:
-            coord = parse_rational(p.coord)
-            if not 1 <= p.level <= d:
-                raise ValueError(f"point level {p.level} outside [1, {d}]")
-            buckets[p.level - 1].append(coord)
-        levels = []
-        for coords in buckets:
-            coords.sort()
-            for a, b in zip(coords, coords[1:]):
-                if a == b:
-                    raise ValueError(f"duplicate point at coordinate {a}")
-            levels.append(tuple(coords))
-        return cls(d, tuple(levels))
-
     def level_coords(self, level: int) -> tuple[Fraction, ...]:
         return self.levels[level - 1]
 
@@ -193,23 +176,6 @@ class TraceSet:
     @classmethod
     def empty(cls, ground: PointSet) -> "TraceSet":
         return cls(ground, (None,) * ground.d)
-
-    @classmethod
-    def from_points(cls, ground: PointSet, points: Iterable[Point]) -> "TraceSet":
-        """Build from explicit points; raises if any level is not contiguous."""
-        indices: dict[int, list[int]] = {}
-        for p in points:
-            indices.setdefault(p.level, []).append(ground.index_of(p))
-        runs: list[tuple[int, int] | None] = []
-        for lvl in range(1, ground.d + 1):
-            idx = sorted(indices.get(lvl, []))
-            if not idx:
-                runs.append(None)
-                continue
-            if idx[-1] - idx[0] + 1 != len(set(idx)):
-                raise ValueError(f"points on level {lvl} are not a contiguous run")
-            runs.append((idx[0], idx[-1]))
-        return cls(ground, tuple(runs))
 
     @property
     def is_empty(self) -> bool:

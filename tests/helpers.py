@@ -321,7 +321,7 @@ def reference_collapse_search(todo: frozenset, bound: int, order):
 def reference_parse_instance(document: dict, strict: bool = True):
     """A reference for ``instances.parse_instance`` on decoded documents,
     through the public geometry: every coordinate parsed where it occurs,
-    the ground built by ``PointSet.from_points``, each set as a
+    the ground built by the checked ``PointSet`` constructor, each set as a
     ``DInterval`` cut down by ``trace_of``.  Same checks, same errors."""
     if not isinstance(document, dict):
         raise SchemaError("$", "top level must be an object")
@@ -346,7 +346,9 @@ def reference_parse_instance(document: dict, strict: bool = True):
         points.append(Point(coord, level))
     if len(set(points)) != len(points):
         raise SchemaError("$.points", "duplicate points")
-    ground = PointSet.from_points(d, points)
+    ground = PointSet(
+        d, tuple(tuple(sorted(p.coord for p in points if p.level == lvl)) for lvl in range(1, d + 1))
+    )
 
     raw_sets = _need(document, "sets", "$")
     if not isinstance(raw_sets, list):

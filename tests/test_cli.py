@@ -393,11 +393,12 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def test_guard_breach_exits_two(tmp_path, capsys):
+def test_guard_breach_exits_two(tmp_path, capsys, monkeypatch):
     path = triple_instance(tmp_path)
-    code = run_command(["nerve", path, "--guard", "2"])
+    monkeypatch.setenv("DINTERVALS_GUARD_NERVE", "2")
+    code = run_command(["nerve", path])
     assert code == 2
-    assert "guard" in capsys.readouterr().err.lower()
+    assert "nerve family size: size 3 exceeds guard limit 2" in capsys.readouterr().err
 
 
 def test_nerve_face_budget_breach_exits_two(tmp_path, capsys):

@@ -23,6 +23,7 @@ from dintervals import (
     TraceSet,
     f_value,
     face,
+    hull,
     intersect_all,
     is_d_collapsible,
     nerve,
@@ -46,9 +47,9 @@ from helpers import (
 
 def three_set_family():
     P = p6()
-    c1 = TraceSet.from_points(P, [Point(Fraction(0), 1), Point(Fraction(1), 1)])
-    c2 = TraceSet.from_points(P, [Point(Fraction(0), 2), Point(Fraction(1), 2)])
-    c3 = TraceSet.from_points(P, [Point(Fraction(1), 1), Point(Fraction(0), 2)])
+    c1 = hull(P, [Point(Fraction(0), 1), Point(Fraction(1), 1)])
+    c2 = hull(P, [Point(Fraction(0), 2), Point(Fraction(1), 2)])
+    c3 = hull(P, [Point(Fraction(1), 1), Point(Fraction(0), 2)])
     return P, [c1, c2, c3]
 
 
@@ -78,21 +79,22 @@ def test_nerve_three_set_example():
 
 def test_nerve_of_one_nonempty_trace():
     P = p6()
-    t = TraceSet.from_points(P, [Point(Fraction(0), 1)])
+    t = hull(P, [Point(Fraction(0), 1)])
     assert nerve([t]).faces == frozenset({face(), face(1)})
 
 
 def test_nerve_of_two_disjoint_traces_has_no_edge():
     P = p6()
-    a = TraceSet.from_points(P, [Point(Fraction(0), 1)])
-    b = TraceSet.from_points(P, [Point(Fraction(2), 1)])
+    a = hull(P, [Point(Fraction(0), 1)])
+    b = hull(P, [Point(Fraction(2), 1)])
     assert nerve([a, b]).faces == frozenset({face(), face(1), face(2)})
 
 
-def test_nerve_guard_rejects_large_families():
+def test_nerve_guard_rejects_large_families(monkeypatch):
     _, fam = three_set_family()
-    with pytest.raises(GuardExceededError):
-        nerve(fam, enumeration_guard=2)
+    monkeypatch.setenv("DINTERVALS_GUARD_NERVE", "2")
+    with pytest.raises(GuardExceededError, match="nerve family size"):
+        nerve(fam)
 
 
 def test_nerve_face_budget_stops_sixteen_identical_sets():
@@ -108,12 +110,6 @@ def test_nerve_face_budget_stops_sixteen_identical_sets():
         assert err.value.limit == 2 ** 14
     # exactly 2^14 faces, the empty one included, still fit
     assert len(nerve(fam[:14])) == 2 ** 14
-
-
-def test_nerve_rejects_duplicate_labels():
-    _, fam = three_set_family()
-    with pytest.raises(ValueError):
-        nerve(fam, labels=[1, 1, 2])
 
 
 def test_nerve_matches_bruteforce_enumeration():
@@ -249,6 +245,15 @@ def test_sweep_replays_to_empty_within_the_dimension_bound():
         assert sum(len(it.steps) for it in res.iterations) == res.step_count
 
 
+def labelled_nerve(working) -> SimplicialComplex:
+    """The nerve of a label → trace map, on its labels: ``nerve`` labels
+    the i-th set i, so its faces are mapped back through the sorted
+    labels."""
+    labs = sorted(working)
+    K = nerve([working[lab] for lab in labs])
+    return SimplicialComplex(frozenset(frozenset(labs[i - 1] for i in f) for f in K.faces))
+
+
 def reference_sweep(family):
     """The sweep from scratch, on traces and Fractions: every iteration
     intersects every face anew and checks a full nerve of the rebuilt
@@ -274,7 +279,7 @@ def reference_sweep(family):
         else:
             i, a_i = first_finite(value)
             cut = dict(zip(labs, truncate_family(fam, pivot, i, a_i, labels=labs)))
-            if nerve([cut[lab] for lab in labs], labels=labs).faces == K_coll.faces:
+            if labelled_nerve(cut).faces == K_coll.faces:
                 working, mode, steps, K = cut, "truncate", (step,), K_coll
             else:
                 star = {lab for lab in labs if Point(a_i, i) in working[lab]}
@@ -287,9 +292,8 @@ def reference_sweep(family):
                 steps = tuple(found)
                 working = dict(zip(labs, truncate_family(fam, star, i, a_i, labels=labs)))
                 mode, K = "star", SimplicialComplex(K.faces - block)
-        rebuilt = sorted(working)
-        if rebuilt:
-            assert nerve([working[lab] for lab in rebuilt], labels=rebuilt) == K
+        if working:
+            assert labelled_nerve(working) == K
         else:
             # deleting the last set leaves exactly the empty face
             assert K.faces == {frozenset()}

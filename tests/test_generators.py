@@ -215,14 +215,6 @@ def test_lower_bound_family_contract_two_levels():
     assert joint.is_empty and levels == 0
 
 
-def test_lower_bound_family_respects_designated_pairs():
-    fam = gen_helly_lower_bound(p6(), designated=[(0, 1), (0, 1)])
-    # odd sets pin the first designated coord on their own level
-    assert Point(Fraction(0), 1) in fam[0]
-    assert Point(Fraction(1), 1) in fam[1]
-    assert Point(Fraction(2), 1) not in fam[0]
-
-
 def test_lower_bound_family_needs_two_points_per_level():
     P = PointSet(2, ((Fraction(0), Fraction(1)), (Fraction(5),)))
     with pytest.raises(ValueError):

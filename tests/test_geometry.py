@@ -94,7 +94,7 @@ def test_hull_rejects_foreign_points():
 def test_points_off_the_levels_are_not_in_the_ground(level):
     # level 0 must not wrap round to the last level
     P, p = p6(), Point(Fraction(2), level)
-    for build in (P.index_of, lambda p: hull(P, [p]), lambda p: TraceSet.from_points(P, [p])):
+    for build in (P.index_of, lambda p: hull(P, [p])):
         with pytest.raises(ValueError, match="not in ground set"):
             build(p)
 
@@ -104,8 +104,8 @@ def test_points_off_the_levels_are_not_in_the_ground(level):
 
 def test_intersection_of_overlapping_runs():
     P = p6()
-    a = TraceSet.from_points(P, [Point(Fraction(0), 1), Point(Fraction(1), 1)])
-    b = TraceSet.from_points(
+    a = hull(P, [Point(Fraction(0), 1), Point(Fraction(1), 1)])
+    b = hull(
         P, [Point(Fraction(1), 1), Point(Fraction(2), 1), Point(Fraction(0), 2)]
     )
     got, levels = intersect_all([a, b])
@@ -115,15 +115,15 @@ def test_intersection_of_overlapping_runs():
 
 def test_intersection_of_disjoint_traces_is_empty():
     P = p6()
-    a = TraceSet.from_points(P, [Point(Fraction(0), 1)])
-    b = TraceSet.from_points(P, [Point(Fraction(2), 1)])
+    a = hull(P, [Point(Fraction(0), 1)])
+    b = hull(P, [Point(Fraction(2), 1)])
     got, levels = intersect_all([a, b])
     assert got.is_empty and levels == 0
 
 
 def test_intersection_of_full_trace_with_itself():
     P = p6()
-    full = TraceSet.from_points(P, P.points())
+    full = hull(P, P.points())
     got, levels = intersect_all([full, full])
     assert pts(got) == set(P.points())
     assert levels == 2
@@ -237,7 +237,7 @@ def test_colorful_tuples_with_k_at_most_zero_yield_the_product(k):
 def test_minimal_dinterval_per_level_min_max():
     # ground set where {0, 2} is contiguous on level 1
     P = PointSet(2, ((Fraction(0), Fraction(2)), (Fraction(1),)))
-    C = TraceSet.from_points(
+    C = hull(
         P, [Point(Fraction(0), 1), Point(Fraction(2), 1), Point(Fraction(1), 2)]
     )
     got = minimal_dinterval(C)
@@ -252,7 +252,7 @@ def test_minimal_dinterval_of_empty_trace():
 
 def test_minimal_dinterval_of_single_point_on_level_two():
     P = PointSet(2, ((), (Fraction(5),)))
-    C = TraceSet.from_points(P, [Point(Fraction(5), 2)])
+    C = hull(P, [Point(Fraction(5), 2)])
     got = minimal_dinterval(C)
     assert got.levels[0].is_empty
     assert got.levels[1].lo == 5 and got.levels[1].hi == 5
@@ -263,7 +263,7 @@ def test_minimal_dinterval_of_single_point_on_level_two():
 
 def test_f_value_takes_per_level_maxima():
     P = p6()
-    C = TraceSet.from_points(
+    C = hull(
         P, [Point(Fraction(0), 1), Point(Fraction(1), 1), Point(Fraction(2), 2)]
     )
     assert f_value(C).components == (Fraction(1), Fraction(2))

@@ -1,9 +1,11 @@
 """Source scans of the package: every module-level import is used by its
 module, guard limits are read in one place, ground sets are compared only
-by the family checks of ``geometry``, and queries outside ``geometry``
-do not build traces through ``intersect_all``."""
+by the family checks of ``geometry``, queries outside ``geometry`` do
+not build traces through ``intersect_all``, no dropped option comes
+back, and the import block of ``__init__`` is the public surface."""
 
 import ast
+import types
 from pathlib import Path
 
 import dintervals
@@ -111,13 +113,61 @@ def test_queries_outside_geometry_walk_on_runs():
 
 
 def test_no_function_takes_a_per_call_guard_override():
-    dropped = {"work_guard", "face_guard", "cap_name"}
+    # the dropped guard overrides and every other dropped option, each
+    # with the functions it may not come back to (None: any function);
+    # guard_limit keeps its override for the draw cap and
+    # colorful_helly_points its designated family
+    dropped = {
+        "work_guard": None,
+        "face_guard": None,
+        "cap_name": None,
+        "enumeration_guard": None,
+        "labels": None,
+        "cap_per_instance": None,
+        "override": {"check_guard"},
+        "designated": {"gen_helly_lower_bound", "gen_radon_lower_bound"},
+    }
     found = [
         f"{path.name}:{node.name}({a.arg})"
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for a in node.args.args + node.args.kwonlyargs + node.args.posonlyargs
-        if a.arg in dropped
+        if a.arg in dropped and (dropped[a.arg] is None or node.name in dropped[a.arg])
     ]
     assert found == []
+
+
+# the names of the package's export list before it was folded into the
+# import block
+PUBLIC_NAMES = {
+    "BlowUpFamily", "CollapseSequence", "CollapseStep", "ColorfulHellyProperty",
+    "ColorfulSelection", "ConditionedOutcome", "DInterval", "DIntervalError",
+    "DimensionMismatchError", "GenSpec", "GroundSetMismatchError",
+    "GuardExceededError", "HellyReport", "Instance", "KIntersectRich",
+    "LPSolution", "LevelInterval", "LexValue", "NotAFaceError", "NotFreeError",
+    "PiercingResult", "Point", "PointSet", "PqProperty", "PreconditionError",
+    "RadonPartition", "Report", "SchemaError", "SimplicialComplex",
+    "SweepInvariantError", "SweepIteration", "SweepResult",
+    "TheoremViolationError", "TraceSet", "blow_up", "cfh_stats",
+    "colorful_helly_points", "dump_instance", "emit_report", "f_value", "face",
+    "frac_helly_stats", "fractional_lp", "gen_conditioned", "gen_family",
+    "gen_ground", "gen_helly_lower_bound", "gen_instance",
+    "gen_radon_lower_bound", "helly_check", "hull", "intersect_all",
+    "is_d_collapsible", "jsonify", "k_intersects",
+    "max_k_intersecting_subfamily", "max_point_cover",
+    "maxima_witness_subfamily", "minimal_dinterval", "nerve", "nu_exact",
+    "parse_instance", "pierce_all", "piercing_bound_check", "pq_check",
+    "radon_number_bruteforce", "radon_partition", "serialize_instance",
+    "sweep_collapse", "tau_exact", "trace_of",
+}
+
+
+def test_the_import_block_is_the_public_surface():
+    public = {
+        name
+        for name, value in vars(dintervals).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_NAMES) == 71
+    assert public == PUBLIC_NAMES
