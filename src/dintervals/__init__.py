@@ -13,7 +13,6 @@ from .complexes import (
     SimplicialComplex,
     SweepIteration,
     SweepResult,
-    face,
     is_d_collapsible,
     nerve,
     sweep_collapse,
@@ -72,7 +71,6 @@ from .helly import (
 )
 from .instances import Instance, dump_instance, parse_instance, serialize_instance
 from .piercing import (
-    BlowUpFamily,
     LPSolution,
     PiercingResult,
     blow_up,

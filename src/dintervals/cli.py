@@ -68,6 +68,13 @@ def _finish(report: Report, args, code: int = 0) -> int:
     return code
 
 
+def _verdict(args, name: str, holds: bool, parameters: dict, **sections) -> int:
+    """Report a checked property of the input file; exit 1 when it fails."""
+    parameters = {"file": args.file, **parameters}
+    report = Report(args.command, parameters, verdicts={name: holds}, **sections)
+    return _finish(report, args, 0 if holds else 1)
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -105,10 +112,8 @@ def cmd_collapse(args) -> int:
         }
         for i, it in enumerate(result.iterations)
     ]
-    report = Report(
-        "collapse",
-        {"file": args.file, "strict": args.strict, "d": inst.ground.d},
-        verdicts={"collapsed": final.is_terminal},
+    return _verdict(
+        args, "collapsed", final.is_terminal, {"strict": args.strict, "d": inst.ground.d},
         statistics={
             "iterations": len(result.iterations),
             "steps": result.step_count,
@@ -118,7 +123,6 @@ def cmd_collapse(args) -> int:
         },
         rows=rows,
     )
-    return _finish(report, args, 0 if final.is_terminal else 1)
 
 
 def cmd_dcollapse_oracle(args) -> int:
@@ -156,14 +160,10 @@ def cmd_radon(args) -> int:
 def cmd_helly(args) -> int:
     inst = _load_instance(args)
     rep = helly_check(inst.sets, args.m, args.k)
-    report = Report(
-        "helly",
-        {"file": args.file, "m": args.m, "k": args.k},
-        verdicts={"holds": rep.verdict},
-        witnesses=rep.witnesses,
-        statistics=rep.statistics,
+    return _verdict(
+        args, "holds", rep.verdict, {"m": args.m, "k": args.k},
+        witnesses=rep.witnesses, statistics=rep.statistics,
     )
-    return _finish(report, args, 0 if rep.verdict else 1)
 
 
 def cmd_colorful_helly(args) -> int:
@@ -190,27 +190,19 @@ def cmd_colorful_helly(args) -> int:
 def cmd_frac_helly(args) -> int:
     inst = _load_instance(args)
     rep = frac_helly_stats(inst.sets, args.k)
-    report = Report(
-        "frac-helly",
-        {"file": args.file, "k": args.k, "n": len(inst.sets)},
-        verdicts={"bound_holds": rep.verdict},
-        witnesses=rep.witnesses,
-        statistics=rep.statistics,
+    return _verdict(
+        args, "bound_holds", rep.verdict, {"k": args.k, "n": len(inst.sets)},
+        witnesses=rep.witnesses, statistics=rep.statistics,
     )
-    return _finish(report, args, 0 if rep.verdict else 1)
 
 
 def cmd_cfh(args) -> int:
     inst = _load_instance(args)
     rep = cfh_stats(inst.family_traces())
-    report = Report(
-        "cfh",
-        {"file": args.file},
-        verdicts={"bound_holds": rep.verdict},
-        witnesses=rep.witnesses,
-        statistics=rep.statistics,
+    return _verdict(
+        args, "bound_holds", rep.verdict, {},
+        witnesses=rep.witnesses, statistics=rep.statistics,
     )
-    return _finish(report, args, 0 if rep.verdict else 1)
 
 
 def cmd_pierce(args) -> int:
@@ -243,36 +235,43 @@ def cmd_pq_check(args) -> int:
     else:
         families = inst.family_traces()
     ok, counterexample = pq_check(families, args.p, args.q, args.kind)
-    report = Report(
-        "pq-check",
-        {"file": args.file, "p": args.p, "q": args.q, "kind": args.kind},
-        verdicts={"has_property": ok},
+    return _verdict(
+        args, "has_property", ok, {"p": args.p, "q": args.q, "kind": args.kind},
         witnesses={} if ok else {"counterexample": counterexample},
     )
-    return _finish(report, args, 0 if ok else 1)
+
+
+def _ints(parts: list[str], message: str, count: int | None = None) -> list[int]:
+    """The parts as ints, ``count`` of them if given; else a usage error."""
+    try:
+        values = [int(x) for x in parts]
+    except ValueError:
+        raise ValueError(message) from None
+    if count is not None and len(values) != count:
+        raise ValueError(message)
+    return values
 
 
 def _parse_predicate(text: str):
-    parts = text.split(":")
-    head, rest = parts[0], parts[1:]
+    head, *rest = text.split(":")
     if head == "colorful-helly":
-        if len(rest) != 1:
-            raise ValueError("use colorful-helly:K")
-        return ColorfulHellyProperty(int(rest[0]))
+        (k,) = _ints(rest, "--predicate expects colorful-helly:K with an integer K", 1)
+        return ColorfulHellyProperty(k)
     if head == "pq":
-        if len(rest) not in (2, 3):
-            raise ValueError("use pq:P:Q or pq:P:Q:KIND")
-        kind = rest[2] if len(rest) == 3 else "plain"
-        return PqProperty(int(rest[0]), int(rest[1]), kind)
+        kind = rest.pop() if len(rest) == 3 else "plain"
+        p, q = _ints(rest, "--predicate expects pq:P:Q[:KIND] with integers P and Q", 2)
+        return PqProperty(p, q, kind)
     if head == "k-rich":
+        message = "--predicate expects k-rich:K:ALPHA with an integer K"
         if len(rest) != 2:
-            raise ValueError("use k-rich:K:ALPHA")
-        return KIntersectRich(int(rest[0]), parse_rational(rest[1]))
+            raise ValueError(message)
+        (k,) = _ints(rest[:1], message)
+        return KIntersectRich(k, parse_rational(rest[1]))
     raise ValueError(f"unknown predicate {head!r}")
 
 
 def _parse_points(text: str, d: int):
-    parts = [int(p) for p in text.split(",")]
+    parts = _ints(text.split(","), "--points expects a count or a comma list of integer counts")
     if len(parts) == 1:
         return parts[0]
     if len(parts) != d:
@@ -281,7 +280,9 @@ def _parse_points(text: str, d: int):
 
 
 def cmd_gen(args) -> int:
-    coord_lo, coord_hi = (int(x) for x in args.range.split(":"))
+    coord_lo, coord_hi = _ints(
+        args.range.split(":"), "--range expects LO:HI with integer bounds", 2
+    )
     predicate = _parse_predicate(args.predicate) if args.predicate else None
     n_families = args.families
     if n_families is None:
@@ -330,7 +331,9 @@ def cmd_gen(args) -> int:
 def cmd_experiment(args) -> int:
     d_choices = None
     if args.d:
-        d_choices = tuple(int(x) for x in args.d.split(","))
+        d_choices = tuple(
+            _ints(args.d.split(","), "--d expects a comma list of integer levels, e.g. 1,2,3")
+        )
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, d_choices=d_choices)
     return _finish(report, args, 0 if report.passed else 1)
 

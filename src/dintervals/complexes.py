@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .config import check_guard, guard_limit
 from .errors import (
@@ -67,10 +67,6 @@ from .errors import (
     SweepInvariantError,
 )
 from .geometry import LexValue, PointSet, TraceSet, _key_value, _meet, _runs, _sweep_key
-
-
-def face(*vertices: int) -> frozenset:
-    return frozenset(vertices)
 
 
 def _face_sort_key(f: frozenset):
@@ -97,21 +93,6 @@ class SimplicialComplex:
         K = object.__new__(cls)
         object.__setattr__(K, "faces", faces)
         return K
-
-    @classmethod
-    def from_faces(cls, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Build from any face iterable, closing downward."""
-        closed = set()
-        stack = [frozenset(f) for f in faces]
-        while stack:
-            f = stack.pop()
-            if f in closed:
-                continue
-            closed.add(f)
-            stack.extend(f - {v} for v in f)
-        if closed:
-            closed.add(frozenset())
-        return cls(frozenset(closed))
 
     @property
     def vertices(self) -> tuple[int, ...]:

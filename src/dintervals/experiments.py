@@ -334,8 +334,7 @@ def pierce_suite(trials: int = 220, seed: int = 7, d_choices=(1, 2, 3)) -> Repor
             mult = [rng.randrange(0, 4) for _ in family]
             total = sum(mult)
             if total >= 1:
-                bu = blow_up(family, mult)
-                cover, _ = max_point_cover(bu.traces)
+                cover, _ = max_point_cover(blow_up(family, mult))
                 # cover ≥ total/ν*  ⇔  cover·ν* ≥ total, exactly
                 if cover * res.nu_star < total:
                     raise TheoremViolationError(

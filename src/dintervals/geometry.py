@@ -184,18 +184,13 @@ class TraceSet:
     def level_run(self, level: int) -> tuple[int, int] | None:
         return self.runs[level - 1]
 
-    def level_points(self, level: int) -> tuple[Point, ...]:
-        run = self.runs[level - 1]
-        if run is None:
-            return ()
-        coords = self.ground.level_coords(level)
-        return tuple(Point(coords[i], level) for i in range(run[0], run[1] + 1))
-
     def points(self) -> tuple[Point, ...]:
-        out: list[Point] = []
-        for lvl in range(1, self.ground.d + 1):
-            out.extend(self.level_points(lvl))
-        return tuple(out)
+        return tuple(
+            Point(coords[i], lvl)
+            for lvl, (run, coords) in enumerate(zip(self.runs, self.ground.levels), start=1)
+            if run is not None
+            for i in range(run[0], run[1] + 1)
+        )
 
     def __len__(self) -> int:
         return sum(last - first + 1 for r in self.runs if r is not None for first, last in [r])

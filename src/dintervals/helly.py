@@ -52,7 +52,6 @@ class RadonPartition:
 
 @dataclass
 class HellyReport:
-    mode: str
     parameters: dict
     verdict: bool
     witnesses: dict = field(default_factory=dict)
@@ -153,11 +152,7 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     """
     if m < 1:
         raise ValueError("m must be ≥ 1")
-    report = HellyReport(
-        "k-intersect" if k > 1 else "plain",
-        {"m": m, "k": k, "family_size": len(family)},
-        True,
-    )
+    report = HellyReport({"m": m, "k": k, "family_size": len(family)}, True)
     if not family:
         return report
     ground = family[0].ground
@@ -380,7 +375,7 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     runs = _runs(family)
     r = 2 * d - k + 1
     n = len(family)
-    report = HellyReport("fractional", {"k": k, "r": r, "family_size": n}, True)
+    report = HellyReport({"k": k, "r": r, "family_size": n}, True)
     if n < r:
         report.statistics["alpha"] = None
         report.statistics["note"] = f"needs at least {r} sets"
@@ -433,7 +428,6 @@ def cfh_stats(families: Sequence[Sequence[TraceSet]]) -> HellyReport:
     betas = [Fraction(max_point_cover(fam)[0], len(fam)) for fam in families]
     ok = any((1 - b) ** (2 * d) <= 1 - alpha for b in betas)
     return HellyReport(
-        "colorful-fractional",
         {"d": d, "family_sizes": tuple(len(f) for f in families)},
         ok,
         statistics={"alpha": alpha, "beta_hats": tuple(betas)},

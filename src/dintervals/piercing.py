@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, lcm
+from math import ceil, comb, lcm, prod
 from typing import Sequence
 
 from .config import check_guard
 from .errors import PreconditionError, TheoremViolationError
-from .geometry import Point, TraceSet, _incidence, _meet, _point, _runs, colorful_tuples
+from .geometry import Point, TraceSet, _incidence, _meet, _point, _runs
 from .lp import SimplexOutcome, simplex_maximize
 
 
@@ -274,59 +274,52 @@ def pq_check(
     point.
     colorful-second: p families; every colorful p-tuple has q members
     sharing a point.
+
+    One incidence of the families concatenated gives, per covered cell,
+    the mask of the members through it (family i's from its offset on).
+    A plain subset or colorful-second tuple holds where a cell covers q
+    of its picks; a colorful-first choice where a cell meets every
+    family's picks, just where some colorful q-tuple has a common point.
     """
     _check_pq_parameters(p, q, kind)
+    sizes = [len(f) for f in families]
     if kind == "plain":
         if len(families) != 1:
             raise ValueError("plain kind takes exactly one family")
-        family = families[0]
-        if len(family) < p:
-            raise ValueError(f"family has {len(family)} < p = {p} members")
-        check_guard("PQ_WORK", "(p,q) enumeration", comb(len(family), p) * p)
-        # one incidence of the whole family: per covered cell, the mask
-        # of the sets through it; a subset's cover at a cell is the count
-        # of its sets in that mask
-        cells = [sum(1 << j for j in through) for through in _incidence(family).values()]
-        for idx in itertools.combinations(range(len(family)), p):
-            subset = sum(1 << j for j in idx)
-            if not any((cell & subset).bit_count() >= q for cell in cells):
-                return False, idx
-        return True, None
-
-    if kind == "colorful-first":
+        if sizes[0] < p:
+            raise ValueError(f"family has {sizes[0]} < p = {p} members")
+        work = comb(sizes[0], p) * p
+        picks = itertools.combinations(range(sizes[0]), p)
+    elif kind == "colorful-first":
         if len(families) != q:
             raise ValueError(f"colorful-first takes q = {q} families")
-        if any(len(f) < p for f in families):
+        if any(n < p for n in sizes):
             raise ValueError("every family needs at least p members")
-        choice_work = 1
-        for f in families:
-            choice_work *= comb(len(f), p)
-        check_guard("PQ_WORK", "(p,q) enumeration", choice_work * p**q * q)
-        for choices in itertools.product(
-            *(itertools.combinations(range(len(f)), p) for f in families)
-        ):
-            picked = [[fam[j] for j in choice] for fam, choice in zip(families, choices)]
-            if all(runs is None for _, runs, _ in colorful_tuples(picked, 1)):
-                return False, choices
-        return True, None
-
-    # colorful-second
-    if len(families) != p:
-        raise ValueError(f"colorful-second takes p = {p} families")
-    if any(not f for f in families):
-        raise ValueError("families must be nonempty")
-    work = 1
-    for f in families:
-        work *= len(f)
-    check_guard("PQ_WORK", "(p,q) enumeration", work * p)
-    # the plain kind's masks, over the families concatenated
+        work = prod(comb(n, p) for n in sizes) * p**q * q
+        picks = itertools.product(*(itertools.combinations(range(n), p) for n in sizes))
+    else:
+        if len(families) != p:
+            raise ValueError(f"colorful-second takes p = {p} families")
+        if not all(sizes):
+            raise ValueError("families must be nonempty")
+        work = prod(sizes) * p
+        picks = itertools.product(*(range(n) for n in sizes))
+    check_guard("PQ_WORK", "(p,q) enumeration", work)
     flat = [t for f in families for t in f]
     cells = [sum(1 << j for j in through) for through in _incidence(flat).values()]
-    offsets = list(itertools.accumulate((len(f) for f in families[:-1]), initial=0))
-    for combo in itertools.product(*(range(len(f)) for f in families)):
-        picked = sum(1 << (offset + j) for offset, j in zip(offsets, combo))
-        if not any((cell & picked).bit_count() >= q for cell in cells):
-            return False, combo
+    offsets = list(itertools.accumulate(sizes[:-1], initial=0))
+    for pick in picks:
+        if kind == "colorful-first":
+            masks = [sum(1 << (o + j) for j in js) for o, js in zip(offsets, pick)]
+            holds = any(all(cell & m for m in masks) for cell in cells)
+        else:
+            if kind == "plain":
+                picked = sum(1 << j for j in pick)
+            else:
+                picked = sum(1 << (o + j) for o, j in zip(offsets, pick))
+            holds = any((cell & picked).bit_count() >= q for cell in cells)
+        if not holds:
+            return False, pick
     return True, None
 
 
@@ -334,22 +327,13 @@ def pq_check(
 # blow-ups and the piercing bound
 
 
-@dataclass(frozen=True)
-class BlowUpFamily:
-    traces: tuple[TraceSet, ...]
-    origins: tuple[int, ...]  # origin index per copy
-
-
-def blow_up(family: Sequence[TraceSet], multiplicities: Sequence[int]) -> BlowUpFamily:
+def blow_up(family: Sequence[TraceSet], multiplicities: Sequence[int]) -> tuple[TraceSet, ...]:
+    """The family with set j repeated ``multiplicities[j]`` times, in order."""
     if len(multiplicities) != len(family):
         raise ValueError("one multiplicity per set required")
     if any(m < 0 for m in multiplicities):
         raise ValueError("multiplicities must be nonnegative")
-    traces, origins = [], []
-    for j, (t, m) in enumerate(zip(family, multiplicities)):
-        traces.extend([t] * m)
-        origins.extend([j] * m)
-    return BlowUpFamily(tuple(traces), tuple(origins))
+    return tuple(t for t, m in zip(family, multiplicities) for _ in range(m))
 
 
 def piercing_bound_check(family: Sequence[TraceSet]) -> tuple[bool, int, int]:

@@ -210,6 +210,25 @@ def dense_families(count: int):
             yield d, family
 
 
+def face(*vertices: int) -> frozenset:
+    return frozenset(vertices)
+
+
+def closed_complex(faces) -> SimplicialComplex:
+    """The complex of the given faces, closed downward; ∅ is a face when
+    any face is given."""
+    closed = set()
+    stack = [frozenset(f) for f in faces]
+    while stack:
+        f = stack.pop()
+        if f not in closed:
+            closed.add(f)
+            stack.extend(f - {v} for v in f)
+    if closed:
+        closed.add(frozenset())
+    return SimplicialComplex(frozenset(closed))
+
+
 def cliff_complex(n: int) -> complexes.SimplicialComplex:
     """A hollow triangle on 1, 2, 3 plus n disjoint 3-edge paths (the
     j-th on 4j .. 4j+3): not 1-collapsible, and the collapse search must
@@ -217,7 +236,7 @@ def cliff_complex(n: int) -> complexes.SimplicialComplex:
     edges = [[1, 2], [2, 3], [1, 3]]
     for j in range(1, n + 1):
         edges += [[4 * j + i, 4 * j + i + 1] for i in range(3)]
-    return complexes.SimplicialComplex.from_faces(edges)
+    return closed_complex(edges)
 
 
 def maximal_faces_containing(K: SimplicialComplex, sigma: frozenset) -> list[frozenset]:

@@ -13,13 +13,13 @@ import conftest
 from dintervals import (
     DInterval,
     PointSet,
-    SimplicialComplex,
     is_d_collapsible,
     pierce_all,
     piercing_bound_check,
     trace_of,
 )
 from dintervals.experiments import run_suite
+from helpers import closed_complex
 
 
 def gate(num: int, ok: bool, text: str) -> None:
@@ -133,7 +133,7 @@ def test_criterion_08_piercing_bound_with_tight_triple():
 
 
 def test_criterion_09_collapsibility_oracle():
-    hollow = SimplicialComplex.from_faces([[1, 2], [2, 3], [1, 3]])
+    hollow = closed_complex([[1, 2], [2, 3], [1, 3]])
     no_1, wit_1 = is_d_collapsible(hollow, 1)
     yes_2, wit_2 = is_d_collapsible(hollow, 2)
     triangle_ok = (

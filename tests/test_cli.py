@@ -319,6 +319,32 @@ def test_gen_rejects_bad_predicate_parameters_before_drawing(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--d", "1", "--range", "5"], "--range expects LO:HI with integer bounds"),
+        (["gen", "--d", "1", "--range", "1:2:3"], "--range expects LO:HI with integer bounds"),
+        (["gen", "--d", "1", "--range", "a:b"], "--range expects LO:HI with integer bounds"),
+        (["gen", "--d", "2", "--points", "3,x"],
+         "--points expects a count or a comma list of integer counts"),
+        (["gen", "--d", "2", "--predicate", "colorful-helly:x"],
+         "--predicate expects colorful-helly:K with an integer K"),
+        (["gen", "--d", "2", "--predicate", "pq:2:x"],
+         "--predicate expects pq:P:Q[:KIND] with integers P and Q"),
+        (["gen", "--d", "2", "--predicate", "k-rich:x:1/2"],
+         "--predicate expects k-rich:K:ALPHA with an integer K"),
+        (["experiment", "--suite", "pq", "--d", "1,,2"],
+         "--d expects a comma list of integer levels, e.g. 1,2,3"),
+    ],
+)
+def test_malformed_flag_values_name_the_flag_and_its_form(argv, message, capsys):
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         # every family must be nonempty

@@ -22,7 +22,6 @@ from dintervals import (
     SweepInvariantError,
     TraceSet,
     f_value,
-    face,
     hull,
     intersect_all,
     is_d_collapsible,
@@ -33,8 +32,10 @@ from dintervals import (
 from dintervals import complexes
 from helpers import (
     cliff_complex,
+    closed_complex,
     dense_families,
     elementary_collapse,
+    face,
     first_finite,
     p6,
     random_ground,
@@ -148,7 +149,7 @@ def test_collapse_rejects_face_under_two_maximal_faces():
 
 
 def test_collapse_chain_ends_at_the_void_complex():
-    K = SimplicialComplex.from_faces([[1]])
+    K = closed_complex([[1]])
     K1, _ = elementary_collapse(K, face(1))
     assert K1.faces == frozenset({face()})
     K2, _ = elementary_collapse(K1, face())
@@ -157,7 +158,7 @@ def test_collapse_chain_ends_at_the_void_complex():
 
 
 def test_collapse_rejects_non_face():
-    K = SimplicialComplex.from_faces([[1]])
+    K = closed_complex([[1]])
     with pytest.raises(NotAFaceError):
         elementary_collapse(K, face(9))
 
@@ -409,7 +410,7 @@ def test_truncate_rejects_unknown_support_labels():
 
 
 def hollow_triangle() -> SimplicialComplex:
-    return SimplicialComplex.from_faces([[1, 2], [2, 3], [1, 3]])
+    return closed_complex([[1, 2], [2, 3], [1, 3]])
 
 
 def test_hollow_triangle_is_not_1_collapsible():
@@ -425,7 +426,7 @@ def test_hollow_triangle_is_2_collapsible():
 
 
 def test_full_simplex_collapses_through_vertices_alone():
-    K = SimplicialComplex.from_faces([[1, 2, 3]])
+    K = closed_complex([[1, 2, 3]])
     ok, seq = is_d_collapsible(K, 1)
     assert ok and seq.replays_to_empty()
 
@@ -438,7 +439,7 @@ def test_collapsibility_guard_is_enforced(monkeypatch):
 
 def test_oracle_collapses_a_path_longer_than_the_recursion_limit():
     # 1,100 edges need 1,101 collapses, past the default recursion limit
-    K = SimplicialComplex.from_faces([[i, i + 1] for i in range(1100)])
+    K = closed_complex([[i, i + 1] for i in range(1100)])
     ok, seq = is_d_collapsible(K, 1)
     assert ok
     assert len(seq.steps) == 1101
@@ -578,7 +579,7 @@ def replay_outcome(replay, seq):
 
 
 def test_replay_rejects_corrupted_witnesses():
-    K = SimplicialComplex.from_faces([[1, 2, 3], [3, 4]])
+    K = closed_complex([[1, 2, 3], [3, 4]])
     ok, seq = is_d_collapsible(K, 2)
     assert ok and seq.replay().is_terminal
     first = seq.steps[0]

@@ -1,8 +1,9 @@
 """Source scans of the package: every module-level import is used by its
 module, guard limits are read in one place, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
-not build traces through ``intersect_all``, no dropped option comes
-back, and the import block of ``__init__`` is the public surface."""
+not build traces through ``intersect_all``, only the colorful Helly
+checks walk colorful tuples, no dropped option comes back, and the
+import block of ``__init__`` is the public surface."""
 
 import ast
 import types
@@ -112,6 +113,16 @@ def test_queries_outside_geometry_walk_on_runs():
     assert [c for c in callers if c[0] != "geometry.py"] == [("helly.py", "verify")]
 
 
+def test_only_the_colorful_helly_checks_walk_colorful_tuples():
+    # every (p,q) kind reads one incidence instead; the generators'
+    # ``check`` is ColorfulHellyProperty's
+    assert _package_functions_with(_calls("colorful_tuples")) == [
+        ("generators.py", "check"),
+        ("helly.py", "cfh_stats"),
+        ("helly.py", "colorful_helly_points"),
+    ]
+
+
 def test_no_function_takes_a_per_call_guard_override():
     # the dropped guard overrides and every other dropped option, each
     # with the functions it may not come back to (None: any function);
@@ -139,9 +150,9 @@ def test_no_function_takes_a_per_call_guard_override():
 
 
 # the names of the package's export list before it was folded into the
-# import block
+# import block, less ``face`` and ``BlowUpFamily``, which only tests read
 PUBLIC_NAMES = {
-    "BlowUpFamily", "CollapseSequence", "CollapseStep", "ColorfulHellyProperty",
+    "CollapseSequence", "CollapseStep", "ColorfulHellyProperty",
     "ColorfulSelection", "ConditionedOutcome", "DInterval", "DIntervalError",
     "DimensionMismatchError", "GenSpec", "GroundSetMismatchError",
     "GuardExceededError", "HellyReport", "Instance", "KIntersectRich",
@@ -150,7 +161,7 @@ PUBLIC_NAMES = {
     "RadonPartition", "Report", "SchemaError", "SimplicialComplex",
     "SweepInvariantError", "SweepIteration", "SweepResult",
     "TheoremViolationError", "TraceSet", "blow_up", "cfh_stats",
-    "colorful_helly_points", "dump_instance", "emit_report", "f_value", "face",
+    "colorful_helly_points", "dump_instance", "emit_report", "f_value",
     "frac_helly_stats", "fractional_lp", "gen_conditioned", "gen_family",
     "gen_ground", "gen_helly_lower_bound", "gen_instance",
     "gen_radon_lower_bound", "helly_check", "hull", "intersect_all",
@@ -169,5 +180,5 @@ def test_the_import_block_is_the_public_surface():
         for name, value in vars(dintervals).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 71
+    assert len(PUBLIC_NAMES) == 69
     assert public == PUBLIC_NAMES

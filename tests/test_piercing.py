@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -29,7 +30,7 @@ from dintervals import (
     tau_exact,
     trace_of,
 )
-from dintervals import piercing
+from dintervals import geometry, piercing
 from dintervals.lp import SimplexOutcome, simplex_maximize
 from helpers import LP_KINDS, incidence_lp, p6, random_ground, random_lp, random_trace, tall_lp
 
@@ -579,41 +580,90 @@ def test_colorful_second_pq_refuses_mixed_grounds_before_any_tuple():
         pq_check(families, p=2, q=2, kind="colorful-second")
 
 
+def test_colorful_first_pq_reads_one_incidence_per_call(monkeypatch):
+    # every choice is read off one incidence of the concatenated
+    # families, built once, and no colorful tuple is walked
+    calls = []
+    incidence = piercing._incidence
+    monkeypatch.setattr(
+        piercing, "_incidence", lambda family: calls.append(len(family)) or incidence(family)
+    )
+
+    def no_walk(*args):
+        raise AssertionError("a colorful tuple walk was made")
+
+    monkeypatch.setattr(geometry, "colorful_tuples", no_walk)
+    assert not hasattr(piercing, "colorful_tuples")
+    rng = random.Random(29)
+    ground = random_ground(rng, 2, max_per_level=5)
+    families = [[random_trace(rng, ground) for _ in range(n)] for n in (6, 5, 6)]
+    outcomes = []
+    for p, q in ((3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3)):
+        calls.clear()
+        got = pq_check(families[:q], p, q, "colorful-first")
+        assert calls == [sum(len(f) for f in families[:q])]
+        choices = itertools.product(
+            *(itertools.combinations(range(len(f)), p) for f in families[:q])
+        )
+        picks = lambda c: [[f[j] for j in js] for f, js in zip(families, c)]
+        meets = lambda c: any(intersect_all(t)[1] for t in itertools.product(*picks(c)))
+        first = next((c for c in choices if not meets(c)), None)
+        assert got == (first is None, first)
+        outcomes.append(first if first is None else first != (tuple(range(p)),) * q)
+    # both verdicts, and counterexamples past the first choice, occur
+    assert None in outcomes and True in outcomes
+
+
+def test_colorful_first_pq_refuses_mixed_grounds_before_any_choice():
+    P, Q = line(0, 1), line(0, 2)
+    low, high = window(P, {1: (0, 0)}), window(P, {1: (1, 1)})
+    families = [[low, low], [high, high, window(Q, {1: (0, 1)})]]
+    # the first choice already fails without the foreign member, but
+    # every family is checked first
+    with pytest.raises(GroundSetMismatchError):
+        pq_check(families, p=2, q=2, kind="colorful-first")
+
+
 def test_pq_check_arity_errors():
     P = line(0, 1)
     f = [window(P, {1: (0, 1)})]
-    with pytest.raises(ValueError):
-        pq_check([f, f], p=1, q=1, kind="plain")
-    with pytest.raises(ValueError):
-        pq_check([f], p=1, q=2)
-    with pytest.raises(ValueError):
-        pq_check([f], p=1, q=1, kind="no-such-kind")
+    cases = [
+        ([f], 1, 2, "plain", "need p ≥ q ≥ 1"),
+        ([f], 0, 0, "plain", "need p ≥ q ≥ 1"),
+        ([f], 1, 1, "no-such-kind", "unknown kind 'no-such-kind'"),
+        ([f, f], 1, 1, "plain", "plain kind takes exactly one family"),
+        ([f], 2, 1, "plain", "family has 1 < p = 2 members"),
+        ([f], 1, 2, "colorful-first", "need p ≥ q ≥ 1"),
+        ([f], 2, 2, "colorful-first", "colorful-first takes q = 2 families"),
+        ([f, f + f], 2, 2, "colorful-first", "every family needs at least p members"),
+        ([f], 2, 1, "colorful-second", "colorful-second takes p = 2 families"),
+        ([f, []], 2, 1, "colorful-second", "families must be nonempty"),
+    ]
+    for families, p, q, kind, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pq_check(families, p, q, kind)
 
 
 # ----------------------------------------------------------------- blow-ups
 
 
-def test_blow_up_repeats_sets_with_origin_tags():
+def test_blow_up_repeats_each_set_in_order():
     P = line(0, 1, 2, 3)
     a = window(P, {1: (0, 1)})
     b = window(P, {1: (2, 3)})
-    got = blow_up([a, b], [2, 1])
-    assert got.traces == (a, a, b)
-    assert got.origins == (0, 0, 1)
+    assert blow_up([a, b], [2, 1]) == (a, a, b)
 
 
 def test_blow_up_multiplicity_zero_drops_a_set():
     P = line(0, 1)
     a = window(P, {1: (0, 0)})
     b = window(P, {1: (1, 1)})
-    got = blow_up([a, b], [0, 2])
-    assert got.traces == (b, b)
+    assert blow_up([a, b], [0, 2]) == (b, b)
 
 
 def test_blow_up_with_ones_keeps_the_lp_value():
     _, fam = triangle_triple()
-    blown = blow_up(fam, [1, 1, 1])
-    assert fractional_lp(list(blown.traces)).value == fractional_lp(fam).value
+    assert fractional_lp(blow_up(fam, [1, 1, 1])).value == fractional_lp(fam).value
 
 
 def test_blow_up_rejects_bad_multiplicities():
@@ -640,8 +690,7 @@ def test_blow_up_cover_beats_the_fractional_ratio():
         total = sum(mult)
         if total == 0:
             continue
-        blown = blow_up(fam, mult)
-        cover, _ = max_point_cover(list(blown.traces))
+        cover, _ = max_point_cover(blow_up(fam, mult))
         nu_star = fractional_lp(fam).value
         assert cover * nu_star >= total
         done += 1

@@ -51,7 +51,11 @@ from dintervals import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import oracles as O  # noqa: E402
-from helpers import maximal_faces_containing, reference_parse_instance  # noqa: E402
+from helpers import (  # noqa: E402
+    closed_complex,
+    maximal_faces_containing,
+    reference_parse_instance,
+)
 
 
 @st.composite
@@ -132,7 +136,7 @@ def test_the_sweep_and_the_oracle_collapse_the_brute_nerve_within_2d_minus_1(cas
 def test_freeness_by_union_matches_the_maximal_faces(tops):
     # σ is free exactly when the union of the faces containing it is one
     # of them; otherwise the block lists every maximal face containing σ
-    K = SimplicialComplex.from_faces(tops)
+    K = closed_complex(tops)
     for sigma in K.faces:
         removed, maximal = complexes._coface_block(K.faces, sigma)
         assert removed == {f for f in K.faces if sigma <= f}
