@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 import time
+from fractions import Fraction
 
 from .complexes import is_d_collapsible, nerve, sweep_collapse
 from .errors import (
@@ -252,6 +253,14 @@ def _ints(parts: list[str], message: str, count: int | None = None) -> list[int]
     return values
 
 
+def _rational(text: str, message: str) -> Fraction:
+    """The text as an exact rational; else a usage error."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def _parse_predicate(text: str):
     head, *rest = text.split(":")
     if head == "colorful-helly":
@@ -266,7 +275,8 @@ def _parse_predicate(text: str):
         if len(rest) != 2:
             raise ValueError(message)
         (k,) = _ints(rest[:1], message)
-        return KIntersectRich(k, parse_rational(rest[1]))
+        alpha = _rational(rest[1], "--predicate expects k-rich:K:ALPHA with a rational ALPHA")
+        return KIntersectRich(k, alpha)
     raise ValueError(f"unknown predicate {head!r}")
 
 
@@ -292,7 +302,7 @@ def cmd_gen(args) -> int:
         points_per_level=_parse_points(args.points, args.d),
         coord_range=(coord_lo, coord_hi),
         n_sets=args.sets,
-        presence=parse_rational(args.presence),
+        presence=_rational(args.presence, "--presence expects a rational probability, e.g. 1/2"),
         max_width=args.max_width if args.max_width is not None else coord_hi - coord_lo,
         seed=args.seed,
         n_families=n_families,

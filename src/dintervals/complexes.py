@@ -35,22 +35,25 @@ re-verified against the nerve of the rebuilt family; a mismatch is never
 papered over, it raises with full diagnostics.  ``strict=True`` insists
 on the single-collapse truncation route and raises on its mismatch.
 
-The sweep works in index space: a set is its tuple of per-level runs
-(``TraceSet.runs``), a face's intersection is such a tuple too (built
-with ``geometry._meet``), and a sweep value is ``geometry._sweep_key``,
-the per-level last indices, which orders faces exactly as ``f_value``
-does.  One face walk builds the nerve and every face's intersection,
-parent and sorted labels.
+The sweep works in index space.  A set is its tuple of per-level runs
+(``TraceSet.runs``), which the cuts, the star test and the diagnostics
+read, and a cell mask encoded from them: cell (level l, index i) is one
+bit, each level's cells above the lower levels'.  A face's
+intersection, its *joint*, is the AND of its members' masks, 0 when
+empty, and a sweep value is the joint's last index on each level read
+off the mask, the same tuple as ``geometry._sweep_key`` of its runs,
+which orders faces exactly as ``f_value`` does.  One face walk builds
+the nerve and every face's joint, parent and sorted labels.
 The sweep keeps both across iterations and re-intersects only the faces
 that contain a changed set: none on a delete, the pivot support on a
-truncation, the star on a fallback; a face's key is recomputed only
-when its joint changed, and a truncation's refresh stops at the first
-face whose fate disagrees with the collapse.  Cuts only shrink sets
-(the cut asserts it), so the rebuilt family's nerve lies inside the
-current complex, and equals the collapsed complex exactly when the
-faces that died are the faces collapsed.  Fractions, points and
-``LexValue``s are built only for the pivot values returned and for
-error diagnostics.
+truncation, the star on a fallback; a cut set's mask is re-encoded from
+its cut runs, a face's key is recomputed only when its joint changed,
+and a truncation's refresh stops at the first face whose fate disagrees
+with the collapse.  Cuts only shrink sets (the cut asserts it), so the
+rebuilt family's nerve lies inside the current complex, and equals the
+collapsed complex exactly when the faces that died are the faces
+collapsed.  Fractions, points and ``LexValue``s are built only for the
+pivot values returned and for error diagnostics.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .errors import (
     NotFreeError,
     SweepInvariantError,
 )
-from .geometry import LexValue, PointSet, TraceSet, _key_value, _meet, _runs, _sweep_key
+from .geometry import LexValue, PointSet, TraceSet, _key_value, _runs
 
 
 def _face_sort_key(f: frozenset):
@@ -210,23 +213,47 @@ def _index_family(family: Sequence[TraceSet]) -> dict[int, tuple]:
     return dict(enumerate(_runs(family), 1))
 
 
-def _face_joints(runs: Mapping[int, tuple]) -> dict[frozenset, tuple]:
-    """Every nonempty face g of the nerve of ``runs``, with its row: its
-    joint (the runs of its members' intersection), its parent
-    g − {max g}, max g, and its labels in order.
+def _layout(ground: PointSet) -> list[tuple[int, int]]:
+    """Per level, the bit of its first cell and the mask of its cells
+    shifted down: cell (level l, index i) is bit ``layout[l − 1][0] + i``
+    of a cell mask."""
+    sizes = [len(coords) for coords in ground.levels]
+    return list(zip(itertools.accumulate(sizes, initial=0), ((1 << n) - 1 for n in sizes)))
+
+
+def _mask(runs: tuple, layout: Sequence[tuple[int, int]]) -> int:
+    """The cells of a run tuple as a mask; 0 when it is empty."""
+    mask = 0
+    for run, (offset, _) in zip(runs, layout):
+        if run is not None:
+            mask |= ((2 << (run[1] - run[0])) - 1) << (offset + run[0])
+    return mask
+
+
+def _sweep_keys(masks: Sequence[int], layout: Sequence[tuple[int, int]]):
+    """Each mask's sweep key, as ``geometry._sweep_key`` reads it off
+    runs: the last index on each level, −1 where the level is empty.
+    One pass per level over all the masks."""
+    return zip(
+        *[[((m >> lo) & full).bit_length() - 1 for m in masks] for lo, full in layout]
+    )
+
+
+def _face_joints(cells: Mapping[int, int]) -> dict[frozenset, tuple]:
+    """Every nonempty face g of the nerve of ``cells`` (label → cell
+    mask), with its row: its joint (the AND of its members' masks), its
+    parent g − {max g}, max g, and its labels in order.
 
     Faces grow in label order: the extensions of f ∪ {a} are the later
-    extensions b of f whose runs still meet f ∪ {a}'s joint, so each
-    candidate costs one meet, and f and a are the parent and the top
-    label of f ∪ {a}.  The faces, the empty one included, are counted
+    extensions b of f for which f ∪ {b}'s joint still meets f ∪ {a}'s,
+    so each candidate costs one AND, and f and a are the parent and the
+    top label of f ∪ {a}.  The faces, the empty one included, are counted
     against the ``COLLAPSE_FACES`` guard as they are added.
     """
     limit = guard_limit("COLLAPSE_FACES")
     rows: dict[frozenset, tuple] = {}
     # (face, its labels, its extensions in label order, each with its joint)
-    stack = [
-        (frozenset(), (), [(lab, r) for lab, r in sorted(runs.items()) if any(r)])
-    ]
+    stack = [(frozenset(), (), [(lab, c) for lab, c in sorted(cells.items()) if c])]
     while stack:
         f, labels, extensions = stack.pop()
         for k, (lab, joint) in enumerate(extensions):
@@ -236,16 +263,16 @@ def _face_joints(runs: Mapping[int, tuple]) -> dict[frozenset, tuple]:
             if len(rows) >= limit:
                 raise GuardExceededError("nerve face count", len(rows) + 1, limit)
             grown = []
-            for b, _ in extensions[k + 1 :]:
-                m = _meet(joint, runs[b])
-                if m is not None:
+            for b, other in extensions[k + 1 :]:
+                m = joint & other
+                if m:
                     grown.append((b, m))
             if grown:
                 stack.append((g, grown_labels, grown))
     return rows
 
 
-def _nerve_faces(ground: PointSet, joints: Mapping[frozenset, tuple]) -> set:
+def _nerve_faces(ground: PointSet, joints: Mapping[frozenset, int]) -> set:
     faces = set(joints)
     if len(ground) > 0:
         faces.add(frozenset())
@@ -265,7 +292,11 @@ def nerve(family: Sequence[TraceSet]) -> SimplicialComplex:
     runs = _index_family(family)
     if not family:
         return SimplicialComplex(frozenset())
-    faces = _nerve_faces(family[0].ground, _face_joints(runs))
+    ground = family[0].ground
+    layout = _layout(ground)
+    faces = _nerve_faces(
+        ground, _face_joints({lab: _mask(r, layout) for lab, r in runs.items()})
+    )
     return SimplicialComplex._trusted(frozenset(faces))
 
 
@@ -491,34 +522,31 @@ def _face_list(faces) -> tuple[tuple[int, ...], ...]:
 
 
 def _refresh(
-    joints: Mapping[frozenset, tuple],
+    joints: Mapping[frozenset, int],
     parents: Mapping[frozenset, tuple[frozenset, int]],
-    working: Mapping[int, tuple],
+    cells: Mapping[int, int],
     changed,
     dying=None,
-) -> dict[frozenset, tuple | None] | None:
-    """Joints under ``working`` of the faces in ``joints`` that contain a
-    label in ``changed``: None where the members no longer meet or one
-    of them is gone.  Every other face keeps its joint.  ``joints`` lists
-    each face after its parent f − {max f}, as the face walk adds them.
+) -> dict[frozenset, int] | None:
+    """Joints under ``cells`` (label → cell mask) of the faces in
+    ``joints`` that contain a label in ``changed``: 0 where the members
+    no longer meet or one of them is gone.  Every other face keeps its
+    joint.  ``joints`` lists each face after its parent f − {max f}, as
+    the face walk adds them.
 
     Given the set of faces expected to die (each must contain a changed
     label), the refresh stops early and returns None at the first face
     whose fate disagrees: a face of ``dying`` that keeps a joint, or a
     face outside it that loses its joint."""
-    fresh: dict[frozenset, tuple | None] = {}
+    fresh: dict[frozenset, int] = {}
     for f in joints:
         if f.isdisjoint(changed):
             continue
         rest, top = parents[f]
-        if top not in working:
-            joint = None
-        elif not rest:
-            joint = working[top] if any(working[top]) else None
-        else:
-            base = fresh[rest] if rest in fresh else joints[rest]
-            joint = None if base is None else _meet(base, working[top])
-        if dying is not None and (joint is None) != (f in dying):
+        joint = cells.get(top, 0)
+        if rest:
+            joint &= fresh[rest] if rest in fresh else joints[rest]
+        if dying is not None and (not joint) != (f in dying):
             return None
         fresh[f] = joint
     return fresh
@@ -543,14 +571,20 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
 
     ground = family[0].ground
     bound = 2 * ground.d - 1
+    layout = _layout(ground)
+    # each set's cell mask, re-encoded from its runs after every cut
+    cells = {lab: _mask(r, layout) for lab, r in working.items()}
     # the nonempty faces of the current complex K, each with its joint
-    # under ``working``, its parent f − {max f} with max f, and its sweep
+    # under ``cells``, its parent f − {max f} with max f, and its sweep
     # key: the value, the support size and the sorted labels.  K is these
     # faces and the empty face (the ground is nonempty while any remain)
-    rows = _face_joints(working)
+    rows = _face_joints(cells)
     joints = {f: row[0] for f, row in rows.items()}
     parents = {f: row[1:3] for f, row in rows.items()}
-    keys = {f: (_sweep_key(row[0]), len(f), row[3]) for f, row in rows.items()}
+    keys = {
+        f: (key, len(f), row[3])
+        for (f, row), key in zip(rows.items(), _sweep_keys(list(joints.values()), layout))
+    }
     initial = SimplicialComplex._trusted(frozenset(_nerve_faces(ground, joints)))
     all_steps: list[CollapseStep] = []
     iterations: list[SweepIteration] = []
@@ -581,29 +615,31 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
 
         if n == 1:
             working = {lab: r for lab, r in working.items() if lab not in pivot}
-            fresh = _refresh(joints, parents, working, pivot)
+            cells = {lab: c for lab, c in cells.items() if lab not in pivot}
+            fresh = _refresh(joints, parents, cells, pivot)
             mode = "delete"
         else:
             i = next(lvl for lvl, m in enumerate(value, start=1) if m >= 0)
             m = value[i - 1]
-            candidate = dict(working)
+            candidate, candidate_cells = dict(working), dict(cells)
             for lab in pivot:
                 candidate[lab] = _cut_within(working[lab], i, m)
+                candidate_cells[lab] = _mask(candidate[lab], layout)
             # the truncated family's nerve is the collapse exactly when
             # the faces through the pivot, and only they, die
-            fresh = _refresh(joints, parents, candidate, pivot, removed)
+            fresh = _refresh(joints, parents, candidate_cells, pivot, removed)
             if fresh is not None:
-                working = candidate
+                working, cells = candidate, candidate_cells
                 mode = "truncate"
             elif strict:
-                fresh = _refresh(joints, parents, candidate, pivot)
+                fresh = _refresh(joints, parents, candidate_cells, pivot)
                 raise _sweep_diag(
                     "nerve of the truncated family differs from the collapse",
                     family=_family_snapshot(ground, working),
                     pivot=support,
                     collapsed_faces=faces_without(removed),
                     truncated_nerve_faces=faces_without(
-                        {f for f, joint in fresh.items() if joint is None}
+                        {f for f, joint in fresh.items() if not joint}
                     ),
                 )
             else:
@@ -638,10 +674,11 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
                         block=_face_list(block),
                     )
                 steps = tuple(found)
-                working = dict(working)
+                working, cells = dict(working), dict(cells)
                 for lab in star:
                     working[lab] = _cut_within(working[lab], i, m)
-                fresh = _refresh(joints, parents, working, star)
+                    cells[lab] = _mask(working[lab], layout)
+                fresh = _refresh(joints, parents, cells, star)
                 gone = block
                 mode = "star"
 
@@ -649,7 +686,7 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
         # K, and only the faces through a changed set can have died.  The
         # dead faces and the collapsed ones both lie inside K, so K less
         # the one equals K less the other exactly when they are equal
-        dead = {f for f, joint in fresh.items() if joint is None}
+        dead = {f for f, joint in fresh.items() if not joint}
         if dead != gone:
             raise _sweep_diag(
                 "rebuilt family's nerve does not match the collapsed complex",
@@ -660,11 +697,11 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
             )
         for f in gone:
             del joints[f], parents[f], keys[f]
-        for f, joint in fresh.items():
-            # a face's key moves only with its joint
-            if joint is not None and joint != joints[f]:
-                joints[f] = joint
-                keys[f] = (_sweep_key(joint), *keys[f][1:])
+        # a face's key moves only with its joint
+        moved = [(f, joint) for f, joint in fresh.items() if joint and joint != joints[f]]
+        for (f, joint), key in zip(moved, _sweep_keys([joint for _, joint in moved], layout)):
+            joints[f] = joint
+            keys[f] = (key, *keys[f][1:])
         all_steps.extend(steps)
         iterations.append(SweepIteration(pivot, pivot_value, mode, steps))
 

@@ -261,6 +261,8 @@ class KIntersectRich:
 
     def families_needed(self, d: int, n_sets: int) -> int:
         _check_k_predicate(self, d, n_sets, 2 * d - self.k + 1)
+        if self.alpha_min > 1:  # α is a share of the subsets
+            raise ValueError(f"predicate {self.name} needs alpha ≤ 1, spec has {self.alpha_min}")
         return 1
 
     def check(self, ground: PointSet, families) -> bool:

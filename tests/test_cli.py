@@ -334,6 +334,10 @@ def test_gen_rejects_bad_predicate_parameters_before_drawing(
          "--predicate expects k-rich:K:ALPHA with an integer K"),
         (["experiment", "--suite", "pq", "--d", "1,,2"],
          "--d expects a comma list of integer levels, e.g. 1,2,3"),
+        (["gen", "--d", "2", "--predicate", "k-rich:1:x"],
+         "--predicate expects k-rich:K:ALPHA with a rational ALPHA"),
+        (["gen", "--d", "2", "--presence", "x"],
+         "--presence expects a rational probability, e.g. 1/2"),
     ],
 )
 def test_malformed_flag_values_name_the_flag_and_its_form(argv, message, capsys):
@@ -355,6 +359,9 @@ def test_malformed_flag_values_name_the_flag_and_its_form(argv, message, capsys)
          "k-intersect-rich needs at least 4 sets per family, spec has 1"),
         (["--d", "2", "--sets", "2", "--predicate", "k-rich:2:1/2"],
          "k-intersect-rich needs at least 3 sets per family, spec has 2"),
+        # α is a share of the subsets, so none exceeds 1
+        (["--d", "2", "--sets", "4", "--predicate", "k-rich:1:5/4"],
+         "k-intersect-rich needs alpha ≤ 1, spec has 5/4"),
     ],
 )
 def test_gen_rejects_a_predicate_no_draw_can_satisfy(args, message, monkeypatch, capsys):

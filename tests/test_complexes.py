@@ -30,6 +30,7 @@ from dintervals import (
     trace_of,
 )
 from dintervals import complexes
+from dintervals.geometry import _joint, _sweep_key
 from helpers import (
     cliff_complex,
     closed_complex,
@@ -119,6 +120,50 @@ def test_nerve_matches_bruteforce_enumeration():
         ground = random_ground(rng, rng.randrange(1, 4), max_per_level=4)
         fam = [random_trace(rng, ground) for _ in range(rng.randrange(0, 6))]
         assert nerve(fam).faces == nerve_bruteforce(fam)
+
+
+def codec_families():
+    """Seeded families for the cell-mask codec: dense sweep families, then
+    random ones at d = 1, 2 and 3, each d over a full ground and over
+    grounds with one level emptied."""
+    for _, family in dense_families(4):
+        yield family
+    rng = random.Random(2027)
+    for d in (1, 2, 3):
+        for emptied in (None, *range(d)):
+            levels = [sorted(rng.sample(range(-8, 9), rng.randrange(3, 7))) for _ in range(d)]
+            if emptied is not None:
+                levels[emptied] = []
+            ground = PointSet(d, tuple(tuple(map(Fraction, level)) for level in levels))
+            for _ in range(6):
+                yield [random_trace(rng, ground) for _ in range(rng.randrange(1, 9))]
+
+
+def test_face_walk_masks_and_keys_match_the_run_meets():
+    # every face the walk returns has the cell mask of its members'
+    # run-tuple joint, encoded here cell by cell, and the sweep key
+    # geometry reads off that joint
+    faces = 0
+    for family in codec_families():
+        ground = family[0].ground
+        runs = dict(enumerate((t.runs for t in family), 1))
+        offsets = list(itertools.accumulate(map(len, ground.levels), initial=0))
+        layout = complexes._layout(ground)
+        rows = complexes._face_joints({lab: complexes._mask(r, layout) for lab, r in runs.items()})
+        masks = [row[0] for row in rows.values()]
+        for g, mask, key in zip(rows, masks, complexes._sweep_keys(masks, layout)):
+            joint = _joint(runs[lab] for lab in sorted(g))
+            assert joint is not None, g
+            cells = [
+                offsets[lvl] + i
+                for lvl, run in enumerate(joint)
+                if run is not None
+                for i in range(run[0], run[1] + 1)
+            ]
+            assert mask == sum(1 << c for c in cells), (g, joint)
+            assert key == _sweep_key(joint), (g, joint)
+            faces += 1
+    assert faces > 2000
 
 
 def test_public_complexes_still_refuse_face_sets_that_are_not_closed():

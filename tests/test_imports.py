@@ -123,6 +123,13 @@ def test_only_the_colorful_helly_checks_walk_colorful_tuples():
     ]
 
 
+def test_no_function_in_complexes_meets_run_tuples():
+    # the face walk and the sweep's refresh AND int cell masks and read
+    # the sweep keys off them; runs stay for the cuts and the star test
+    callers = _package_functions_with(_calls("_meet", "_sweep_key"))
+    assert callers and [c for c in callers if c[0] == "complexes.py"] == []
+
+
 def test_no_function_takes_a_per_call_guard_override():
     # the dropped guard overrides and every other dropped option, each
     # with the functions it may not come back to (None: any function);
