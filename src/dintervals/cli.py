@@ -61,8 +61,8 @@ def _load_instance(args) -> Instance:
 
 def _finish(report: Report, args, code: int = 0) -> int:
     report.timing["seconds"] = round(time.perf_counter() - args._t0, 6)
-    text = emit_report(report, getattr(args, "format", "json"), getattr(args, "out", None))
-    if getattr(args, "out", None):
+    text = emit_report(report, args.format, args.out)
+    if args.out:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -35,22 +35,22 @@ re-verified against the nerve of the rebuilt family; a mismatch is never
 papered over, it raises with full diagnostics.  ``strict=True`` insists
 on the single-collapse truncation route and raises on its mismatch.
 
-The sweep works in index space.  A set is its tuple of per-level runs
-(``TraceSet.runs``), which the cuts, the star test and the diagnostics
-read, and a cell mask encoded from them: cell (level l, index i) is one
-bit, each level's cells above the lower levels'.  A face's
+The sweep works in index space.  Runs are read once, when a family
+comes in; from then on a set is its cell mask: cell (level l, index i)
+is one bit, each level's cells above the lower levels'.  A face's
 intersection, its *joint*, is the AND of its members' masks, 0 when
 empty, and a sweep value is the joint's last index on each level read
 off the mask, the same tuple as ``geometry._sweep_key`` of its runs,
-which orders faces exactly as ``f_value`` does.  One face walk builds
-the nerve and every face's joint, parent and sorted labels.
-The sweep keeps both across iterations and re-intersects only the faces
-that contain a changed set: none on a delete, the pivot support on a
-truncation, the star on a fallback; a cut set's mask is re-encoded from
-its cut runs, a face's key is recomputed only when its joint changed,
-and a truncation's refresh stops at the first face whose fate disagrees
-with the collapse.  Cuts only shrink sets (the cut asserts it), so the
-rebuilt family's nerve lies inside the current complex, and equals the
+which orders faces exactly as ``f_value`` does.  A cut is one AND, the
+star test one bit, and the diagnostics read each set's points off its
+mask.  One face walk builds the nerve and every face's joint, parent
+and sorted labels.  The sweep keeps both across iterations and
+re-intersects only the faces that contain a changed set: none on a
+delete, the pivot support on a truncation, the star on a fallback; a
+face's key is recomputed only when its joint changed, and a
+truncation's refresh stops at the first face whose fate disagrees with
+the collapse.  A cut only clears bits, so no set grows, the rebuilt
+family's nerve lies inside the current complex, and it equals the
 collapsed complex exactly when the faces that died are the faces
 collapsed.  Fractions, points and ``LexValue``s are built only for the
 pivot values returned and for error diagnostics.
@@ -69,7 +69,7 @@ from .errors import (
     NotFreeError,
     SweepInvariantError,
 )
-from .geometry import LexValue, PointSet, TraceSet, _key_value, _runs
+from .geometry import LexValue, Point, PointSet, TraceSet, _key_value, _runs
 
 
 def _face_sort_key(f: frozenset):
@@ -206,28 +206,26 @@ class CollapseSequence:
 # nerve
 
 
-def _index_family(family: Sequence[TraceSet]) -> dict[int, tuple]:
+def _cells(family: Sequence[TraceSet]) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """Check a family against the ``NERVE`` guard and one ground; return
-    label → runs, the i-th set labelled i (from 1)."""
+    its layout and label → cell mask, the i-th set labelled i (from 1).
+
+    The layout holds, per level, the bit of its first cell and the mask
+    of its cells shifted down: cell (level l, index i) is bit
+    ``layout[l − 1][0] + i``.  An empty set's mask is 0.  This is the one
+    place the module reads runs."""
     check_guard("NERVE", "nerve family size", len(family))
-    return dict(enumerate(_runs(family), 1))
-
-
-def _layout(ground: PointSet) -> list[tuple[int, int]]:
-    """Per level, the bit of its first cell and the mask of its cells
-    shifted down: cell (level l, index i) is bit ``layout[l − 1][0] + i``
-    of a cell mask."""
-    sizes = [len(coords) for coords in ground.levels]
-    return list(zip(itertools.accumulate(sizes, initial=0), ((1 << n) - 1 for n in sizes)))
-
-
-def _mask(runs: tuple, layout: Sequence[tuple[int, int]]) -> int:
-    """The cells of a run tuple as a mask; 0 when it is empty."""
-    mask = 0
-    for run, (offset, _) in zip(runs, layout):
-        if run is not None:
-            mask |= ((2 << (run[1] - run[0])) - 1) << (offset + run[0])
-    return mask
+    runs = _runs(family)
+    sizes = [len(coords) for coords in family[0].ground.levels] if family else []
+    layout = list(zip(itertools.accumulate(sizes, initial=0), ((1 << n) - 1 for n in sizes)))
+    cells = {}
+    for lab, r in enumerate(runs, 1):
+        mask = 0
+        for run, (offset, _) in zip(r, layout):
+            if run is not None:
+                mask |= ((2 << (run[1] - run[0])) - 1) << (offset + run[0])
+        cells[lab] = mask
+    return layout, cells
 
 
 def _sweep_keys(masks: Sequence[int], layout: Sequence[tuple[int, int]]):
@@ -289,14 +287,10 @@ def nerve(family: Sequence[TraceSet]) -> SimplicialComplex:
     sets than the ``NERVE`` guard, or more faces than ``COLLAPSE_FACES``,
     raise ``GuardExceededError``.
     """
-    runs = _index_family(family)
+    cells = _cells(family)[1]
     if not family:
         return SimplicialComplex(frozenset())
-    ground = family[0].ground
-    layout = _layout(ground)
-    faces = _nerve_faces(
-        ground, _face_joints({lab: _mask(r, layout) for lab, r in runs.items()})
-    )
+    faces = _nerve_faces(family[0].ground, _face_joints(cells))
     return SimplicialComplex._trusted(frozenset(faces))
 
 
@@ -464,25 +458,13 @@ def is_d_collapsible(K: SimplicialComplex, b: int) -> tuple[bool, CollapseSequen
 # family truncation
 
 
-def _cut(runs: tuple, level: int, m: int) -> tuple:
-    """Keep the levels below ``level``, the indices past ``m`` on
-    ``level`` itself, and nothing above it."""
-    run = runs[level - 1]
-    if run is not None and run[0] <= m:
-        run = (m + 1, run[1]) if m < run[1] else None
-    return runs[: level - 1] + (run,) + (None,) * (len(runs) - level)
-
-
-def _cut_within(runs: tuple, level: int, m: int) -> tuple:
-    """``_cut``, checked to shrink every run: the sweep rechecks only the
-    faces of the complex it cuts, which is sound because no set grows."""
-    cut = _cut(runs, level, m)
-    if len(cut) != len(runs) or any(
-        new is not None and (old is None or new[0] < old[0] or new[1] > old[1])
-        for old, new in zip(runs, cut)
-    ):
-        raise AssertionError(f"cut runs {cut} are not inside {runs}")
-    return cut
+def _cut(cell: int, layout: Sequence[tuple[int, int]], level: int, m: int) -> int:
+    """Keep the cells below ``level``, the cells past index ``m`` on
+    ``level`` itself, and nothing above it.  One AND, so a cut never
+    grows a set, which is what lets the sweep recheck only the faces
+    through the sets it cut."""
+    offset, full = layout[level - 1]
+    return cell & ((1 << offset) - 1 | full >> (m + 1) << (offset + m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +493,16 @@ def _sweep_diag(message: str, **extra) -> SweepInvariantError:
     return SweepInvariantError(message, diagnostics=extra)
 
 
-def _family_snapshot(ground: PointSet, working: Mapping[int, tuple]) -> dict:
+def _family_snapshot(ground: PointSet, layout, cells: Mapping[int, int]) -> dict:
+    """Each set's points, read off its mask in level and index order."""
     return {
-        lab: TraceSet(ground, runs).points() for lab, runs in sorted(working.items())
+        lab: tuple(
+            Point(coords[i], lvl)
+            for lvl, (coords, (offset, _)) in enumerate(zip(ground.levels, layout), start=1)
+            for i in range(len(coords))
+            if cell >> (offset + i) & 1
+        )
+        for lab, cell in sorted(cells.items())
     }
 
 
@@ -564,16 +553,13 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
     The returned sequence replays to the empty complex with every free
     face of size ≤ 2d−1.
     """
-    working = _index_family(family)
+    layout, cells = _cells(family)
     if not family:
         void = SimplicialComplex(frozenset())
         return SweepResult(CollapseSequence(void, (), 1), ())
 
     ground = family[0].ground
     bound = 2 * ground.d - 1
-    layout = _layout(ground)
-    # each set's cell mask, re-encoded from its runs after every cut
-    cells = {lab: _mask(r, layout) for lab, r in working.items()}
     # the nonempty faces of the current complex K, each with its joint
     # under ``cells``, its parent f − {max f} with max f, and its sweep
     # key: the value, the support size and the sorted labels.  K is these
@@ -599,14 +585,14 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
         if n > bound:
             raise _sweep_diag(
                 f"pivot support has {n} sets, exceeding {bound}",
-                family=_family_snapshot(ground, working),
+                family=_family_snapshot(ground, layout, cells),
                 pivot=support,
             )
         removed, maximal = _coface_block(joints, pivot)
         if len(maximal) != 1:
             raise _sweep_diag(
                 "pivot face is not free",
-                family=_family_snapshot(ground, working),
+                family=_family_snapshot(ground, layout, cells),
                 pivot=support,
                 maximal_faces=_face_list(maximal),
             )
@@ -614,28 +600,26 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
         gone, steps = removed, (step,)
 
         if n == 1:
-            working = {lab: r for lab, r in working.items() if lab not in pivot}
             cells = {lab: c for lab, c in cells.items() if lab not in pivot}
             fresh = _refresh(joints, parents, cells, pivot)
             mode = "delete"
         else:
             i = next(lvl for lvl, m in enumerate(value, start=1) if m >= 0)
             m = value[i - 1]
-            candidate, candidate_cells = dict(working), dict(cells)
+            candidate = dict(cells)
             for lab in pivot:
-                candidate[lab] = _cut_within(working[lab], i, m)
-                candidate_cells[lab] = _mask(candidate[lab], layout)
+                candidate[lab] = _cut(cells[lab], layout, i, m)
             # the truncated family's nerve is the collapse exactly when
             # the faces through the pivot, and only they, die
-            fresh = _refresh(joints, parents, candidate_cells, pivot, removed)
+            fresh = _refresh(joints, parents, candidate, pivot, removed)
             if fresh is not None:
-                working, cells = candidate, candidate_cells
+                cells = candidate
                 mode = "truncate"
             elif strict:
-                fresh = _refresh(joints, parents, candidate_cells, pivot)
+                fresh = _refresh(joints, parents, candidate, pivot)
                 raise _sweep_diag(
                     "nerve of the truncated family differs from the collapse",
-                    family=_family_snapshot(ground, working),
+                    family=_family_snapshot(ground, layout, cells),
                     pivot=support,
                     collapsed_faces=faces_without(removed),
                     truncated_nerve_faces=faces_without(
@@ -648,18 +632,15 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
                 # face's value is below the pivot's, so a face dies with
                 # the cut exactly when its value agrees with the pivot's
                 # through level i
-                star = frozenset(
-                    lab
-                    for lab, r in working.items()
-                    if r[i - 1] is not None and r[i - 1][0] <= m <= r[i - 1][1]
-                )
+                point = 1 << (layout[i - 1][0] + m)
+                star = frozenset(lab for lab, cell in cells.items() if cell & point)
                 block = frozenset(
                     f for f, key in keys.items() if key[0][:i] == value[:i]
                 )
                 if pivot not in block or not all(f <= star for f in block):
                     raise _sweep_diag(
                         "fallback block is inconsistent with the pivot star",
-                        family=_family_snapshot(ground, working),
+                        family=_family_snapshot(ground, layout, cells),
                         pivot=support,
                         star=tuple(sorted(star)),
                     )
@@ -669,28 +650,28 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
                 if found is None:
                     raise _sweep_diag(
                         "no collapse order removes the fallback block",
-                        family=_family_snapshot(ground, working),
+                        family=_family_snapshot(ground, layout, cells),
                         pivot=support,
                         block=_face_list(block),
                     )
                 steps = tuple(found)
-                working, cells = dict(working), dict(cells)
                 for lab in star:
-                    working[lab] = _cut_within(working[lab], i, m)
-                    cells[lab] = _mask(working[lab], layout)
+                    candidate[lab] = _cut(cells[lab], layout, i, m)
+                cells = candidate
                 fresh = _refresh(joints, parents, cells, star)
                 gone = block
                 mode = "star"
 
-        # the nerve of the rebuilt family: no set grew, so it lies inside
-        # K, and only the faces through a changed set can have died.  The
-        # dead faces and the collapsed ones both lie inside K, so K less
-        # the one equals K less the other exactly when they are equal
+        # the nerve of the rebuilt family: a cut only clears bits, so it
+        # lies inside K, and only the faces through a changed set can have
+        # died.  The dead faces and the collapsed ones both lie inside K,
+        # so K less the one equals K less the other exactly when they are
+        # equal
         dead = {f for f, joint in fresh.items() if not joint}
         if dead != gone:
             raise _sweep_diag(
                 "rebuilt family's nerve does not match the collapsed complex",
-                family=_family_snapshot(ground, working),
+                family=_family_snapshot(ground, layout, cells),
                 pivot=support,
                 expected_faces=faces_without(gone),
                 actual_faces=faces_without(dead),

@@ -263,6 +263,8 @@ class KIntersectRich:
         _check_k_predicate(self, d, n_sets, 2 * d - self.k + 1)
         if self.alpha_min > 1:  # α is a share of the subsets
             raise ValueError(f"predicate {self.name} needs alpha ≤ 1, spec has {self.alpha_min}")
+        if self.alpha_min < 0:
+            raise ValueError(f"predicate {self.name} needs alpha ≥ 0, spec has {self.alpha_min}")
         return 1
 
     def check(self, ground: PointSet, families) -> bool:

@@ -74,11 +74,19 @@ def first_finite(value: LexValue) -> tuple[int, Fraction]:
     raise ValueError("all components are -inf")
 
 
+def cut_runs(runs: tuple, i: int, m: int) -> tuple:
+    """Keep the runs below level i, the indices past m on level i, and
+    nothing above it."""
+    run = runs[i - 1]
+    if run is not None:
+        run = (max(run[0], m + 1), run[1]) if m < run[1] else None
+    return runs[: i - 1] + (run,) + (None,) * (len(runs) - i)
+
+
 def truncate_family(family, support, i, a_i, labels=None) -> list[TraceSet]:
     """Truncate the supported sets: at level i drop coords ≤ a_i, and drop
-    all levels above i; other sets pass through unchanged.  The threshold
-    becomes the index the sweep's own cut (``complexes._cut_within``)
-    takes, so the reference sweep cuts as the sweep does."""
+    all levels above i; other sets pass through unchanged.  The cut works
+    on runs (``cut_runs``), apart from the sweep's cut of cell masks."""
     if labels is None:
         labels = list(range(1, len(family) + 1))
     chosen = set(support)
@@ -91,7 +99,7 @@ def truncate_family(family, support, i, a_i, labels=None) -> list[TraceSet]:
             raise ValueError(f"level {i} outside [1, {t.ground.d}]")
         if lab in chosen:
             m = bisect_right(t.ground.level_coords(i), Fraction(a_i)) - 1
-            t = TraceSet(t.ground, complexes._cut_within(t.runs, i, m))
+            t = TraceSet(t.ground, cut_runs(t.runs, i, m))
         out.append(t)
     return out
 

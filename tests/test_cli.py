@@ -296,6 +296,7 @@ def test_gen_draw_cap_below_one_exits_two(capsys):
         ("colorful-helly:0", "k must lie in [1, 1]"),
         ("colorful-helly:2", "k must lie in [1, 1]"),
         ("k-rich:0:1/2", "k must lie in [1, 1]"),
+        ("k-rich:1:-7", "predicate k-intersect-rich needs alpha ≥ 0, spec has -7"),
         ("pq:3:2:bogus", "unknown kind 'bogus'"),
         ("pq:2:3", "need p ≥ q ≥ 1"),
         ("pq:0:0", "need p ≥ q ≥ 1"),

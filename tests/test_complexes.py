@@ -34,6 +34,7 @@ from dintervals.geometry import _joint, _sweep_key
 from helpers import (
     cliff_complex,
     closed_complex,
+    cut_runs,
     dense_families,
     elementary_collapse,
     face,
@@ -139,6 +140,17 @@ def codec_families():
                 yield [random_trace(rng, ground) for _ in range(rng.randrange(1, 9))]
 
 
+def encoded(runs: tuple, ground: PointSet) -> int:
+    """The cells of a run tuple as a mask, encoded cell by cell."""
+    offsets = list(itertools.accumulate(map(len, ground.levels), initial=0))
+    return sum(
+        1 << (offsets[lvl] + i)
+        for lvl, run in enumerate(runs)
+        if run is not None
+        for i in range(run[0], run[1] + 1)
+    )
+
+
 def test_face_walk_masks_and_keys_match_the_run_meets():
     # every face the walk returns has the cell mask of its members'
     # run-tuple joint, encoded here cell by cell, and the sweep key
@@ -146,24 +158,34 @@ def test_face_walk_masks_and_keys_match_the_run_meets():
     faces = 0
     for family in codec_families():
         ground = family[0].ground
-        runs = dict(enumerate((t.runs for t in family), 1))
-        offsets = list(itertools.accumulate(map(len, ground.levels), initial=0))
-        layout = complexes._layout(ground)
-        rows = complexes._face_joints({lab: complexes._mask(r, layout) for lab, r in runs.items()})
+        layout, cells = complexes._cells(family)
+        assert cells == {lab: encoded(t.runs, ground) for lab, t in enumerate(family, 1)}
+        rows = complexes._face_joints(cells)
         masks = [row[0] for row in rows.values()]
         for g, mask, key in zip(rows, masks, complexes._sweep_keys(masks, layout)):
-            joint = _joint(runs[lab] for lab in sorted(g))
+            joint = _joint(family[lab - 1].runs for lab in sorted(g))
             assert joint is not None, g
-            cells = [
-                offsets[lvl] + i
-                for lvl, run in enumerate(joint)
-                if run is not None
-                for i in range(run[0], run[1] + 1)
-            ]
-            assert mask == sum(1 << c for c in cells), (g, joint)
+            assert mask == encoded(joint, ground), (g, joint)
             assert key == _sweep_key(joint), (g, joint)
             faces += 1
     assert faces > 2000
+
+
+def test_the_mask_cut_is_the_run_cut_and_never_grows_a_set():
+    # every set, level and index: the sweep's cut of the set's mask is
+    # the reference run cut, encoded, and lies inside the mask
+    cases = 0
+    for family in codec_families():
+        ground = family[0].ground
+        layout, cells = complexes._cells(family)
+        for lab, t in enumerate(family, 1):
+            for level, coords in enumerate(ground.levels, 1):
+                for m in range(len(coords)):
+                    got = complexes._cut(cells[lab], layout, level, m)
+                    assert got == encoded(cut_runs(t.runs, level, m), ground), (t, level, m)
+                    assert got & ~cells[lab] == 0
+                    cases += 1
+    assert cases > 2000
 
 
 def test_public_complexes_still_refuse_face_sets_that_are_not_closed():
@@ -383,10 +405,11 @@ def test_sweep_raises_when_a_star_member_is_left_uncut(monkeypatch):
     res = sweep_collapse(fam)
     assert [it.mode for it in res.iterations] == ["star", "delete"]
     cut = complexes._cut
+    third = complexes._cells(fam)[1][3]
     monkeypatch.setattr(
         complexes,
         "_cut",
-        lambda runs, level, m: runs if runs == fam[2].runs else cut(runs, level, m),
+        lambda cell, layout, level, m: cell if cell == third else cut(cell, layout, level, m),
     )
     with pytest.raises(SweepInvariantError) as err:
         sweep_collapse(fam)
@@ -394,22 +417,6 @@ def test_sweep_raises_when_a_star_member_is_left_uncut(monkeypatch):
     diagnostics = err.value.diagnostics
     assert diagnostics["expected_faces"] == ((), (2,))
     assert diagnostics["actual_faces"] == ((), (2,), (3,))
-
-
-def test_a_cut_that_grows_a_run_is_refused(monkeypatch):
-    fam = star_family()
-    cut = complexes._cut
-
-    def grow(runs, level, m):
-        # fill every level above the cut instead of clearing it
-        out = cut(runs, level, m)
-        return out[:level] + ((0, 0),) * (len(out) - level)
-
-    monkeypatch.setattr(complexes, "_cut", grow)
-    with pytest.raises(AssertionError, match="not inside"):
-        sweep_collapse(fam)
-    with pytest.raises(AssertionError, match="not inside"):
-        truncate_family(fam, {2}, 1, 2)
 
 
 # -------------------------------------------------------------- truncation

@@ -68,6 +68,10 @@ def _compares_a_ground(n) -> bool:
     )
 
 
+def _reads_runs(n) -> bool:
+    return _calls("_runs")(n) or isinstance(n, ast.Attribute) and n.attr == "runs"
+
+
 def _package_functions_with(found) -> list[tuple[str, str]]:
     return sorted(
         (path.name, name)
@@ -84,6 +88,7 @@ def test_the_function_scans_flag_what_they_look_for():
     )
     assert _functions_with(source, _compares_a_ground) == ["f"]
     assert _functions_with(source, _calls("intersect_all")) == ["g"]
+    assert _functions_with(source, _reads_runs) == ["h"]
 
 
 def test_the_guard_rule_lives_in_config():
@@ -124,10 +129,13 @@ def test_only_the_colorful_helly_checks_walk_colorful_tuples():
 
 
 def test_no_function_in_complexes_meets_run_tuples():
-    # the face walk and the sweep's refresh AND int cell masks and read
-    # the sweep keys off them; runs stay for the cuts and the star test
+    # a set in complexes is its cell mask: the face walk and the sweep's
+    # refresh AND masks and read the sweep keys off them, the cuts AND
+    # them too, and only the encoder reads runs
     callers = _package_functions_with(_calls("_meet", "_sweep_key"))
     assert callers and [c for c in callers if c[0] == "complexes.py"] == []
+    readers = _package_functions_with(_reads_runs)
+    assert [c for c in readers if c[0] == "complexes.py"] == [("complexes.py", "_cells")]
 
 
 def test_no_function_takes_a_per_call_guard_override():
