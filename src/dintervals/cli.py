@@ -3,8 +3,8 @@
 Exit codes: 0 when the command ran and every asserted property held,
 1 when a checked property failed or a certified invariant broke (the
 report carries a witness), 2 for usage errors, schema errors, guard
-overruns, and unmet preconditions.  ``dcollapse-oracle`` is a query:
-it exits 0 whichever way the answer goes.
+overruns, and unmet preconditions.  0 or 1 is read off the report's
+verdicts: the query ``dcollapse-oracle`` has none, so it exits 0.
 """
 
 from __future__ import annotations
@@ -59,21 +59,20 @@ def _load_instance(args) -> Instance:
     return instance
 
 
-def _finish(report: Report, args, code: int = 0) -> int:
+def _finish(report: Report, args) -> int:
     report.timing["seconds"] = round(time.perf_counter() - args._t0, 6)
     text = emit_report(report, args.format, args.out)
     if args.out:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    return code
+    return 0 if report.passed else 1
 
 
-def _verdict(args, name: str, holds: bool, parameters: dict, **sections) -> int:
-    """Report a checked property of the input file; exit 1 when it fails."""
-    parameters = {"file": args.file, **parameters}
-    report = Report(args.command, parameters, verdicts={name: holds}, **sections)
-    return _finish(report, args, 0 if holds else 1)
+def _report(args, parameters: dict, **sections) -> int:
+    """Report on the input file, named after the command, file first."""
+    report = Report(args.command, {"file": args.file, **parameters}, **sections)
+    return _finish(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +82,8 @@ def _verdict(args, name: str, holds: bool, parameters: dict, **sections) -> int:
 def cmd_nerve(args) -> int:
     inst = _load_instance(args)
     K = nerve(inst.sets)
-    report = Report(
-        "nerve",
-        {"file": args.file, "sets": len(inst.sets), "d": inst.ground.d},
+    return _report(
+        args, {"sets": len(inst.sets), "d": inst.ground.d},
         statistics={
             "faces": len(K.faces),
             "dim": K.dim,
@@ -96,7 +94,6 @@ def cmd_nerve(args) -> int:
             "names": {i + 1: name for i, name in enumerate(inst.names)},
         },
     )
-    return _finish(report, args)
 
 
 def cmd_collapse(args) -> int:
@@ -113,8 +110,9 @@ def cmd_collapse(args) -> int:
         }
         for i, it in enumerate(result.iterations)
     ]
-    return _verdict(
-        args, "collapsed", final.is_terminal, {"strict": args.strict, "d": inst.ground.d},
+    return _report(
+        args, {"strict": args.strict, "d": inst.ground.d},
+        verdicts={"collapsed": final.is_terminal},
         statistics={
             "iterations": len(result.iterations),
             "steps": result.step_count,
@@ -136,33 +134,29 @@ def cmd_dcollapse_oracle(args) -> int:
             {"free": sorted(s.free_face), "maximal": sorted(s.unique_maximal)}
             for s in witness.steps
         ]
-    report = Report(
-        "dcollapse-oracle",
-        {"file": args.file, "bound": args.bound},
+    # query semantics: no verdict, so a negative answer still exits 0
+    return _report(
+        args, {"bound": args.bound},
         statistics={"collapsible": ok, "faces": len(K.faces)},
         witnesses={} if steps is None else {"sequence": steps},
     )
-    # query semantics: a negative answer is still a successful run
-    return _finish(report, args)
 
 
 def cmd_radon(args) -> int:
     inst = _load_instance(args)
     cap = args.cap if args.cap is not None else 2 * inst.ground.d + 1
     number = radon_number_bruteforce(inst.ground, cap)
-    report = Report(
-        "radon",
-        {"file": args.file, "cap": cap, "points": len(inst.ground)},
+    return _report(
+        args, {"cap": cap, "points": len(inst.ground)},
         statistics={"radon_number": number},
     )
-    return _finish(report, args)
 
 
 def cmd_helly(args) -> int:
     inst = _load_instance(args)
     rep = helly_check(inst.sets, args.m, args.k)
-    return _verdict(
-        args, "holds", rep.verdict, {"m": args.m, "k": args.k},
+    return _report(
+        args, {"m": args.m, "k": args.k}, verdicts={"holds": rep.verdict},
         witnesses=rep.witnesses, statistics=rep.statistics,
     )
 
@@ -174,9 +168,8 @@ def cmd_colorful_helly(args) -> int:
     if args.rotate is not None and families:
         designated = args.rotate % len(families)
     sel = colorful_helly_points(families, args.k, designated=designated)
-    report = Report(
-        "colorful-helly",
-        {"file": args.file, "k": args.k, "families": len(families)},
+    return _report(
+        args, {"k": args.k, "families": len(families)},
         verdicts={"selected": True},
         witnesses={
             "points": sel.points,
@@ -185,14 +178,13 @@ def cmd_colorful_helly(args) -> int:
             "minimum": sel.minimum,
         },
     )
-    return _finish(report, args)
 
 
 def cmd_frac_helly(args) -> int:
     inst = _load_instance(args)
     rep = frac_helly_stats(inst.sets, args.k)
-    return _verdict(
-        args, "bound_holds", rep.verdict, {"k": args.k, "n": len(inst.sets)},
+    return _report(
+        args, {"k": args.k, "n": len(inst.sets)}, verdicts={"bound_holds": rep.verdict},
         witnesses=rep.witnesses, statistics=rep.statistics,
     )
 
@@ -200,8 +192,8 @@ def cmd_frac_helly(args) -> int:
 def cmd_cfh(args) -> int:
     inst = _load_instance(args)
     rep = cfh_stats(inst.family_traces())
-    return _verdict(
-        args, "bound_holds", rep.verdict, {},
+    return _report(
+        args, {}, verdicts={"bound_holds": rep.verdict},
         witnesses=rep.witnesses, statistics=rep.statistics,
     )
 
@@ -209,9 +201,8 @@ def cmd_cfh(args) -> int:
 def cmd_pierce(args) -> int:
     inst = _load_instance(args)
     res = pierce_all(inst.sets)
-    report = Report(
-        "pierce",
-        {"file": args.file, "n": len(inst.sets), "d": inst.ground.d},
+    return _report(
+        args, {"n": len(inst.sets), "d": inst.ground.d},
         verdicts={"sandwich": True, "lp_certified": res.lp.certified},
         statistics={
             "tau": res.tau,
@@ -226,7 +217,6 @@ def cmd_pierce(args) -> int:
             "transversal_weights": res.lp.transversal_weights,
         },
     )
-    return _finish(report, args)
 
 
 def cmd_pq_check(args) -> int:
@@ -236,8 +226,8 @@ def cmd_pq_check(args) -> int:
     else:
         families = inst.family_traces()
     ok, counterexample = pq_check(families, args.p, args.q, args.kind)
-    return _verdict(
-        args, "has_property", ok, {"p": args.p, "q": args.q, "kind": args.kind},
+    return _report(
+        args, {"p": args.p, "q": args.q, "kind": args.kind}, verdicts={"has_property": ok},
         witnesses={} if ok else {"counterexample": counterexample},
     )
 
@@ -345,7 +335,7 @@ def cmd_experiment(args) -> int:
             _ints(args.d.split(","), "--d expects a comma list of integer levels, e.g. 1,2,3")
         )
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, d_choices=d_choices)
-    return _finish(report, args, 0 if report.passed else 1)
+    return _finish(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +483,7 @@ def run_command(argv=None) -> int:
         if exc.diagnostics:
             print(jsonify(exc.diagnostics), file=sys.stderr)
         return 1
-    except (SchemaError, GuardExceededError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SchemaError, GuardExceededError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

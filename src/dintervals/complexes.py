@@ -489,10 +489,6 @@ class SweepResult:
         return len(self.sequence.steps)
 
 
-def _sweep_diag(message: str, **extra) -> SweepInvariantError:
-    return SweepInvariantError(message, diagnostics=extra)
-
-
 def _family_snapshot(ground: PointSet, layout, cells: Mapping[int, int]) -> dict:
     """Each set's points, read off its mask in level and index order."""
     return {
@@ -578,24 +574,20 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
     def faces_without(gone) -> tuple:
         return _face_list(_nerve_faces(ground, joints) - gone)
 
+    def fail(message: str, **extra) -> SweepInvariantError:
+        """The sweep's error, with the family and the pivot at the raise."""
+        family = _family_snapshot(ground, layout, cells)
+        return SweepInvariantError(message, {"family": family, "pivot": support, **extra})
+
     while joints:
         value, n, support = min(keys.values())
         pivot = frozenset(support)
         pivot_value = _key_value(ground, value)
         if n > bound:
-            raise _sweep_diag(
-                f"pivot support has {n} sets, exceeding {bound}",
-                family=_family_snapshot(ground, layout, cells),
-                pivot=support,
-            )
+            raise fail(f"pivot support has {n} sets, exceeding {bound}")
         removed, maximal = _coface_block(joints, pivot)
         if len(maximal) != 1:
-            raise _sweep_diag(
-                "pivot face is not free",
-                family=_family_snapshot(ground, layout, cells),
-                pivot=support,
-                maximal_faces=_face_list(maximal),
-            )
+            raise fail("pivot face is not free", maximal_faces=_face_list(maximal))
         step = CollapseStep(pivot, maximal[0], frozenset(removed))
         gone, steps = removed, (step,)
 
@@ -617,10 +609,8 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
                 mode = "truncate"
             elif strict:
                 fresh = _refresh(joints, parents, candidate, pivot)
-                raise _sweep_diag(
+                raise fail(
                     "nerve of the truncated family differs from the collapse",
-                    family=_family_snapshot(ground, layout, cells),
-                    pivot=support,
                     collapsed_faces=faces_without(removed),
                     truncated_nerve_faces=faces_without(
                         {f for f, joint in fresh.items() if not joint}
@@ -638,20 +628,16 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
                     f for f, key in keys.items() if key[0][:i] == value[:i]
                 )
                 if pivot not in block or not all(f <= star for f in block):
-                    raise _sweep_diag(
+                    raise fail(
                         "fallback block is inconsistent with the pivot star",
-                        family=_family_snapshot(ground, layout, cells),
-                        pivot=support,
                         star=tuple(sorted(star)),
                     )
                 # a face's joint shrinks as the face grows, so the
                 # block is closed upward, as the search requires
                 found = _collapse_search(block, bound, _smallest_first)
                 if found is None:
-                    raise _sweep_diag(
+                    raise fail(
                         "no collapse order removes the fallback block",
-                        family=_family_snapshot(ground, layout, cells),
-                        pivot=support,
                         block=_face_list(block),
                     )
                 steps = tuple(found)
@@ -669,10 +655,8 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
         # equal
         dead = {f for f, joint in fresh.items() if not joint}
         if dead != gone:
-            raise _sweep_diag(
+            raise fail(
                 "rebuilt family's nerve does not match the collapsed complex",
-                family=_family_snapshot(ground, layout, cells),
-                pivot=support,
                 expected_faces=faces_without(gone),
                 actual_faces=faces_without(dead),
             )

@@ -3,10 +3,11 @@
 Every suite draws its own per-trial parameters from a named stream, so
 a (suite, seed, trials) triple pins the corpus exactly.  Suites return
 a Report whose verdicts say whether the property under test survived
-the whole corpus; witnesses carry the first failure in full.  A small
-shared driver holds what the suites have in common: the report header,
-the per-trial draws, the block that marks a row ok or records its error,
-and the failure count with its first witness, read off the rows.
+the whole corpus; witnesses carry the first failure in full.  Every
+suite builds its header and draws its trials through shared helpers;
+collapse, radon, pierce and maxima-witness also mark rows ok or record
+their errors and read the failure count and first witness off the rows.
+A guard overrun is never a failed trial: it propagates from every suite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .complexes import is_d_collapsible, nerve, sweep_collapse
-from .errors import DIntervalError, SweepInvariantError, TheoremViolationError
+from .errors import (
+    DIntervalError,
+    GuardExceededError,
+    PreconditionError,
+    SweepInvariantError,
+    TheoremViolationError,
+)
 from .generators import (
     ColorfulHellyProperty,
     GenSpec,
@@ -107,10 +114,12 @@ def _trials(seed: int, stream: str, count: int, d_choices=None):
 @contextmanager
 def _row(report: Report, row: dict, errors: tuple[type[Exception], ...]):
     """Marks the row ok, or not ok with the error when the block raises
-    one of ``errors``, then appends it; any other exception propagates."""
+    one of ``errors`` but not a guard overrun, then appends it."""
     row["ok"] = True
     try:
         yield
+    except GuardExceededError:
+        raise
     except errors as exc:
         row["ok"] = False
         row["error"] = str(exc)
@@ -249,7 +258,7 @@ def colorful_suite(trials: int = 200, seed: int = 7, d_choices=(1, 2, 3)) -> Rep
                 found += 1
                 try:
                     colorful_helly_points(outcome.families, k)
-                except (TheoremViolationError, DIntervalError) as exc:
+                except (TheoremViolationError, PreconditionError) as exc:
                     violations += 1
                     report.witnesses.setdefault(
                         "first_violation",
@@ -274,6 +283,9 @@ def colorful_suite(trials: int = 200, seed: int = 7, d_choices=(1, 2, 3)) -> Rep
 
 
 def frac_suite(trials: int = 500, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
+    # trials draw 2d to 9 sets
+    if any(not 1 <= d <= 4 for d in d_choices):
+        raise ValueError("the frac-helly suite supports d from 1 to 4")
     report = _new_report("frac-helly", trials, seed, d_choices)
     frac_violations = 0
     cfh_violations = 0

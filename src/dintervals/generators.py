@@ -80,13 +80,16 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _sample_distinct(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
-    # partial Fisher–Yates: random.sample switches algorithms by input
-    # size, this stays byte-stable
-    pool = list(range(lo, hi + 1))
+    # partial Fisher–Yates, byte-stable (random.sample switches algorithms
+    # by input size): step i picks slot j and moves slot i, which no later
+    # step reads, into it; slot x not in pool holds lo + x, so memory is O(count)
+    pool: dict[int, int] = {}
+    picked = []
     for i in range(count):
-        j = i + _below(rng, len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return sorted(pool[:count])
+        j = i + _below(rng, hi - lo + 1 - i)
+        picked.append(pool.get(j, lo + j))
+        pool[j] = pool.get(i, lo + i)
+    return sorted(picked)
 
 
 def _bernoulli(rng: random.Random, probability: Fraction) -> bool:

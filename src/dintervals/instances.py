@@ -192,7 +192,7 @@ def parse_instance(
     return Instance(ground, traces, names, families), warnings
 
 
-def serialize_trace(trace: TraceSet, name: str | None = None) -> dict:
+def serialize_trace(trace: TraceSet, name: str) -> dict:
     interval = minimal_dinterval(trace)
     levels = []
     for lvl in range(1, trace.ground.d + 1):
@@ -205,8 +205,6 @@ def serialize_trace(trace: TraceSet, name: str | None = None) -> dict:
                     "hi": format_rational(piece.hi),
                 }
             )
-    if name is None:
-        return {"levels": levels}
     return {"name": name, "levels": levels}
 
 

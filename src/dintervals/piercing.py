@@ -339,10 +339,8 @@ def blow_up(family: Sequence[TraceSet], multiplicities: Sequence[int]) -> tuple[
 def piercing_bound_check(family: Sequence[TraceSet]) -> tuple[bool, int, int]:
     """τ ≤ (d²−d)·ν for d ≥ 2; for d = 1 the interval identity τ = ν
     stands in, since the coefficient degenerates to zero."""
-    _validate_family(family)
+    res = pierce_all(family)
     d = family[0].ground.d
-    tau, _ = tau_exact(family)
-    nu, _ = nu_exact(family)
     if d == 1:
-        return tau == nu, tau, nu
-    return tau <= (d * d - d) * nu, tau, nu
+        return res.tau == res.nu, res.tau, res.nu
+    return res.tau <= (d * d - d) * res.nu, res.tau, res.nu

@@ -3,28 +3,25 @@
 Timing lives in its own section so reproducibility checks can compare
 everything else byte for byte.  Wherever a mapping holds a non-integer
 rational, an advisory ``<key>_decimal`` sibling carries the float
-rendering; the exact string stays authoritative.
+rendering; the exact string stays authoritative.  A value of a type
+no report holds, such as a set, renders as its ``str``.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .geometry import LexValue, Point, TraceSet
-from .instances import serialize_trace
+from .geometry import LexValue, Point
 from .rationals import decimal_repr, format_rational
 
 
 def jsonify(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else format_rational(value)
@@ -34,8 +31,6 @@ def jsonify(value: Any) -> Any:
         return [
             "-inf" if c is None else format_rational(c) for c in value.components
         ]
-    if isinstance(value, TraceSet):
-        return serialize_trace(value)
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -44,15 +39,8 @@ def jsonify(value: Any) -> Any:
             if isinstance(v, Fraction) and v.denominator != 1:
                 out[key + "_decimal"] = decimal_repr(v)
         return out
-    if isinstance(value, (frozenset, set)):
-        items = [jsonify(v) for v in value]
-        return sorted(items, key=lambda x: json.dumps(x, sort_keys=True))
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return jsonify(
-            {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        )
     return str(value)
 
 

@@ -104,6 +104,17 @@ def truncate_family(family, support, i, a_i, labels=None) -> list[TraceSet]:
     return out
 
 
+def sample_distinct_reference(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """The generators' partial Fisher–Yates over the whole list of
+    coordinates, drawn with ``randrange``: the sparse sampler must draw
+    the same points and leave the stream in the same state."""
+    pool = list(range(lo, hi + 1))
+    for i in range(count):
+        j = i + rng.randrange(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:count])
+
+
 def random_family(rng: random.Random, ground: PointSet, size: int) -> list[TraceSet]:
     return [random_trace(rng, ground) for _ in range(size)]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dintervals import Instance, PointSet, dump_instance, gen_helly_lower_bound
+from dintervals import Instance, PointSet, dump_instance, gen_helly_lower_bound, parse_instance
 from dintervals import cli, generators
 from dintervals.cli import run_command
 from helpers import p6
@@ -85,6 +85,22 @@ def test_nerve_lists_faces_with_names(tmp_path, capsys):
     assert [1, 2, 3] not in report["witnesses"]["faces"]
 
 
+@pytest.mark.parametrize(
+    "command, header, line",
+    [
+        ("nerve", "file,sets,d,faces,dim,vertices", '3,2,7,1,"[1, 2, 3]"'),
+        ("pierce",
+         "file,n,d,sandwich,lp_certified,tau,nu,tau_star,tau_star_decimal,nu_star,nu_star_decimal",
+         "3,2,True,True,2,1,3/2,1.5,3/2,1.5"),
+    ],
+)
+def test_a_report_without_rows_is_one_csv_line(command, header, line, tmp_path, capsys):
+    # parameters, verdicts and statistics, flattened in that order
+    path = triple_instance(tmp_path)
+    assert run_command([command, path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [header, f"{path},{line}"]
+
+
 def test_dcollapse_oracle_is_a_query_either_way(tmp_path, capsys):
     path = triple_instance(tmp_path)
     code, report = run(capsys, "dcollapse-oracle", path, "--bound", "1")
@@ -94,6 +110,13 @@ def test_dcollapse_oracle_is_a_query_either_way(tmp_path, capsys):
     assert code == 0
     assert report["statistics"]["collapsible"] is True
     assert report["witnesses"]["sequence"]
+
+
+def test_dcollapse_oracle_bound_below_one_exits_two(tmp_path, capsys):
+    assert run_command(["dcollapse-oracle", triple_instance(tmp_path), "--bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: collapse bound must be ≥ 1\n"
 
 
 # ----------------------------------------------------------- helly and radon
@@ -254,6 +277,17 @@ def test_gen_writes_a_deterministic_parseable_instance(tmp_path, capsys):
     assert code == 0 and report["parameters"]["sets"] == 3
 
 
+def test_gen_without_out_writes_the_instance_to_stdout(tmp_path, capsys):
+    out = str(tmp_path / "a.json")
+    argv = ["gen", "--d", "2", "--points", "3,4", "--range", "0:6", "--sets", "3"]
+    assert run_command(argv) == 0
+    text = capsys.readouterr().out
+    assert run_command(argv + ["--out", out]) == 0
+    assert capsys.readouterr().out == f"wrote {out} after 1 draw(s)\n"
+    assert text == open(out).read()
+    assert len(parse_instance(text)[0].sets) == 3
+
+
 def test_gen_with_predicate_emits_family_groups(tmp_path, capsys):
     out = str(tmp_path / "col.json")
     code = run_command([
@@ -339,6 +373,10 @@ def test_gen_rejects_bad_predicate_parameters_before_drawing(
          "--predicate expects k-rich:K:ALPHA with a rational ALPHA"),
         (["gen", "--d", "2", "--presence", "x"],
          "--presence expects a rational probability, e.g. 1/2"),
+        (["gen", "--d", "2", "--predicate", "k-rich:1"],
+         "--predicate expects k-rich:K:ALPHA with an integer K"),
+        (["gen", "--d", "2", "--predicate", "bogus:1"], "unknown predicate 'bogus'"),
+        (["gen", "--d", "3", "--points", "3,3"], "points spec needs 1 or 3 counts"),
     ],
 )
 def test_malformed_flag_values_name_the_flag_and_its_form(argv, message, capsys):
@@ -540,11 +578,35 @@ def test_experiment_csv_has_a_row_per_trial(tmp_path, capsys):
 
 
 def test_experiment_radon_rejects_unsupported_d(capsys):
-    assert run_command(["experiment", "--suite", "radon", "--d", "1,7"]) == 2
+    # so does frac-helly, whose trials draw 2d to 9 sets
+    for suite, d, message in (
+        ("radon", "1,7", "the radon suite supports d from 1 to 6"),
+        ("frac-helly", "5", "the frac-helly suite supports d from 1 to 4"),
+    ):
+        assert run_command(["experiment", "--suite", suite, "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "guard, limit, suite, message",
+    [
+        ("RADON_POINTS", "3", "radon", "radon subset size: size 6 exceeds guard limit 3"),
+        ("PIERCE_SETS", "2", "pierce", "family size: size 3 exceeds guard limit 2"),
+        ("PQ_WORK", "5", "colorful-helly",
+         "colorful tuple enumeration: size 8 exceeds guard limit 5"),
+    ],
+)
+def test_a_guard_overrun_inside_a_suite_exits_two(
+    guard, limit, suite, message, monkeypatch, capsys
+):
+    # an overrun is a limit of the run, never a failed trial
+    monkeypatch.setenv(f"DINTERVALS_GUARD_{guard}", limit)
+    assert run_command(["experiment", "--suite", suite, "--trials", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "d from 1 to 6" in captured.err
-    assert "randrange" not in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))
@@ -562,3 +624,35 @@ def test_experiment_rejects_trials_below_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "trials must be ≥ 1" in captured.err
+
+
+# ---------------------------------------------------------- one report path
+
+
+@pytest.mark.parametrize(
+    "make, argv, code",
+    [
+        (two_interval_instance, ["collapse"], 0),
+        (triple_instance, ["nerve"], 0),
+        (triple_instance, ["dcollapse-oracle", "--bound", "1"], 0),
+        (triple_instance, ["dcollapse-oracle", "--bound", "2"], 0),
+        (two_interval_instance, ["radon"], 0),
+        (lower_bound_instance, ["helly", "--m", "3"], 1),
+        (lower_bound_instance, ["helly", "--m", "4"], 0),
+        (colorful_pair_instance, ["colorful-helly", "--k", "1"], 0),
+        (lower_bound_instance, ["frac-helly", "--k", "1"], 0),
+        (colorful_pair_instance, ["cfh"], 0),
+        (triple_instance, ["pierce"], 0),
+        (lower_bound_instance, ["pq-check", "--p", "4", "--q", "3"], 0),
+        (lower_bound_instance, ["pq-check", "--p", "4", "--q", "4"], 1),
+        (None, ["experiment", "--suite", "helly", "--trials", "3"], 0),
+    ],
+)
+def test_the_exit_code_is_read_off_the_verdicts(make, argv, code, tmp_path, capsys):
+    # 0 exactly when every verdict in the printed report holds; a query
+    # such as dcollapse-oracle has none
+    command, *flags = argv
+    files = [] if make is None else [make(tmp_path)]
+    got, report = run(capsys, command, *files, *flags)
+    assert report["command"] == command
+    assert got == (0 if all(report["verdicts"].values()) else 1) == code

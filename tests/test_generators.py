@@ -28,7 +28,7 @@ from dintervals import (
     trace_of,
 )
 from dintervals import generators
-from helpers import p6
+from helpers import p6, sample_distinct_reference
 
 
 def spec_of(**overrides) -> GenSpec:
@@ -62,6 +62,26 @@ def test_below_draws_exactly_as_randrange():
         lo = pick.randrange(-50, 50)
         assert lo + generators._below(ours, n) == theirs.randrange(lo, lo + n)
         assert ours.getstate() == theirs.getstate()
+
+
+def test_sampling_draws_as_the_whole_list_shuffle():
+    # the sampler keeps only the slots a swap displaced
+    pick = random.Random(11)
+    for case in range(3000):
+        lo = pick.randrange(-20, 20)
+        hi = lo + pick.randrange(0, 60)
+        count = pick.randrange(0, hi - lo + 2)
+        ours, theirs = random.Random(f"sample:{case}"), random.Random(f"sample:{case}")
+        got = generators._sample_distinct(ours, lo, hi, count)
+        assert got == sample_distinct_reference(theirs, lo, hi, count)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_sampling_a_wide_range_costs_the_points_drawn_not_the_range():
+    # a list of the range would need terabytes
+    points = generators._sample_distinct(random.Random(3), 0, 10**12, 3)
+    assert len(set(points)) == 3
+    assert all(0 <= p <= 10**12 for p in points)
 
 
 def _revalidates(ground, families) -> bool:

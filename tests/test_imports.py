@@ -2,8 +2,10 @@
 module, guard limits are read in one place, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
 not build traces through ``intersect_all``, only the colorful Helly
-checks walk colorful tuples, no dropped option comes back, and the
-import block of ``__init__`` is the public surface."""
+checks walk colorful tuples, each outcome leaves by one path (the CLI
+builds every report in one helper, the sweep every error in one, and
+reports know nothing of instances), no dropped option comes back, and
+the import block of ``__init__`` is the public surface."""
 
 import ast
 import types
@@ -47,13 +49,21 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def _functions_with(source: str, found) -> list[str]:
-    """Names of the functions holding a node for which ``found`` is true."""
-    return [
-        node.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(found(n) for n in ast.walk(node))
-    ]
+    """Names of the functions holding a node for which ``found`` is true
+    in their own body, outside the functions nested in it."""
+    names = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        todo = list(ast.iter_child_nodes(func))
+        while todo:
+            node = todo.pop()
+            if found(node):
+                names.append(func.name)
+                break
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.extend(ast.iter_child_nodes(node))
+    return names
 
 
 def _calls(*names):
@@ -85,10 +95,13 @@ def test_the_function_scans_flag_what_they_look_for():
         "def f(a, b):\n    return a.ground == b.ground\n"
         "def g(a):\n    return intersect_all([a])\n"
         "def h(a, b):\n    return a.ground, b.runs == a.runs\n"
+        "def outer():\n    def inner():\n        return Report()\n    return inner\n"
+        "def k(a):\n    return sorted(a, key=lambda t: t.runs)\n"
     )
     assert _functions_with(source, _compares_a_ground) == ["f"]
     assert _functions_with(source, _calls("intersect_all")) == ["g"]
-    assert _functions_with(source, _reads_runs) == ["h"]
+    assert _functions_with(source, _reads_runs) == ["h", "k"]
+    assert _functions_with(source, _calls("Report")) == ["inner"]
 
 
 def test_the_guard_rule_lives_in_config():
@@ -138,6 +151,31 @@ def test_no_function_in_complexes_meets_run_tuples():
     assert [c for c in readers if c[0] == "complexes.py"] == [("complexes.py", "_cells")]
 
 
+def _source(module: str) -> str:
+    return (PACKAGE / module).read_text(encoding="utf-8")
+
+
+def test_the_cli_builds_every_report_in_one_place():
+    # _report names the report after the command and puts the file first;
+    # _finish reads the exit code off the verdicts
+    assert _functions_with(_source("cli.py"), _calls("Report")) == ["_report"]
+
+
+def test_the_sweep_builds_every_error_in_one_place():
+    # fail adds the working family and the pivot as they stand at the raise
+    found = _functions_with(_source("complexes.py"), _calls("SweepInvariantError"))
+    assert found == ["fail"]
+
+
+def test_reports_import_nothing_from_instances():
+    imported = [
+        node.module
+        for node in ast.walk(ast.parse(_source("reports.py")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    assert "geometry" in imported and "instances" not in imported
+
+
 def test_no_function_takes_a_per_call_guard_override():
     # the dropped guard overrides and every other dropped option, each
     # with the functions it may not come back to (None: any function);
@@ -152,6 +190,7 @@ def test_no_function_takes_a_per_call_guard_override():
         "cap_per_instance": None,
         "override": {"check_guard"},
         "designated": {"gen_helly_lower_bound", "gen_radon_lower_bound"},
+        "code": {"_finish"},
     }
     found = [
         f"{path.name}:{node.name}({a.arg})"
