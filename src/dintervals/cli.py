@@ -313,10 +313,8 @@ def cmd_gen(args) -> int:
     names = [f"S{i + 1}" for i in range(len(flat))]
     groups = None
     if len(families) > 1:
-        groups, offset = [], 0
-        for fam in families:
-            groups.append(list(range(offset, offset + len(fam))))
-            offset += len(fam)
+        n = spec.n_sets
+        groups = [list(range(i * n, (i + 1) * n)) for i in range(len(families))]
     inst = Instance(ground, flat, names, groups)
     text = dump_instance(inst)
     if args.out:

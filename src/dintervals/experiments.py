@@ -325,17 +325,18 @@ def frac_suite(trials: int = 500, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     return report
 
 
-def _nonempty_family(family):
-    return [t for t in family if not t.is_empty]
+def _pierce_family(rng: random.Random, seed: int, t: int, d: int, n_lo: int = 2) -> list:
+    """A full-presence draw of n_lo to 8 sets, its empty members dropped."""
+    spec = _random_spec(
+        rng, seed, t, d, n_lo=n_lo, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
+    )
+    return [s for s in gen_family(spec)[1] if not s.is_empty]
 
 
 def pierce_suite(trials: int = 220, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     report = _new_report("pierce", trials, seed, d_choices)
     for t, rng, d in _trials(seed, "pierce", trials, d_choices):
-        spec = _random_spec(
-            rng, seed, t, d, n_lo=2, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
-        )
-        family = _nonempty_family(gen_family(spec)[1])
+        family = _pierce_family(rng, seed, t, d)
         if len(family) < 2:
             report.rows.append({"trial": t, "d": d, "skipped": True})
             continue
@@ -364,10 +365,7 @@ def bound_suite(trials: int = 200, seed: int = 7, d_choices=(2, 3)) -> Report:
     report = _new_report("piercing-bound", trials, seed, d_choices)
     violations = 0
     for t, rng, d in _trials(seed, "bound", trials, d_choices):
-        spec = _random_spec(
-            rng, seed, t, d, n_lo=2, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
-        )
-        family = _nonempty_family(gen_family(spec)[1])
+        family = _pierce_family(rng, seed, t, d)
         if len(family) < 2:
             report.rows.append({"trial": t, "d": d, "skipped": True})
             continue
@@ -390,10 +388,7 @@ def pq_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     max_tau: dict[str, int] = {}
     for t, rng, d in _trials(seed, "pq", trials, d_choices):
         p = rng.randrange(3, 6)
-        spec = _random_spec(
-            rng, seed, t, d, n_lo=p, n_hi=8, pts_lo=2, pts_hi=6, full_presence=True
-        )
-        family = _nonempty_family(gen_family(spec)[1])
+        family = _pierce_family(rng, seed, t, d, n_lo=p)
         if len(family) < p:
             continue
         ok, _ = pq_check([family], p, 2, "plain")

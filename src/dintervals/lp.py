@@ -47,15 +47,15 @@ def simplex_maximize(
         raise ValueError("this solver needs b ≥ 0")
 
     c, b = [_rational(x) for x in c], [_rational(x) for x in b]
-    A = [[_rational(x) for x in row] for row in A]
-    L = lcm(*(x.denominator for x in chain(c, b, *A)))
+    # A's columns, sparse: (row, entry) per nonzero entry
+    columns = [[(i, _rational(row[j])) for i, row in enumerate(A) if row[j] != 0] for j in range(n)]
+    L = lcm(*(x.denominator for x in chain(c, b, (a for col in columns for _, a in col))))
 
     def scaled(x) -> int:
         return x.numerator * (L // x.denominator)
 
     cost = [scaled(x) for x in c]
-    # A's columns, sparse: (row, entry) per nonzero entry
-    columns = [[(i, scaled(row[j])) for i, row in enumerate(A) if row[j]] for j in range(n)]
+    columns = [[(i, scaled(a)) for i, a in col] for col in columns]
     rhs = [scaled(x) for x in b]
     # variables: n structural, then m slack; basis[i] is row i's basic one
     basis = list(range(n, n + m))

@@ -7,6 +7,12 @@ read off the runs as cells (level − 1, index) with ``geometry._incidence``,
 and ``Point``s are built only for returned points and diagnostics.  Families
 handed to the piercing solvers must have no empty member (an empty set
 cannot be pierced, so τ would be undefined).
+
+τ, ν and the LP read one incidence, built as the family is checked: the
+sets through each cell, each set's cells, and the intersection graph.
+Two sets over one ground meet exactly when they share a cell, so τ's
+packing bound and ν's search take neighbours from the graph, and only
+ν's witness recheck meets run tuples itself.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Sequence
 
 from .config import check_guard
 from .errors import PreconditionError, TheoremViolationError
-from .geometry import Point, TraceSet, _incidence, _meet, _point, _runs
+from .geometry import Point, TraceSet, _incidence, _meet, _point
 from .lp import SimplexOutcome, simplex_maximize
 
 
@@ -43,8 +49,11 @@ class PiercingResult:
     lp: LPSolution
 
 
-def _validate_family(family: Sequence[TraceSet]) -> list[tuple]:
-    """The family's run tuples, once it is checked fit to pierce."""
+def _incidence_graph(family: Sequence[TraceSet]) -> tuple[list, list, list, list]:
+    """The family's incidence, once it is checked fit to pierce: the
+    covered cells in coordinate order, the sets through each cell, each
+    set's cells (ascending indices into the first) and each set's
+    neighbours in the intersection graph, the other sets sharing a cell."""
     if not family:
         raise PreconditionError("family is empty")
     check_guard("PIERCE_SETS", "family size", len(family))
@@ -53,7 +62,17 @@ def _validate_family(family: Sequence[TraceSet]) -> list[tuple]:
             raise PreconditionError(
                 f"set {j} has empty trace; piercing undefined", witness=j
             )
-    return _runs(family)
+    cover = _incidence(family)
+    covers = [frozenset(through) for through in cover.values()]
+    cells_of: list[list[int]] = [[] for _ in family]
+    meets: list[set[int]] = [set() for _ in family]
+    for i, through in enumerate(covers):
+        for j in through:
+            cells_of[j].append(i)
+            meets[j] |= through
+    for j, neighbours in enumerate(meets):
+        neighbours.discard(j)
+    return list(cover), covers, cells_of, meets
 
 
 def max_point_cover(family: Sequence[TraceSet]) -> tuple[int, Point | None]:
@@ -80,14 +99,7 @@ def tau_exact(
     ``lp_value`` is the family's τ* when the caller has already solved
     the LP; otherwise it is solved here.
     """
-    _validate_family(family)
-    cover = _incidence(family)
-    cells = list(cover)
-    # covers[i]: the sets through cell i; membership[j]: set j's cells
-    covers = [frozenset(through) for through in cover.values()]
-    membership = [
-        frozenset(i for i, c in enumerate(covers) if j in c) for j in range(len(family))
-    ]
+    cells, covers, cells_of, meets = _incidence_graph(family)
 
     def greedy_cover() -> list[int]:
         uncovered = set(range(len(family)))
@@ -101,13 +113,10 @@ def tau_exact(
     def disjoint_lower_bound(uncovered: frozenset) -> int:
         taken = 0
         blocked: set[int] = set()
-        for j in sorted(uncovered, key=lambda j: len(membership[j])):
-            if j in blocked:
-                continue
-            taken += 1
-            for l in uncovered:
-                if l not in blocked and membership[j] & membership[l]:
-                    blocked.add(l)
+        for j in sorted(uncovered, key=lambda j: len(cells_of[j])):
+            if j not in blocked:
+                taken += 1
+                blocked |= meets[j]
         return taken
 
     if lp_value is None:
@@ -124,15 +133,15 @@ def tau_exact(
             return
         if len(chosen) + disjoint_lower_bound(uncovered) >= best_size:
             return
-        target = min(uncovered, key=lambda j: (len(membership[j]), j))
-        for i in sorted(membership[target]):
+        target = min(uncovered, key=lambda j: (len(cells_of[j]), j))
+        for i in cells_of[target]:
             branch(uncovered - covers[i], chosen + [i])
 
     if best_size > root_lb:
         branch(frozenset(range(len(family))), [])
     picked = sorted(best)
-    for j, s in enumerate(membership):
-        if s.isdisjoint(picked):
+    for j, s in enumerate(cells_of):
+        if set(s).isdisjoint(picked):
             raise TheoremViolationError(
                 "piercing witness misses a set", diagnostics={"set": j}
             )
@@ -143,14 +152,7 @@ def tau_exact(
 def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
     """Maximum pairwise-disjoint subfamily: independent set in the
     intersection graph, by include/exclude with a size cutoff."""
-    runs = _validate_family(family)
-    n = len(family)
-    adj = [set() for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        if _meet(runs[i], runs[j]) is not None:
-            adj[i].add(j)
-            adj[j].add(i)
-
+    adj = _incidence_graph(family)[3]
     best: list[int] = []
 
     def extend(chosen: list[int], allowed: list[int]):
@@ -165,11 +167,10 @@ def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
         extend(chosen + [v], [u for u in rest if u not in adj[v]])
         extend(chosen, rest)
 
-    order = sorted(range(n), key=lambda v: (len(adj[v]), v))
-    extend([], order)
+    extend([], sorted(range(len(family)), key=lambda v: (len(adj[v]), v)))
     witness = tuple(sorted(best))
     for i, j in itertools.combinations(witness, 2):
-        if _meet(runs[i], runs[j]) is not None:
+        if _meet(family[i].runs, family[j].runs) is not None:
             raise TheoremViolationError(
                 "disjointness witness overlaps", diagnostics={"pair": (i, j)}
             )
@@ -188,25 +189,15 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
     against every constraint, in ints over the weights' common
     denominator, before the certificate is granted.  The
     candidates are the family's covered cells, in (level, coordinate)
-    order, read off the runs by ``geometry._incidence``.
+    order, and row i of the constraints holds the sets through cell i.
     """
-    _validate_family(family)
-    cover = _incidence(family)
-    # members[i]: the sets through candidate i; points[j]: set j's candidates
-    members = list(cover.values())
+    cells, covers, cells_of, _ = _incidence_graph(family)
     n = len(family)
-    points: list[list[int]] = [[] for _ in family]
-    A = []
-    for i, through in enumerate(members):
-        row = [0] * n
-        for j in through:
-            row[j] = 1
-            points[j].append(i)
-        A.append(row)
-    out: SimplexOutcome = simplex_maximize([1] * n, A, [1] * len(cover))
+    A = [[int(j in through) for j in range(n)] for through in covers]
+    out: SimplexOutcome = simplex_maximize([1] * n, A, [1] * len(cells))
 
     ground = family[0].ground
-    candidates = tuple(_point(ground, cell) for cell in cover)
+    candidates = tuple(_point(ground, cell) for cell in cells)
     y, x = out.primal, out.dual
     # every check runs on ints over the weights' common denominator q
     q = lcm(*(w.denominator for w in itertools.chain(y, x)))
@@ -214,12 +205,12 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
     X = [w.numerator * (q // w.denominator) for w in x]
     if any(v < 0 for v in Y) or any(v < 0 for v in X):
         raise TheoremViolationError("LP produced negative weights")
-    for i, through in enumerate(members):
+    for i, through in enumerate(covers):
         if sum(Y[j] for j in through) > q:
             raise TheoremViolationError(
                 "matching weights overload a point", diagnostics={"point": candidates[i]}
             )
-    for j, inside in enumerate(points):
+    for j, inside in enumerate(cells_of):
         if sum(X[i] for i in inside) < q:
             raise TheoremViolationError(
                 "transversal weights miss a set", diagnostics={"set": j}

@@ -262,6 +262,53 @@ def test_pq_check_both_ways(tmp_path, capsys):
     assert report["witnesses"]["counterexample"] == [0, 1, 2, 3]
 
 
+def two_family_instance(tmp_path, second) -> str:
+    """Family [0,1], [2,3] and family ``second``, windows on one level."""
+    windows = [("0", "1"), ("2", "3"), *second]
+    doc = {
+        "d": 1,
+        "points": [[str(c), 1] for c in range(6)],
+        "sets": [
+            {"name": f"S{j + 1}", "levels": [{"level": 1, "lo": lo, "hi": hi}]}
+            for j, (lo, hi) in enumerate(windows)
+        ],
+        "families": [[0, 1], [2, 3]],
+    }
+    return write(tmp_path, "two-families.json", json.dumps(doc))
+
+
+MEETING, APART = [("1", "2"), ("4", "5")], [("4", "4"), ("5", "5")]
+
+
+@pytest.mark.parametrize(
+    "second, kind, q, counterexample",
+    [
+        (MEETING, "colorful-first", "2", None),
+        (APART, "colorful-first", "2", [[0, 1], [0, 1]]),
+        (MEETING, "colorful-second", "1", None),
+        (MEETING, "colorful-second", "2", [0, 1]),
+    ],
+)
+def test_pq_check_colorful_kinds_read_the_families(
+    second, kind, q, counterexample, tmp_path, capsys
+):
+    path = two_family_instance(tmp_path, second)
+    code, report = run(capsys, "pq-check", path, "--p", "2", "--q", q, "--kind", kind)
+    assert report["parameters"]["kind"] == kind
+    assert code == (0 if counterexample is None else 1)
+    assert report["witnesses"].get("counterexample") == counterexample
+
+
+@pytest.mark.parametrize("argv", [["colorful-helly", "--k", "1"], ["cfh"]])
+def test_colorful_commands_refuse_a_file_without_families(argv, tmp_path, capsys):
+    # a file without ``families`` holds one family; d = 1 needs two
+    command, *flags = argv
+    assert run_command([command, two_interval_instance(tmp_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 2 families, got 1\n"
+
+
 # ---------------------------------------------------------------------- gen
 
 

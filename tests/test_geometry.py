@@ -13,6 +13,8 @@ from dintervals import (
     LexValue,
     Point,
     PointSet,
+    RadonPartition,
+    SimplicialComplex,
     TraceSet,
     f_value,
     frac_helly_stats,
@@ -20,6 +22,7 @@ from dintervals import (
     helly_check,
     hull,
     intersect_all,
+    jsonify,
     k_intersects,
     max_k_intersecting_subfamily,
     max_point_cover,
@@ -347,3 +350,41 @@ def test_arithmetic_stays_exact_through_the_pipeline():
     assert box.levels[0].lo == Fraction(1, 3)
     assert box.levels[0].hi == Fraction(6, 7)
     assert f_value(got).components == (Fraction(6, 7),)
+
+
+_P6_FULL = TraceSet(p6(), ((0, 2), (0, 2)))
+_ORIGIN = Point(Fraction(0), 1)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        pytest.param(lambda: helly_check([], 2).verdict, True, id="helly-of-no-sets"),
+        pytest.param(lambda: max_k_intersecting_subfamily([], 1), (), id="max-k-of-no-sets"),
+        pytest.param(lambda: list(colorful_tuples([], 1)), [], id="colorful-of-no-families"),
+        pytest.param(lambda: SimplicialComplex(frozenset()).dim, None, id="void-dim"),
+        pytest.param(
+            lambda: ([1] in nerve([_P6_FULL]), [2] in nerve([_P6_FULL])),
+            (True, False),
+            id="complex-contains",
+        ),
+        pytest.param(
+            lambda: (len(TraceSet.empty(p6())), bool(TraceSet.empty(p6()))),
+            (0, False),
+            id="empty-trace-len-bool",
+        ),
+        pytest.param(
+            lambda: (Point(Fraction(0), 3) in _P6_FULL, Point(Fraction(1, 2), 1) in _P6_FULL),
+            (False, False),
+            id="trace-contains-off-ground",
+        ),
+        pytest.param(
+            lambda: RadonPartition((_ORIGIN,), (_ORIGIN,), _ORIGIN).verify(p6()),
+            False,
+            id="radon-overlapping-sides",
+        ),
+        pytest.param(lambda: jsonify(frozenset({1})), "frozenset({1})", id="jsonify-fallback"),
+    ],
+)
+def test_edge_cases_keep_their_answers(query, expected):
+    assert query() == expected

@@ -2,7 +2,8 @@
 module, guard limits are read in one place, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
 not build traces through ``intersect_all``, only the colorful Helly
-checks walk colorful tuples, each outcome leaves by one path (the CLI
+checks walk colorful tuples, the piercing solvers read one incidence
+and one intersection graph, each outcome leaves by one path (the CLI
 builds every report in one helper, the sweep every error in one, and
 reports know nothing of instances), no dropped option comes back, and
 the import block of ``__init__`` is the public surface."""
@@ -149,6 +150,24 @@ def test_no_function_in_complexes_meets_run_tuples():
     assert callers and [c for c in callers if c[0] == "complexes.py"] == []
     readers = _package_functions_with(_reads_runs)
     assert [c for c in readers if c[0] == "complexes.py"] == [("complexes.py", "_cells")]
+
+
+def test_the_piercing_solvers_read_one_incidence():
+    # _incidence_graph builds the incidence and the intersection graph as
+    # it checks the family; τ, ν and the LP read them, and only ν's
+    # witness recheck meets two sets' runs directly
+    def in_piercing(found):
+        return [name for module, name in _package_functions_with(found) if module == "piercing.py"]
+
+    assert in_piercing(_calls("_incidence")) == ["_incidence_graph", "max_point_cover", "pq_check"]
+    assert in_piercing(_calls("_meet")) == ["nu_exact"]
+    imported = {
+        a.name
+        for node in ast.parse(_source("piercing.py")).body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert "_incidence" in imported and "_runs" not in imported
 
 
 def _source(module: str) -> str:
