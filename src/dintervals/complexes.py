@@ -10,16 +10,16 @@ empty face is implicit and never recorded.
 
 One collapse search serves both the ``is_d_collapsible`` oracle and the
 sweep's star fallback.  It is iterative (an explicit stack of states)
-and runs on face indices: a face is a vertex bitmask, a state is one int
-with a bit per face still to remove, and failed states are memoized as
-those ints.  It keeps the counts that find free faces across steps
-(updated on a collapse, restored on backtrack), reads each free face's
-removal set off the submasks between it and its facet, and builds
-``CollapseStep``s only for the path it returns.  The oracle tries the
-free faces that remove the most faces first, the fallback the smallest;
-both then break ties by the sorted face.  A face σ is free exactly when
-the union of the faces containing it is one of them; the sweep's pivot
-check and ``CollapseSequence.replay`` decide freeness so.
+and runs on vertex bitmasks: a state is one int with a bit per face
+still to remove, failed states are memoized as those ints, a face's
+boundary is its mask with one low bit peeled, and a facet's small faces
+and a free face's removal set are submasks.  The counts that find free
+faces are kept across steps (updated on a collapse, restored on
+backtrack), and ``CollapseStep``s are built only for the returned path.
+The oracle tries the free faces that remove the most faces first, the
+fallback the smallest, each breaking ties by the sorted face.  σ is free
+exactly when the union of the faces containing it is one of them; the
+sweep's pivot check and ``CollapseSequence.replay`` decide freeness so.
 
 ``sweep_collapse`` drives a nerve of trace sets down to nothing while
 maintaining, at every iteration, a family whose nerve equals the
@@ -35,20 +35,20 @@ re-verified against the nerve of the rebuilt family; a mismatch is never
 papered over, it raises with full diagnostics.  ``strict=True`` insists
 on the single-collapse truncation route and raises on its mismatch.
 
-The sweep works in index space.  Runs are read once, when a family
-comes in; from then on a set is its cell mask: cell (level l, index i)
-is one bit, each level's cells above the lower levels'.  A face's
-intersection, its *joint*, is the AND of its members' masks, 0 when
-empty, and a sweep value is the joint's last index on each level read
-off the mask, the same tuple as ``geometry._sweep_key`` of its runs,
-which orders faces exactly as ``f_value`` does.  A cut is one AND, the
-star test one bit, and the diagnostics read each set's points off its
-mask.  One face walk builds the nerve and every face's joint, parent
-and sorted labels.  The sweep keeps both across iterations and
-re-intersects only the faces that contain a changed set: none on a
-delete, the pivot support on a truncation, the star on a fallback; a
-face's key is recomputed only when its joint changed, and a
-truncation's refresh stops at the first face whose fate disagrees with
+The sweep works in index space.  Runs are read once, when a family comes
+in; from then on a set is its cell mask: cell (level l, index i) is one
+bit, each level's cells above the lower levels'.  A face's intersection,
+its *joint*, is the AND of its members' masks, 0 when empty, and a sweep
+value is the joint's last index on each level read off the mask, the
+same tuple as ``geometry._sweep_key`` of its runs, which orders faces
+exactly as ``f_value`` does.  A cut is one AND, the star test one bit,
+the star block the faces whose joint ANDs to 0 against the cut, and the
+diagnostics read each set's points off its mask.  One face walk builds
+the nerve and every face's joint, parent and sorted labels.  The sweep
+keeps both across iterations and re-intersects only the faces through a
+changed set: none on a delete, the pivot support on a truncation, the
+star on a fallback; a key is recomputed only when its joint changed, and
+a truncation's refresh stops at the first face whose fate disagrees with
 the collapse.  A cut only clears bits, so no set grows, the rebuilt
 family's nerve lies inside the current complex, and it equals the
 collapsed complex exactly when the faces that died are the faces
@@ -298,16 +298,6 @@ def nerve(family: Sequence[TraceSet]) -> SimplicialComplex:
 # collapses
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first, each as an int of its own."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
-
-
 def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] | None:
     """Collapses at free faces of size ≤ ``bound`` that remove exactly
     the faces in ``todo``, tried in ``order(sigma, facet)``; None when no
@@ -331,13 +321,19 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
     faces = list(todo)
     masks = [sum(map(bit.__getitem__, f)) for f in faces]
     index = {m: i for i, m in enumerate(masks)}
-    # per face: its faces g − {v} inside ``todo``, and its count of
-    # cofaces still to remove
-    boundary = [[index[h] for h in (m ^ low for low in _bits(m)) if h in index] for m in masks]
+    # per face: its faces g − {v} inside ``todo``, each its mask with one
+    # low bit peeled off, and its count of cofaces still to remove
+    boundary = [[] for _ in masks]
     cofaces = [0] * len(faces)
-    for h in itertools.chain.from_iterable(boundary):
-        cofaces[h] += 1
-    # per facet, filled the first time it is one: its subsets of size
+    for below, m in zip(boundary, masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (h := index.get(m ^ low)) is not None:
+                below.append(h)
+                cofaces[h] += 1
+    # per facet, filled the first time it is one: its submasks of size
     # ≤ bound inside ``todo``.  Per face of size ≤ bound: how many facets
     # contain it, and the xor of their indices, which is the facet itself
     # when there is one.  A removed face keeps none, so the free faces
@@ -352,13 +348,12 @@ def _collapse_search(todo: frozenset, bound: int, order) -> list[CollapseStep] |
         # ``top`` becomes a facet, or stops being one
         found = facet_subsets.get(top)
         if found is None:
-            bits = _bits(masks[top])
-            found = facet_subsets[top] = [
-                index[s]
-                for k in range(1, min(bound, len(bits)) + 1)
-                for s in map(sum, itertools.combinations(bits, k))
-                if s in index
-            ]
+            found = facet_subsets[top] = []
+            full = sub = masks[top]
+            while sub:
+                if sub.bit_count() <= bound and sub in index:
+                    found.append(index[sub])
+                sub = (sub - 1) & full
         change = 1 if add else -1
         for sigma in found:
             facet_xor[sigma] ^= top
@@ -618,15 +613,14 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
                 )
             else:
                 # fall back: cut every set containing the pivot point and
-                # remove the whole block of faces that die with it.  No
-                # face's value is below the pivot's, so a face dies with
-                # the cut exactly when its value agrees with the pivot's
-                # through level i
+                # remove the whole block of faces that die with it, those
+                # whose joint the cut empties.  No face's value is below
+                # the pivot's, so they are the faces whose value agrees
+                # with the pivot's through level i
                 point = 1 << (layout[i - 1][0] + m)
                 star = frozenset(lab for lab, cell in cells.items() if cell & point)
-                block = frozenset(
-                    f for f, key in keys.items() if key[0][:i] == value[:i]
-                )
+                keep = _cut(-1, layout, i, m)
+                block = frozenset(f for f, joint in joints.items() if not joint & keep)
                 if pivot not in block or not all(f <= star for f in block):
                     raise fail(
                         "fallback block is inconsistent with the pivot star",

@@ -9,10 +9,11 @@ handed to the piercing solvers must have no empty member (an empty set
 cannot be pierced, so τ would be undefined).
 
 τ, ν and the LP read one incidence, built as the family is checked: the
-sets through each cell, each set's cells, and the intersection graph.
-Two sets over one ground meet exactly when they share a cell, so τ's
-packing bound and ν's search take neighbours from the graph, and only
-ν's witness recheck meets run tuples itself.
+sets through each cell, each set's cells, and the intersection graph;
+``pierce_all`` builds it once for all three.  Two sets over one ground
+meet exactly when they share a cell, so τ's packing bound and ν's
+search take neighbours from the graph, and only ν's witness recheck
+meets run tuples itself.
 """
 
 from __future__ import annotations
@@ -99,7 +100,12 @@ def tau_exact(
     ``lp_value`` is the family's τ* when the caller has already solved
     the LP; otherwise it is solved here.
     """
-    cells, covers, cells_of, meets = _incidence_graph(family)
+    graph = _incidence_graph(family)
+    return _tau(family, graph, _lp(family, graph).value if lp_value is None else lp_value)
+
+
+def _tau(family: Sequence[TraceSet], graph: tuple, lp_value: Fraction):
+    cells, covers, cells_of, meets = graph
 
     def greedy_cover() -> list[int]:
         uncovered = set(range(len(family)))
@@ -119,8 +125,6 @@ def tau_exact(
                 blocked |= meets[j]
         return taken
 
-    if lp_value is None:
-        lp_value = fractional_lp(family).value
     root_lb = ceil(lp_value)
     best = greedy_cover()
     best_size = len(best)
@@ -152,7 +156,10 @@ def tau_exact(
 def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
     """Maximum pairwise-disjoint subfamily: independent set in the
     intersection graph, by include/exclude with a size cutoff."""
-    adj = _incidence_graph(family)[3]
+    return _nu(family, _incidence_graph(family)[3])
+
+
+def _nu(family: Sequence[TraceSet], adj: list[set[int]]) -> tuple[int, tuple[int, ...]]:
     best: list[int] = []
 
     def extend(chosen: list[int], allowed: list[int]):
@@ -191,7 +198,11 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
     candidates are the family's covered cells, in (level, coordinate)
     order, and row i of the constraints holds the sets through cell i.
     """
-    cells, covers, cells_of, _ = _incidence_graph(family)
+    return _lp(family, _incidence_graph(family))
+
+
+def _lp(family: Sequence[TraceSet], graph: tuple) -> LPSolution:
+    cells, covers, cells_of, _ = graph
     n = len(family)
     A = [[int(j in through) for j in range(n)] for through in covers]
     out: SimplexOutcome = simplex_maximize([1] * n, A, [1] * len(cells))
@@ -225,10 +236,11 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
 
 
 def pierce_all(family: Sequence[TraceSet]) -> PiercingResult:
-    """τ, ν and their common fractional value, sandwich-checked."""
-    lp = fractional_lp(family)
-    tau, pts = tau_exact(family, lp.value)
-    nu, sub = nu_exact(family)
+    """τ, ν and their common fractional value off one incidence, sandwich-checked."""
+    graph = _incidence_graph(family)
+    lp = _lp(family, graph)
+    tau, pts = _tau(family, graph, lp.value)
+    nu, sub = _nu(family, graph[3])
     if not (nu <= lp.value <= tau):
         raise TheoremViolationError(
             "sandwich ν ≤ ν* = τ* ≤ τ violated",

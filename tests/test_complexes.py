@@ -46,6 +46,7 @@ from helpers import (
     reference_collapse_search,
     truncate_family,
 )
+from test_golden import _families as golden_families
 
 
 def three_set_family():
@@ -544,9 +545,10 @@ def search_cases():
     (closed upward, as the sweep's fallback blocks are); trees and paths
     at bound 1; the hollow triangle beside n disjoint paths at bounds 1
     and 2, which makes the search backtrack.  Then the blocks the sweep's
-    star fallback hands the search on dense families; nerves, stars and
-    cliffs relabelled with negative, scattered or huge vertex labels; and
-    a tree of 75 edges, whose vertex masks pass 64 bits."""
+    star fallback hands the search on the dense and the golden families;
+    nerves, stars and cliffs relabelled with negative, scattered or huge
+    vertex labels; and a tree of 75 edges, whose vertex masks pass 64
+    bits."""
     rng = random.Random(211)
     for n in range(60):
         d = 1 + n % 3
@@ -565,6 +567,7 @@ def search_cases():
         for bound in (1, 2):
             yield frozenset(f for f in cliff_complex(n).faces if f), bound
     yield from fallback_blocks(dense_families(20))
+    yield from fallback_blocks(golden_families())
     rng = random.Random(212)
     for n in range(30):
         d = 1 + n % 3

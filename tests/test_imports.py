@@ -2,8 +2,9 @@
 module, guard limits are read in one place, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
 not build traces through ``intersect_all``, only the colorful Helly
-checks walk colorful tuples, the piercing solvers read one incidence
-and one intersection graph, each outcome leaves by one path (the CLI
+checks walk colorful tuples, the collapse search builds no
+combinations, the piercing solvers read one incidence and one
+intersection graph, each outcome leaves by one path (the CLI
 builds every report in one helper, the sweep every error in one, and
 reports know nothing of instances), no dropped option comes back, and
 the import block of ``__init__`` is the public surface."""
@@ -73,6 +74,16 @@ def _calls(*names):
     )
 
 
+def _calls_itertools(*names):
+    return lambda n: (
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "itertools"
+        and n.func.attr in names
+    )
+
+
 def _compares_a_ground(n) -> bool:
     return isinstance(n, ast.Compare) and any(
         isinstance(x, ast.Attribute) and x.attr == "ground" for x in (n.left, *n.comparators)
@@ -98,11 +109,13 @@ def test_the_function_scans_flag_what_they_look_for():
         "def h(a, b):\n    return a.ground, b.runs == a.runs\n"
         "def outer():\n    def inner():\n        return Report()\n    return inner\n"
         "def k(a):\n    return sorted(a, key=lambda t: t.runs)\n"
+        "def m(a):\n    return list(itertools.combinations(a, 2))\n"
     )
     assert _functions_with(source, _compares_a_ground) == ["f"]
     assert _functions_with(source, _calls("intersect_all")) == ["g"]
     assert _functions_with(source, _reads_runs) == ["h", "k"]
     assert _functions_with(source, _calls("Report")) == ["inner"]
+    assert _functions_with(source, _calls_itertools("combinations")) == ["m"]
 
 
 def test_the_guard_rule_lives_in_config():
@@ -152,6 +165,13 @@ def test_no_function_in_complexes_meets_run_tuples():
     assert [c for c in readers if c[0] == "complexes.py"] == [("complexes.py", "_cells")]
 
 
+def test_the_collapse_search_builds_no_combinations():
+    # a face's boundary is its mask with one low bit peeled at a time, and
+    # a facet's small faces are its submasks
+    callers = _package_functions_with(_calls_itertools("combinations"))
+    assert callers and [c for c in callers if c[0] == "complexes.py"] == []
+
+
 def test_the_piercing_solvers_read_one_incidence():
     # _incidence_graph builds the incidence and the intersection graph as
     # it checks the family; τ, ν and the LP read them, and only ν's
@@ -160,7 +180,7 @@ def test_the_piercing_solvers_read_one_incidence():
         return [name for module, name in _package_functions_with(found) if module == "piercing.py"]
 
     assert in_piercing(_calls("_incidence")) == ["_incidence_graph", "max_point_cover", "pq_check"]
-    assert in_piercing(_calls("_meet")) == ["nu_exact"]
+    assert in_piercing(_calls("_meet")) == ["_nu"]
     imported = {
         a.name
         for node in ast.parse(_source("piercing.py")).body

@@ -456,14 +456,27 @@ def test_pierce_all_solves_the_lp_once(monkeypatch):
     import dintervals.piercing as piercing
 
     solves = []
-    solve = piercing.fractional_lp
-    monkeypatch.setattr(piercing, "fractional_lp", lambda fam: solves.append(1) or solve(fam))
+    solve = piercing.simplex_maximize
+    monkeypatch.setattr(
+        piercing, "simplex_maximize", lambda *lp: solves.append(1) or solve(*lp)
+    )
     _, fam = triangle_triple()
     assert pierce_all(fam).tau == 2
     assert len(solves) == 1
     # on its own, tau_exact still solves the LP for its root bound
     assert tau_exact(fam)[0] == 2
     assert len(solves) == 2
+
+
+def test_pierce_all_builds_one_incidence(monkeypatch):
+    import dintervals.piercing as piercing
+
+    builds = []
+    build = piercing._incidence_graph
+    monkeypatch.setattr(piercing, "_incidence_graph", lambda fam: builds.append(1) or build(fam))
+    _, fam = triangle_triple()
+    assert pierce_all(fam).nu == 1
+    assert len(builds) == 1
 
 
 def test_sandwich_and_oracles_on_random_families():
