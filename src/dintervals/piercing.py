@@ -90,21 +90,17 @@ def max_point_cover(family: Sequence[TraceSet]) -> tuple[int, Point | None]:
 # exact numbers
 
 
-def tau_exact(
-    family: Sequence[TraceSet], lp_value: Fraction | None = None
-) -> tuple[int, tuple[Point, ...]]:
+def tau_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[Point, ...]]:
     """Minimum piercing set via branch and bound.
 
     Lower bounds: the LP optimum at the root, a greedy disjoint packing
     per node.  Branching splits on the cheapest unpierced set's points.
-    ``lp_value`` is the family's τ* when the caller has already solved
-    the LP; otherwise it is solved here.
     """
     graph = _incidence_graph(family)
-    return _tau(family, graph, _lp(family, graph).value if lp_value is None else lp_value)
+    return _tau(family, graph, _lp(family, graph).value)
 
 
-def _tau(family: Sequence[TraceSet], graph: tuple, lp_value: Fraction):
+def _tau(family: Sequence[TraceSet], graph: tuple, tau_star: Fraction):
     cells, covers, cells_of, meets = graph
 
     def greedy_cover() -> list[int]:
@@ -125,7 +121,7 @@ def _tau(family: Sequence[TraceSet], graph: tuple, lp_value: Fraction):
                 blocked |= meets[j]
         return taken
 
-    root_lb = ceil(lp_value)
+    root_lb = ceil(tau_star)
     best = greedy_cover()
     best_size = len(best)
 

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from dintervals import Instance, PointSet, dump_instance, gen_helly_lower_bound, parse_instance
-from dintervals import cli, generators
+from dintervals import cli, experiments, generators
 from dintervals.cli import run_command
 from helpers import p6
+from test_serialization import SCHEMA_REFUSALS
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -505,6 +506,32 @@ def test_schema_error_exits_two_and_lenient_downgrades(tmp_path, capsys):
     assert code == 0 and "warning" in err
 
 
+ONE_SET = {"d": 1, "points": [["0", 1]], "sets": [{"name": "A", "levels": []}]}
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [(["nerve"], doc, f"{path}: {message}") for doc, path, message in SCHEMA_REFUSALS]
+    + [
+        (["gen", "--d", "0"], None, "d must be ≥ 1"),
+        (["gen", "--d", "2", "--points", "1,-1"], None, "point counts must be ≥ 0"),
+        (["gen", "--d", "1", "--sets", "-1"], None, "n_sets ≥ 0 and n_families ≥ 1 required"),
+        (["helly", "--m", "1", "--k", "0"], ONE_SET, "k must lie in [1, 1]"),
+        (["frac-helly", "--k", "2"], ONE_SET, "k must lie in [1, 1]"),
+        (["colorful-helly", "--k", "2"], ONE_SET, "k must lie in [1, 1]"),
+    ],
+)
+def test_each_refusal_exits_two_with_its_message(argv, document, message, tmp_path, capsys):
+    # the schema errors of a file's shape, GenSpec's refusals, and the k
+    # range of the three Helly checks; a document goes in as the file
+    if document is not None:
+        argv = [argv[0], write(tmp_path, "doc.json", json.dumps(document)), *argv[1:]]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
     depth = 200_000
     path = write(tmp_path, "deep.json", "[" * depth + "]" * depth)
@@ -624,11 +651,18 @@ def test_experiment_csv_has_a_row_per_trial(tmp_path, capsys):
     assert len(lines) == 4  # header plus one line per trial
 
 
-def test_experiment_radon_rejects_unsupported_d(capsys):
-    # so does frac-helly, whose trials draw 2d to 9 sets
+def test_experiment_radon_rejects_unsupported_d(monkeypatch, capsys):
+    # so does frac-helly, whose trials draw 2d to 9 sets, and
+    # colorful-helly, whose (6, 6) cell finds too few samples; before any
+    # trial is drawn
+    def no_trial(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "_trials", no_trial)
     for suite, d, message in (
         ("radon", "1,7", "the radon suite supports d from 1 to 6"),
         ("frac-helly", "5", "the frac-helly suite supports d from 1 to 4"),
+        ("colorful-helly", "6", "the colorful-helly suite supports d from 1 to 5"),
     ):
         assert run_command(["experiment", "--suite", suite, "--d", d]) == 2
         captured = capsys.readouterr()

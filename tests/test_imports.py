@@ -5,9 +5,10 @@ not build traces through ``intersect_all``, only the colorful Helly
 checks walk colorful tuples, the collapse search builds no
 combinations, the piercing solvers read one incidence and one
 intersection graph, each outcome leaves by one path (the CLI
-builds every report in one helper, the sweep every error in one, and
-reports know nothing of instances), no dropped option comes back, and
-the import block of ``__init__`` is the public surface."""
+builds every report in one helper, the sweep every error in one, the
+suites every failure in one, and reports know nothing of instances),
+no dropped option comes back, and the import block of ``__init__`` is
+the public surface."""
 
 import ast
 import types
@@ -94,6 +95,15 @@ def _reads_runs(n) -> bool:
     return _calls("_runs")(n) or isinstance(n, ast.Attribute) and n.attr == "runs"
 
 
+def _touches_report_witnesses(n) -> bool:
+    return (
+        isinstance(n, ast.Attribute)
+        and n.attr == "witnesses"
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "report"
+    )
+
+
 def _package_functions_with(found) -> list[tuple[str, str]]:
     return sorted(
         (path.name, name)
@@ -110,12 +120,14 @@ def test_the_function_scans_flag_what_they_look_for():
         "def outer():\n    def inner():\n        return Report()\n    return inner\n"
         "def k(a):\n    return sorted(a, key=lambda t: t.runs)\n"
         "def m(a):\n    return list(itertools.combinations(a, 2))\n"
+        "def w(report, rep):\n    report.witnesses['x'] = rep.witnesses\n"
     )
     assert _functions_with(source, _compares_a_ground) == ["f"]
     assert _functions_with(source, _calls("intersect_all")) == ["g"]
     assert _functions_with(source, _reads_runs) == ["h", "k"]
     assert _functions_with(source, _calls("Report")) == ["inner"]
     assert _functions_with(source, _calls_itertools("combinations")) == ["m"]
+    assert _functions_with(source, _touches_report_witnesses) == ["w"]
 
 
 def test_the_guard_rule_lives_in_config():
@@ -194,6 +206,13 @@ def _source(module: str) -> str:
     return (PACKAGE / module).read_text(encoding="utf-8")
 
 
+def test_the_suites_record_failures_in_one_place():
+    # _fail counts each failure and keeps the first witness; colorful-helly
+    # counts its violations per cell, in its rows, and keeps only the witness
+    found = _functions_with(_source("experiments.py"), _touches_report_witnesses)
+    assert sorted(found) == ["_fail", "colorful_suite"]
+
+
 def test_the_cli_builds_every_report_in_one_place():
     # _report names the report after the command and puts the file first;
     # _finish reads the exit code off the verdicts
@@ -230,6 +249,7 @@ def test_no_function_takes_a_per_call_guard_override():
         "override": {"check_guard"},
         "designated": {"gen_helly_lower_bound", "gen_radon_lower_bound"},
         "code": {"_finish"},
+        "lp_value": None,
     }
     found = [
         f"{path.name}:{node.name}({a.arg})"

@@ -152,7 +152,7 @@ def test_nu_matches_the_oracle_and_the_piercing_chain(case):
     nu, witness = nu_exact(fam)
     assert O.check_nu([O.expand(t) for t in fam], nu, witness) == []
     tau_star = fractional_lp(fam).value
-    tau, _ = tau_exact(fam, tau_star)
+    tau, _ = tau_exact(fam)
     assert nu <= tau_star <= tau
     assert O.check_tau_bound(ground.d, tau, nu) == []
 

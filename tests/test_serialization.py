@@ -19,6 +19,7 @@ from dintervals import (
     serialize_instance,
 )
 from dintervals import geometry, instances
+from helpers import reference_parse_instance
 from test_golden import _parse_documents, _parse_outcome
 
 
@@ -133,6 +134,34 @@ def test_families_validate_member_indices():
     with pytest.raises(SchemaError) as err:
         parse_instance(doc)
     assert err.value.path == "$.families[0][1]"
+
+
+# (document, path, message) for each schema error of a document's shape
+SCHEMA_REFUSALS = [
+    ([], "$", "top level must be an object"),
+    ({"d": 0, "points": [], "sets": []}, "$.d", "d must be ≥ 1"),
+    ({"d": 1, "points": {}, "sets": []}, "$.points", "expected an array"),
+    ({"d": 1, "points": [], "sets": {}}, "$.sets", "expected an array"),
+    ({"d": 1, "points": [], "sets": [], "families": {}}, "$.families", "expected an array"),
+    ({"d": 1, "points": [], "sets": ["A"]}, "$.sets[0]", "expected an object"),
+    ({"d": 1, "points": [], "sets": [{"name": "A", "levels": [1]}]},
+     "$.sets[0].levels[0]", "expected an object"),
+    ({"d": 1, "points": [], "sets": [{"name": 1, "levels": []}]},
+     "$.sets[0].name", "expected a string"),
+    ({"d": 1, "points": [], "sets": [{"name": "A", "levels": {}}]},
+     "$.sets[0].levels", "expected an array"),
+    ({"d": 1, "points": [], "sets": [], "families": [0]},
+     "$.families[0]", "expected an array of set indices"),
+]
+
+
+@pytest.mark.parametrize("document, path, message", SCHEMA_REFUSALS)
+def test_each_schema_error_names_its_path(document, path, message):
+    for parse in (parse_instance, reference_parse_instance):
+        with pytest.raises(SchemaError) as err:
+            parse(document)
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {message}"
 
 
 def test_family_traces_groups_sets():
