@@ -12,7 +12,6 @@ own stream, conditioned sampling builds a draw's sets on first use.
 
 from __future__ import annotations
 
-import itertools
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
@@ -169,15 +168,12 @@ def gen_helly_lower_bound(ground: PointSet) -> list[TraceSet]:
         runs[own_level - 1] = (keep, keep)
         family.append(TraceSet(ground, tuple(runs)))
 
-    runs = [t.runs for t in family]
-    if _joint(runs) is not None:
-        raise TheoremViolationError(
-            "lower-bound family unexpectedly has a common point"
-        )
-    for idx in itertools.combinations(range(2 * d), 2 * d - 1):
-        if _joint(runs[j] for j in idx) is None:
+    if _joint(t.runs for t in family) is not None:
+        raise TheoremViolationError("lower-bound family unexpectedly has a common point")
+    for idx, joint, _ in colorful_tuples([family] * (2 * d - 1), 1, subsets=True):
+        if joint is None:
             raise TheoremViolationError(
-                "a (2d−1)-subfamily of the lower-bound family fails to meet",
+                "a subfamily of at most 2d−1 sets of the lower-bound family fails to meet",
                 diagnostics={"subfamily": idx},
             )
     return family

@@ -16,7 +16,8 @@ then work on runs through package-private primitives: ``_meet`` and
 ``_point`` (a cell's ``Point``) and ``_sweep_key`` (per-level last
 indices, −1 on empty levels).  Over one ground the key orders traces
 exactly as ``f_value``, its rendering: the per-level maxima,
-lexicographic with −∞ below every finite value.
+lexicographic with −∞ below every finite value.  ``colorful_tuples`` is
+the one prefix walk over members, for colorful tuples and for subsets.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ def k_intersects(traces: Sequence[TraceSet], k: int) -> bool:
 
 
 def colorful_tuples(
-    families: Sequence[Sequence[TraceSet]], k: int
+    families: Sequence[Sequence[TraceSet]], k: int, subsets: bool = False
 ) -> Iterator[tuple[tuple[int, ...], tuple | None, int]]:
     """Colorful tuples (one member from each family, by index) with their
     intersections, depth first in index order.
@@ -358,12 +359,15 @@ def colorful_tuples(
     is the intersection's run tuple, None when it is empty, and
     ``levels`` its count of nonempty levels; callers tell the two kinds
     of yield apart by ``levels < k``.  With k ≤ 0 no prefix is cut and
-    the yields are exactly the full tuples.  Every member visited must
-    lie over the first one's ground set.
+    the yields are exactly the full tuples.  With ``subsets`` each pick
+    comes after the one before it and leaves room for the picks still to
+    come, so ``[family] * r`` walks the r-subsets of one family in lex
+    order.  Every member visited must lie over the first one's ground set.
     """
     if not families or not families[0]:
         return
     last = len(families) - 1
+    ends = [len(fam) - (last - i if subsets else 0) for i, fam in enumerate(families)]
     ground = families[0][0].ground
     # picks[i] is the member taken from family i on the current prefix,
     # joints[i] the runs of the prefix's intersection through family i
@@ -372,7 +376,7 @@ def colorful_tuples(
     j = 0
     while True:
         i = len(picks)
-        if j < len(families[i]):
+        if j < ends[i]:
             t = families[i][j]
             if t.ground is not ground and t.ground != ground:
                 raise GroundSetMismatchError("traces lie over different ground sets")
@@ -389,7 +393,7 @@ def colorful_tuples(
             else:
                 picks.append(j)
                 joints.append(runs)
-                j = 0
+                j = j + 1 if subsets else 0
         elif picks:
             j = picks.pop() + 1
             joints.pop()

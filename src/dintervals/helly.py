@@ -10,8 +10,8 @@ the constructions.
 The Radon search runs on cells (level − 1, index); points appear only in
 the partitions it returns.  Outside ``RadonPartition.verify`` and those
 checks, queries read the runs: point counts via ``geometry._incidence``,
-subfamily intersections via ``geometry._joint``, sweep comparisons via
-``geometry._sweep_key``.
+subsets and colorful tuples via the one walk ``geometry.colorful_tuples``,
+sweep comparisons via ``geometry._sweep_key``.
 """
 
 from __future__ import annotations
@@ -147,8 +147,9 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     """Does "every ≤ m sets k-intersect" force the whole family to?
 
     The verdict is the implication itself; a violation ships the whole
-    family's deficient intersection as witness.  Member evaluations of
-    the subset walk count against the (p,q) work guard as they happen.
+    family's deficient intersection as witness.  The subset walk goes
+    size by size, so its first thin yield is a full subset of the least
+    size; each yield counts its size against the (p,q) work guard.
     """
     if m < 1:
         raise ValueError("m must be ≥ 1")
@@ -158,23 +159,22 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     ground = family[0].ground
     if not 1 <= k <= ground.d:
         raise ValueError(f"k must lie in [1, {ground.d}]")
-    runs = _runs(family)
+    joint = _joint(_runs(family))
 
     limit = guard_limit("PQ_WORK")
     work = 0
     hypothesis = True
     for size in range(1, min(m, len(family)) + 1):
-        for idx in itertools.combinations(range(len(family)), size):
+        for idx, _, levels in colorful_tuples([family] * size, k, subsets=True):
             work += size
             if work > limit:
                 raise GuardExceededError("helly subset enumeration", work, limit)
-            if _levels(_joint(runs[j] for j in idx)) < k:
+            if levels < k:
                 hypothesis = False
                 report.statistics["failing_hypothesis_subfamily"] = idx
                 break
         if not hypothesis:
             break
-    joint = _joint(runs)
     levels = _levels(joint)
     report.statistics["intersection_levels"] = levels
     report.verdict = (not hypothesis) or levels >= k
@@ -372,7 +372,7 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     d = family[0].ground.d
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
-    runs = _runs(family)
+    _runs(family)  # one ground for every member, walked or not
     r = 2 * d - k + 1
     n = len(family)
     report = HellyReport({"k": k, "r": r, "family_size": n}, True)
@@ -387,9 +387,8 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     hitting = 0
     # k-intersecting r-subsets grouped by the sweep key of their joint
     classes: dict[tuple[int, ...], set[int]] = {}
-    for idx in itertools.combinations(range(n), r):
-        joint = _joint(runs[j] for j in idx)
-        if _levels(joint) >= k:
+    for idx, joint, levels in colorful_tuples([family] * r, k, subsets=True):
+        if levels >= k:
             hitting += 1
             classes.setdefault(_sweep_key(joint), set()).update(idx)
     alpha = Fraction(hitting, total)

@@ -14,6 +14,7 @@ from dintervals import (
     KIntersectRich,
     Point,
     PointSet,
+    TheoremViolationError,
     TraceSet,
     gen_conditioned,
     gen_family,
@@ -233,6 +234,17 @@ def test_lower_bound_family_contract_two_levels():
         assert k_intersects([fam[j] for j in idx], 1)
     joint, levels = intersect_all(fam)
     assert joint.is_empty and levels == 0
+
+
+def test_lower_bound_family_names_a_subfamily_that_fails_to_meet(monkeypatch):
+    # a planted fault: the subset walk reports one cut prefix with an
+    # empty joint, and the check names it
+    monkeypatch.setattr(
+        generators, "colorful_tuples", lambda families, k, subsets: iter([((0, 2), None, 0)])
+    )
+    with pytest.raises(TheoremViolationError, match="at most 2d−1 sets") as exc:
+        gen_helly_lower_bound(p6())
+    assert exc.value.diagnostics == {"subfamily": (0, 2)}
 
 
 def test_lower_bound_family_needs_two_points_per_level():

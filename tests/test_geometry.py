@@ -181,28 +181,35 @@ def test_colorful_tuples_match_a_product_brute_force():
             [random_trace(rng, ground, 0.2) for _ in range(rng.randrange(1, 4))]
             for _ in range(rng.randrange(1, 5))
         ]
-        combos = list(itertools.product(*(range(len(f)) for f in families)))
-        # with no cut the walk is the product itself
-        assert [combo for combo, _, _ in colorful_tuples(families, 0)] == combos
-        expected = []
-        for combo in combos:
-            levels = [
-                intersect_all([families[i][j] for i, j in enumerate(combo[:n])])[1]
-                for n in range(1, len(combo) + 1)
-            ]
-            thin = next((n for n, c in enumerate(levels, 1) if c < k), None)
-            prefix = combo if thin is None else combo[:thin]
-            if not expected or expected[-1] != prefix:
-                expected.append(prefix)
-        got = list(colorful_tuples(families, k))
-        assert [combo for combo, _, _ in got] == expected
-        for combo, runs, levels in got:
-            members = [families[i][j] for i, j in enumerate(combo)]
-            joint = intersect_all(members)[0]
-            assert runs == (None if joint.is_empty else joint.runs)
-            assert levels == sum(r is not None for r in joint.runs)
-            if len(combo) < len(families):
-                assert levels < k
+        # the subset rule walks the r-subsets of all the members pooled
+        pool = [t for f in families for t in f]
+        r = len(families)
+        for walked, combos, subsets in (
+            (families, list(itertools.product(*(range(len(f)) for f in families))), False),
+            ([pool] * r, list(itertools.combinations(range(len(pool)), r)), True),
+        ):
+            # with no cut the walk is the product (or the combinations) itself
+            uncut = colorful_tuples(walked, 0, subsets)
+            assert [combo for combo, _, _ in uncut] == combos
+            expected = []
+            for combo in combos:
+                levels = [
+                    intersect_all([walked[i][j] for i, j in enumerate(combo[:n])])[1]
+                    for n in range(1, len(combo) + 1)
+                ]
+                thin = next((n for n, c in enumerate(levels, 1) if c < k), None)
+                prefix = combo if thin is None else combo[:thin]
+                if not expected or expected[-1] != prefix:
+                    expected.append(prefix)
+            got = list(colorful_tuples(walked, k, subsets))
+            assert [combo for combo, _, _ in got] == expected
+            for combo, runs, levels in got:
+                members = [walked[i][j] for i, j in enumerate(combo)]
+                joint = intersect_all(members)[0]
+                assert runs == (None if joint.is_empty else joint.runs)
+                assert levels == sum(run is not None for run in joint.runs)
+                if len(combo) < r:
+                    assert levels < k
 
 
 def test_colorful_tuples_cut_an_empty_first_member():

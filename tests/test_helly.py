@@ -395,6 +395,22 @@ def test_frac_stats_small_family_reports_undefined_alpha():
     assert got.verdict
 
 
+def test_frac_verdict_fires_one_set_short_of_the_bound(monkeypatch):
+    # a planted fault: each r-subset lands in a sweep class of its own and
+    # the direct search finds one set, so β̂ = r/n against α/r = 1/r when
+    # every pair meets; r = 2 holds with equality at n = 4, fails at n = 5
+    keys = itertools.count()
+    monkeypatch.setattr("dintervals.helly._sweep_key", lambda joint: next(keys))
+    monkeypatch.setattr("dintervals.helly.max_k_intersecting_subfamily", lambda fam, k: (0,))
+    full = window(line(0, 1), {1: (0, 1)})
+    at = frac_helly_stats([full] * 4, k=1)
+    assert at.statistics["beta_hat"] == at.statistics["bound"] == Fraction(1, 2)
+    assert at.verdict
+    short = frac_helly_stats([full] * 5, k=1)
+    assert short.statistics["beta_hat"] == Fraction(2, 5) < short.statistics["bound"]
+    assert not short.verdict
+
+
 def test_cfh_alpha_one_forces_a_fully_intersecting_family():
     P = line(0, 1, 2, 3)
     f1 = [window(P, {1: (0, 1)}), window(P, {1: (2, 3)})]

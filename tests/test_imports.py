@@ -1,9 +1,9 @@
 """Source scans of the package: every module-level import is used by its
 module, guard limits are read in one place, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
-not build traces through ``intersect_all``, only the colorful Helly
-checks walk colorful tuples, the collapse search builds no
-combinations, the piercing solvers read one incidence and one
+not build traces through ``intersect_all``, only the Helly checks walk
+colorful tuples, neither their subset walks nor the collapse search
+build combinations, the piercing solvers read one incidence and one
 intersection graph, each outcome leaves by one path (the CLI
 builds every report in one helper, the sweep every error in one, the
 suites every failure in one, and reports know nothing of instances),
@@ -157,14 +157,21 @@ def test_queries_outside_geometry_walk_on_runs():
     assert [c for c in callers if c[0] != "geometry.py"] == [("helly.py", "verify")]
 
 
-def test_only_the_colorful_helly_checks_walk_colorful_tuples():
+def test_only_the_helly_checks_walk_colorful_tuples():
     # every (p,q) kind reads one incidence instead; the generators'
-    # ``check`` is ColorfulHellyProperty's
+    # ``check`` is ColorfulHellyProperty's.  The Helly subset walks take
+    # the same walk with its subset rule, so they build no combinations
     assert _package_functions_with(_calls("colorful_tuples")) == [
         ("generators.py", "check"),
+        ("generators.py", "gen_helly_lower_bound"),
         ("helly.py", "cfh_stats"),
         ("helly.py", "colorful_helly_points"),
+        ("helly.py", "frac_helly_stats"),
+        ("helly.py", "helly_check"),
     ]
+    combinations = {name for _, name in _package_functions_with(_calls_itertools("combinations"))}
+    assert combinations
+    assert not combinations & {"helly_check", "frac_helly_stats", "gen_helly_lower_bound"}
 
 
 def test_no_function_in_complexes_meets_run_tuples():

@@ -1,10 +1,11 @@
 """Differential property tests: the nerve, the sweep and the collapse
 oracle, and the index-space queries of ``piercing`` and ``helly``
-against the brute-force oracles of ``bench/oracles.py``, the Radon
-search against its closed form, the instance format's parse →
-serialize → parse round trip, and the parser against a reference that
-goes through the public geometry (``tests/helpers.py``), on documents
-valid and broken.
+against the brute-force oracles of ``bench/oracles.py``, α = 1 in
+``frac_helly_stats`` against ``helly_check`` finding no failing
+subfamily, the Radon search against its closed form, the instance
+format's parse → serialize → parse round trip, and the parser against
+a reference that goes through the public geometry
+(``tests/helpers.py``), on documents valid and broken.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -204,6 +205,31 @@ def test_fractional_helly_statistics_match_the_oracle(case):
     for k in range(1, ground.d + 1):
         rep = frac_helly_stats(fam, k)
         assert O.check_frac(sets, k, ground.d, rep.statistics, rep.verdict) == []
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+def test_alpha_is_one_exactly_when_helly_finds_no_failing_subfamily(sizes, data):
+    # with n ≥ r = 2d−k+1, every r-subset k-intersects iff no subset of at
+    # most r sets fails to, since a failing subset grows into an r-subset.
+    # No ground level is empty, and a set misses a level on one draw in
+    # four, so α = 1 comes up often
+    ground = PointSet(len(sizes), tuple(tuple(map(Fraction, range(s))) for s in sizes))
+    fam = []
+    for _ in range(data.draw(st.integers(1, 7))):
+        runs = []
+        for s in sizes:
+            if data.draw(st.integers(0, 3)) == 3:
+                runs.append(None)
+                continue
+            first = data.draw(st.integers(0, s - 1))
+            runs.append((first, data.draw(st.integers(first, s - 1))))
+        fam.append(TraceSet(ground, tuple(runs)))
+    for k in range(1, ground.d + 1):
+        r = 2 * ground.d - k + 1
+        if len(fam) >= r:
+            alpha = frac_helly_stats(fam, k).statistics["alpha"]
+            failing = "failing_hypothesis_subfamily" in helly_check(fam, r, k).statistics
+            assert (alpha == 1) == (not failing)
 
 
 @given(st.data())
