@@ -74,13 +74,10 @@ from .piercing import (
     LPSolution,
     PiercingResult,
     blow_up,
-    fractional_lp,
     max_point_cover,
-    nu_exact,
     pierce_all,
     piercing_bound_check,
     pq_check,
-    tau_exact,
 )
 from .reports import Report, emit_report, jsonify
 

@@ -52,7 +52,6 @@ from .piercing import (
     pierce_all,
     piercing_bound_check,
     pq_check,
-    tau_exact,
 )
 from .reports import Report
 
@@ -375,7 +374,7 @@ def pq_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
         ok, _ = pq_check([family], p, 2, "plain")
         if not ok:
             continue
-        tau, _ = tau_exact(family)
+        tau = pierce_all(family).tau
         key = f"d={d},p={p}"
         max_tau[key] = max(max_tau.get(key, 0), tau)
         report.rows.append({"trial": t, "d": d, "p": p, "tau": tau})

@@ -209,10 +209,9 @@ def serialize_trace(trace: TraceSet, name: str) -> dict:
 
 
 def serialize_instance(instance: Instance) -> dict:
-    pts = sorted(instance.ground.points(), key=lambda p: (p.level, p.coord))
     doc: dict[str, Any] = {
         "d": instance.ground.d,
-        "points": [[format_rational(p.coord), p.level] for p in pts],
+        "points": [[format_rational(p.coord), p.level] for p in instance.ground.points()],
         "sets": [
             serialize_trace(t, name)
             for t, name in zip(instance.sets, instance.names)

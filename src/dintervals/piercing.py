@@ -5,15 +5,17 @@ Candidate piercing points are the ground points covered by at least one
 set: sound because every set is a subset of the ground set.  They are
 read off the runs as cells (level − 1, index) with ``geometry._incidence``,
 and ``Point``s are built only for returned points and diagnostics.  Families
-handed to the piercing solvers must have no empty member (an empty set
-cannot be pierced, so τ would be undefined).
+handed to ``pierce_all`` must have no empty member (an empty set cannot
+be pierced, so τ would be undefined).
 
-τ, ν and the LP read one incidence, built as the family is checked: the
-sets through each cell, each set's cells, and the intersection graph;
-``pierce_all`` builds it once for all three.  Two sets over one ground
-meet exactly when they share a cell, so τ's packing bound and ν's
-search take neighbours from the graph, and only ν's witness recheck
-meets run tuples itself.
+``pierce_all`` is the one entry to τ, ν and the LP.  It builds the
+incidence once, as the family is checked: the sets through each cell,
+each set's cells, and the intersection graph.  Its private steps read
+that one graph: ``_lp`` solves and certifies τ* = ν*, ``_tau`` takes
+⌈τ*⌉ as its root bound, and ``_nu`` stops at ⌊τ*⌋ sets, since
+ν ≤ ν* = τ*.  Two sets over one ground meet exactly when they share a
+cell, so τ's packing bound and ν's search take neighbours from the
+graph, and only ν's witness recheck meets run tuples itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, lcm, prod
+from math import ceil, comb, floor, lcm, prod
 from typing import Sequence
 
 from .config import check_guard
@@ -90,17 +92,12 @@ def max_point_cover(family: Sequence[TraceSet]) -> tuple[int, Point | None]:
 # exact numbers
 
 
-def tau_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[Point, ...]]:
+def _tau(family: Sequence[TraceSet], graph: tuple, tau_star: Fraction):
     """Minimum piercing set via branch and bound.
 
     Lower bounds: the LP optimum at the root, a greedy disjoint packing
     per node.  Branching splits on the cheapest unpierced set's points.
     """
-    graph = _incidence_graph(family)
-    return _tau(family, graph, _lp(family, graph).value)
-
-
-def _tau(family: Sequence[TraceSet], graph: tuple, tau_star: Fraction):
     cells, covers, cells_of, meets = graph
 
     def greedy_cover() -> list[int]:
@@ -149,18 +146,20 @@ def _tau(family: Sequence[TraceSet], graph: tuple, tau_star: Fraction):
     return len(picked), tuple(_point(ground, cells[i]) for i in picked)
 
 
-def nu_exact(family: Sequence[TraceSet]) -> tuple[int, tuple[int, ...]]:
+def _nu(
+    family: Sequence[TraceSet], adj: list[set[int]], tau_star: Fraction
+) -> tuple[int, tuple[int, ...]]:
     """Maximum pairwise-disjoint subfamily: independent set in the
-    intersection graph, by include/exclude with a size cutoff."""
-    return _nu(family, _incidence_graph(family)[3])
-
-
-def _nu(family: Sequence[TraceSet], adj: list[set[int]]) -> tuple[int, tuple[int, ...]]:
+    intersection graph, by include/exclude with a size cutoff.  The
+    search stops once it holds ⌊τ*⌋ sets, since ν ≤ ν* = τ*; the
+    incumbent is replaced only on a strict gain, so the witness is the
+    one the full search finds."""
+    most = floor(tau_star)
     best: list[int] = []
 
     def extend(chosen: list[int], allowed: list[int]):
         nonlocal best
-        if len(chosen) + len(allowed) <= len(best):
+        if len(best) >= most or len(chosen) + len(allowed) <= len(best):
             return
         if not allowed:
             if len(chosen) > len(best):
@@ -184,7 +183,7 @@ def _nu(family: Sequence[TraceSet], adj: list[set[int]]) -> tuple[int, tuple[int
 # LP relaxation
 
 
-def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
+def _lp(family: Sequence[TraceSet], graph: tuple) -> LPSolution:
     """Fractional matching (primal) and transversal (dual), certified.
 
     max Σ y_C  s.t.  Σ_{C ∋ p} y_C ≤ 1 per candidate point, y ≥ 0;
@@ -194,10 +193,6 @@ def fractional_lp(family: Sequence[TraceSet]) -> LPSolution:
     candidates are the family's covered cells, in (level, coordinate)
     order, and row i of the constraints holds the sets through cell i.
     """
-    return _lp(family, _incidence_graph(family))
-
-
-def _lp(family: Sequence[TraceSet], graph: tuple) -> LPSolution:
     cells, covers, cells_of, _ = graph
     n = len(family)
     A = [[int(j in through) for j in range(n)] for through in covers]
@@ -236,7 +231,7 @@ def pierce_all(family: Sequence[TraceSet]) -> PiercingResult:
     graph = _incidence_graph(family)
     lp = _lp(family, graph)
     tau, pts = _tau(family, graph, lp.value)
-    nu, sub = _nu(family, graph[3])
+    nu, sub = _nu(family, graph[3], lp.value)
     if not (nu <= lp.value <= tau):
         raise TheoremViolationError(
             "sandwich ν ≤ ν* = τ* ≤ τ violated",

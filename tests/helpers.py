@@ -24,6 +24,7 @@ from dintervals import (
     SimplicialComplex,
     TraceSet,
     complexes,
+    pierce_all,
     trace_of,
 )
 from dintervals.instances import (
@@ -63,6 +64,16 @@ def random_trace(rng: random.Random, ground: PointSet, empty_bias: float = 0.3) 
         first = rng.randrange(n)
         runs.append((first, rng.randrange(first, n)))
     return TraceSet(ground, tuple(runs))
+
+
+def tau_and_points(family) -> tuple:
+    got = pierce_all(family)
+    return got.tau, got.piercing_points
+
+
+def nu_and_subfamily(family) -> tuple:
+    got = pierce_all(family)
+    return got.nu, got.disjoint_subfamily
 
 
 def first_finite(value: LexValue) -> tuple[int, Fraction]:

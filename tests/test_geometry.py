@@ -18,7 +18,6 @@ from dintervals import (
     TraceSet,
     f_value,
     frac_helly_stats,
-    fractional_lp,
     helly_check,
     hull,
     intersect_all,
@@ -29,9 +28,8 @@ from dintervals import (
     maxima_witness_subfamily,
     minimal_dinterval,
     nerve,
-    nu_exact,
+    pierce_all,
     pq_check,
-    tau_exact,
     trace_of,
 )
 from dintervals.geometry import colorful_tuples
@@ -150,9 +148,7 @@ MIXED_GROUND_QUERIES = {
     "pq_check-plain": lambda a, b: pq_check([[a, b]], 2, 2),
     "pq_check-colorful-second": lambda a, b: pq_check([[a], [b]], 2, 2, "colorful-second"),
     "frac_helly_stats": lambda a, b: frac_helly_stats([a, b], 1),
-    "tau_exact": lambda a, b: tau_exact([a, b]),
-    "nu_exact": lambda a, b: nu_exact([a, b]),
-    "fractional_lp": lambda a, b: fractional_lp([a, b]),
+    "pierce_all": lambda a, b: pierce_all([a, b]),
     "helly_check": lambda a, b: helly_check([a, b], 1),
     "maxima_witness_subfamily": lambda a, b: maxima_witness_subfamily([a, b], 1),
     "nerve": lambda a, b: nerve([a, b]),

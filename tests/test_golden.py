@@ -70,14 +70,12 @@ from dintervals import (
     max_point_cover,
     maxima_witness_subfamily,
     nerve,
-    nu_exact,
     parse_instance,
     pierce_all,
     pq_check,
     radon_number_bruteforce,
     radon_partition,
     sweep_collapse,
-    tau_exact,
 )
 from dintervals import complexes, experiments
 from dintervals.cli import run_command
@@ -87,10 +85,12 @@ from helpers import (
     LP_KINDS,
     cliff_complex,
     dense_families,
+    nu_and_subfamily,
     random_ground,
     random_lp,
     random_trace,
     random_tree,
+    tau_and_points,
 )
 
 FAMILIES = 102
@@ -800,8 +800,8 @@ def _query_outputs(d, fam):
         max_point_cover(fam),
         [max_k_intersecting_subfamily(fam, k) for k in ks],
         [_outcome(lambda: maxima_witness_subfamily(fam, k)) for k in ks],
-        _outcome(lambda: tau_exact(fam)),
-        _outcome(lambda: tau_exact(nonempty)),
+        _outcome(lambda: tau_and_points(fam)),
+        _outcome(lambda: tau_and_points(nonempty)),
         [_outcome(lambda: _frac(fam, k)) for k in ks],
         [
             [p, q, pq_check([fam], p, q)]
@@ -836,7 +836,7 @@ def _helly_nu_outputs(d, fam):
             rep = helly_check(fam, m, k)
             reports.append([m, k, rep.verdict, rep.statistics, rep.witnesses])
     nonempty = [t for t in fam if not t.is_empty]
-    return [reports, _outcome(lambda: nu_exact(nonempty))]
+    return [reports, _outcome(lambda: nu_and_subfamily(nonempty))]
 
 
 def test_helly_checks_and_nu_match_the_golden_digest():

@@ -27,12 +27,11 @@ from dintervals import (
     k_intersects,
     max_k_intersecting_subfamily,
     maxima_witness_subfamily,
-    nu_exact,
     radon_number_bruteforce,
     radon_partition,
     trace_of,
 )
-from helpers import p6, random_ground, random_trace
+from helpers import nu_and_subfamily, p6, random_ground, random_trace
 
 
 def line(*coords) -> PointSet:
@@ -128,7 +127,7 @@ def _loop_answers(d, fam, helly_cases):
     return [
         [_answer(frac_helly_stats, fam, k) for k in ks],
         [_answer(maxima_witness_subfamily, fam, k) for k in ks],
-        _answer(nu_exact, [t for t in fam if not t.is_empty]),
+        _answer(nu_and_subfamily, [t for t in fam if not t.is_empty]),
         [helly_check(fam, m, k) for m, k in helly_cases],
     ]
 
@@ -262,6 +261,22 @@ def test_witness_requires_k_intersecting_input():
     fam = [window(P, {1: (0, 0)}), window(P, {1: (2, 2)})]
     with pytest.raises(PreconditionError):
         maxima_witness_subfamily(fam, 1)
+
+
+def test_witness_size_check_fires_one_set_past_the_bound(monkeypatch):
+    # C sets level 1's least maximum and A, B are disjoint on level 2, so
+    # the witness takes all three: 2d − k at k = 1, and one set past it
+    # once _levels is made to claim both levels met, so that k = 2 passes
+    P = PointSet(2, (tuple(map(Fraction, range(3))), tuple(map(Fraction, range(2)))))
+    a = window(P, {1: (0, 2), 2: (0, 0)})
+    b = window(P, {1: (0, 2), 2: (1, 1)})
+    c = window(P, {1: (0, 1), 2: (0, 1)})
+    assert maxima_witness_subfamily([a, b, c], 1) == (0, 1, 2)
+    monkeypatch.setattr("dintervals.helly._levels", lambda joint: 2)
+    with pytest.raises(TheoremViolationError) as info:
+        maxima_witness_subfamily([a, b, c], 2)
+    assert str(info.value) == "witness has 3 sets, exceeding 2"
+    assert info.value.diagnostics == {"indices": (0, 1, 2)}
 
 
 def test_witness_contract_against_bruteforce_enumeration():
@@ -426,6 +441,21 @@ def test_cfh_alpha_zero_is_vacuous():
     got = cfh_stats([[window(P, {1: (0, 0)})], [window(P, {1: (3, 3)})]])
     assert got.statistics["alpha"] == 0
     assert got.verdict
+
+
+def test_cfh_verdict_holds_at_the_bound_and_fails_just_past_it(monkeypatch):
+    # 150 of the 200 colorful pairs meet, so 1 − α = 1/4; with β̂ = 1/2 in
+    # both families (1 − β̂)^2 = 1/4 meets it, and β̂ = 2/5 gives 9/25 > 1/4
+    P = line(0, 1)
+    zero, one = window(P, {1: (0, 0)}), window(P, {1: (1, 1)})
+    families = [[zero] * 10, [zero] * 15 + [one] * 5]
+    for share, verdict in ((Fraction(1, 2), True), (Fraction(2, 5), False)):
+        monkeypatch.setattr(
+            "dintervals.helly.max_point_cover", lambda fam: (int(len(fam) * share), None)
+        )
+        got = cfh_stats(families)
+        assert got.statistics == {"alpha": Fraction(3, 4), "beta_hats": (share, share)}
+        assert got.verdict is verdict
 
 
 def test_cfh_rejects_wrong_family_count():

@@ -193,11 +193,13 @@ def test_the_collapse_search_builds_no_combinations():
 
 def test_the_piercing_solvers_read_one_incidence():
     # _incidence_graph builds the incidence and the intersection graph as
-    # it checks the family; τ, ν and the LP read them, and only ν's
-    # witness recheck meets two sets' runs directly
+    # it checks the family; pierce_all is its one caller and hands it to
+    # τ, ν and the LP, and only ν's witness recheck meets two sets' runs
+    # directly
     def in_piercing(found):
         return [name for module, name in _package_functions_with(found) if module == "piercing.py"]
 
+    assert _package_functions_with(_calls("_incidence_graph")) == [("piercing.py", "pierce_all")]
     assert in_piercing(_calls("_incidence")) == ["_incidence_graph", "max_point_cover", "pq_check"]
     assert in_piercing(_calls("_meet")) == ["_nu"]
     imported = {
@@ -282,15 +284,15 @@ PUBLIC_NAMES = {
     "SweepInvariantError", "SweepIteration", "SweepResult",
     "TheoremViolationError", "TraceSet", "blow_up", "cfh_stats",
     "colorful_helly_points", "dump_instance", "emit_report", "f_value",
-    "frac_helly_stats", "fractional_lp", "gen_conditioned", "gen_family",
+    "frac_helly_stats", "gen_conditioned", "gen_family",
     "gen_ground", "gen_helly_lower_bound", "gen_instance",
     "gen_radon_lower_bound", "helly_check", "hull", "intersect_all",
     "is_d_collapsible", "jsonify", "k_intersects",
     "max_k_intersecting_subfamily", "max_point_cover",
-    "maxima_witness_subfamily", "minimal_dinterval", "nerve", "nu_exact",
+    "maxima_witness_subfamily", "minimal_dinterval", "nerve",
     "parse_instance", "pierce_all", "piercing_bound_check", "pq_check",
     "radon_number_bruteforce", "radon_partition", "serialize_instance",
-    "sweep_collapse", "tau_exact", "trace_of",
+    "sweep_collapse", "trace_of",
 }
 
 
@@ -300,5 +302,5 @@ def test_the_import_block_is_the_public_surface():
         for name, value in vars(dintervals).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 69
+    assert len(PUBLIC_NAMES) == 66
     assert public == PUBLIC_NAMES

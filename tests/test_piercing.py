@@ -6,6 +6,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,15 +20,12 @@ from dintervals import (
     TheoremViolationError,
     TraceSet,
     blow_up,
-    fractional_lp,
     gen_helly_lower_bound,
     intersect_all,
     max_point_cover,
-    nu_exact,
     pierce_all,
     piercing_bound_check,
     pq_check,
-    tau_exact,
     trace_of,
 )
 from dintervals import geometry, piercing
@@ -230,7 +228,8 @@ def test_simplex_matches_the_reference_on_tall_and_incidence_lps():
 
 def test_tau_of_the_triangle_triple_is_two():
     P, fam = triangle_triple()
-    tau, pts = tau_exact(fam)
+    got = pierce_all(fam)
+    tau, pts = got.tau, got.piercing_points
     assert tau == 2
     for t in fam:
         assert any(p in t for p in pts)
@@ -239,34 +238,36 @@ def test_tau_of_the_triangle_triple_is_two():
 def test_tau_one_with_a_common_point():
     P = line(0, 1, 2)
     fam = [window(P, {1: (0, 2)}), window(P, {1: (1, 2)})]
-    assert tau_exact(fam)[0] == 1
+    assert pierce_all(fam).tau == 1
 
 
 def test_tau_counts_pairwise_disjoint_sets():
     P = line(0, 1, 2, 3, 4, 5)
     fam = [window(P, {1: (2 * i, 2 * i)}) for i in range(3)]
-    assert tau_exact(fam)[0] == 3
+    assert pierce_all(fam).tau == 3
 
 
 def test_tau_guard_and_empty_preconditions():
     P = line(0, 1)
     t = window(P, {1: (0, 1)})
     with pytest.raises(GuardExceededError):
-        tau_exact([t] * 31)
+        pierce_all([t] * 31)
     with pytest.raises(PreconditionError):
-        tau_exact([t, TraceSet.empty(P)])
+        pierce_all([t, TraceSet.empty(P)])
     with pytest.raises(PreconditionError):
-        tau_exact([])
+        pierce_all([])
 
 
-def _deepest_nesting(name: str, call):
-    """Run ``call`` and return its result with the deepest nesting of
-    frames of the function ``name`` seen meanwhile."""
-    deepest = 0
+def _frames_of(name: str, call):
+    """Run ``call`` and return its result with the number of calls of
+    the function ``name`` made meanwhile and the deepest nesting of its
+    frames."""
+    calls = deepest = 0
 
     def profile(frame, event, arg):
-        nonlocal deepest
+        nonlocal calls, deepest
         if event == "call" and frame.f_code.co_name == name:
+            calls += 1
             depth = 0
             while frame is not None:
                 depth += frame.f_code.co_name == name
@@ -278,7 +279,7 @@ def _deepest_nesting(name: str, call):
         result = call()
     finally:
         sys.setprofile(None)
-    return result, deepest
+    return result, calls, deepest
 
 
 def _frame_depth() -> int:
@@ -313,9 +314,9 @@ def test_tau_and_nu_recursion_stays_within_the_family_size():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 2 * 30 + 20)
     try:
-        got, extend_depth = _deepest_nesting("extend", lambda: pierce_all(disjoint))
+        got, _, extend_depth = _frames_of("extend", lambda: pierce_all(disjoint))
         assert (got.tau, got.nu, got.tau_star) == (30, 30, 30)
-        got, branch_depth = _deepest_nesting("branch", lambda: pierce_all(gapped))
+        got, _, branch_depth = _frames_of("branch", lambda: pierce_all(gapped))
         # τ* = 27 < τ = 28, so branch and bound runs past the root
         assert (got.tau, got.nu, got.tau_star) == (28, 26, 27)
     finally:
@@ -324,26 +325,63 @@ def test_tau_and_nu_recursion_stays_within_the_family_size():
     with pytest.raises(GuardExceededError):
         pierce_all(_singletons_and_triples(31, 0))
     with pytest.raises(GuardExceededError):
-        nu_exact(_singletons_and_triples(25, 2))
+        pierce_all(_singletons_and_triples(25, 2))
+
+
+def test_nu_stops_once_it_holds_floor_tau_star_sets():
+    # 15 disjoint overlapping pairs on a line: ν = τ* = 15, so the search
+    # ends on its first leaf, where the full include/exclude walk made
+    # 941,663 calls of extend
+    n = 30
+    P = line(*range(3 * n // 2))
+    fam = [window(P, {1: (3 * k + s, 3 * k + s + 1)}) for k in range(n // 2) for s in (0, 1)]
+    got, calls, _ = _frames_of("extend", lambda: pierce_all(fam))
+    assert (got.tau, got.nu, got.tau_star) == (15, 15, 15)
+    assert got.disjoint_subfamily == tuple(range(0, n, 2))
+    assert calls <= 4 * n
+
+
+def test_nu_refuses_a_witness_whose_sets_overlap():
+    # two overlapping sets left out of each other's neighbours: the search
+    # takes both, and the recheck on the runs must catch them
+    P = line(0, 1, 2)
+    fam = [window(P, {1: (0, 1)}), window(P, {1: (1, 2)})]
+    with pytest.raises(TheoremViolationError) as info:
+        piercing._nu(fam, [set(), set()], Fraction(2))
+    assert str(info.value) == "disjointness witness overlaps"
+    assert info.value.diagnostics == {"pair": (0, 1)}
+
+
+def test_tau_refuses_a_piercing_witness_that_misses_a_set():
+    # cell 0's entry in covers claims set 1 too, which cells_of denies: the
+    # greedy cover takes cell 0 alone, and the witness check must catch it
+    P = line(0, 1)
+    fam = [window(P, {1: (0, 0)}), window(P, {1: (1, 1)})]
+    cells, covers, cells_of, meets = piercing._incidence_graph(fam)
+    lying = (cells, [covers[0] | {1}, covers[1]], cells_of, meets)
+    with pytest.raises(TheoremViolationError) as info:
+        piercing._tau(fam, lying, Fraction(2))
+    assert str(info.value) == "piercing witness misses a set"
+    assert info.value.diagnostics == {"set": 1}
 
 
 def test_nu_of_the_triangle_triple_is_one():
     _, fam = triangle_triple()
-    assert nu_exact(fam)[0] == 1
+    assert pierce_all(fam).nu == 1
 
 
 def test_nu_of_disjoint_sets_is_their_count():
     P = line(0, 1, 2, 3, 4, 5)
     fam = [window(P, {1: (2 * i, 2 * i)}) for i in range(3)]
-    nu, sub = nu_exact(fam)
-    assert nu == 3 and sub == (0, 1, 2)
+    got = pierce_all(fam)
+    assert got.nu == 3 and got.disjoint_subfamily == (0, 1, 2)
 
 
 def test_nu_with_a_bridging_interval():
     P = line(0, 1, 2, 3)
     fam = [window(P, {1: (0, 1)}), window(P, {1: (2, 3)}), window(P, {1: (1, 2)})]
-    nu, sub = nu_exact(fam)
-    assert nu == 2 and sub == (0, 1)
+    got = pierce_all(fam)
+    assert got.nu == 2 and got.disjoint_subfamily == (0, 1)
 
 
 # -------------------------------------------------------------- LP sandwich
@@ -351,7 +389,7 @@ def test_nu_with_a_bridging_interval():
 
 def test_lp_value_of_the_triangle_triple():
     _, fam = triangle_triple()
-    got = fractional_lp(fam)
+    got = pierce_all(fam).lp
     assert got.value == Fraction(3, 2)
     assert got.matching_weights == (Fraction(1, 2),) * 3
     assert got.certified
@@ -360,13 +398,13 @@ def test_lp_value_of_the_triangle_triple():
 def test_lp_value_one_with_a_common_point():
     P = line(0, 1, 2)
     fam = [window(P, {1: (0, 2)}), window(P, {1: (0, 1)})]
-    assert fractional_lp(fam).value == 1
+    assert pierce_all(fam).tau_star == 1
 
 
 def test_lp_value_counts_disjoint_sets():
     P = line(0, 1, 2, 3)
     fam = [window(P, {1: (0, 1)}), window(P, {1: (2, 3)})]
-    assert fractional_lp(fam).value == 2
+    assert pierce_all(fam).tau_star == 2
 
 
 def _edit(weights, i, value):
@@ -422,7 +460,7 @@ def test_a_corrupted_lp_optimum_is_refused(monkeypatch, corruption):
     monkeypatch.setattr(piercing, "simplex_maximize", lambda c, A, b: corrupt(solve(c, A, b)))
     _, fam = triangle_triple()
     with pytest.raises(TheoremViolationError) as info:
-        fractional_lp(fam)
+        piercing._lp(fam, piercing._incidence_graph(fam))
     assert str(info.value) == message
     assert info.value.diagnostics == diagnostics
 
@@ -463,9 +501,6 @@ def test_pierce_all_solves_the_lp_once(monkeypatch):
     _, fam = triangle_triple()
     assert pierce_all(fam).tau == 2
     assert len(solves) == 1
-    # on its own, tau_exact still solves the LP for its root bound
-    assert tau_exact(fam)[0] == 2
-    assert len(solves) == 2
 
 
 def test_pierce_all_builds_one_incidence(monkeypatch):
@@ -676,7 +711,7 @@ def test_blow_up_multiplicity_zero_drops_a_set():
 
 def test_blow_up_with_ones_keeps_the_lp_value():
     _, fam = triangle_triple()
-    assert fractional_lp(blow_up(fam, [1, 1, 1])).value == fractional_lp(fam).value
+    assert pierce_all(blow_up(fam, [1, 1, 1])).tau_star == pierce_all(fam).tau_star
 
 
 def test_blow_up_rejects_bad_multiplicities():
@@ -704,7 +739,7 @@ def test_blow_up_cover_beats_the_fractional_ratio():
         if total == 0:
             continue
         cover, _ = max_point_cover(blow_up(fam, mult))
-        nu_star = fractional_lp(fam).value
+        nu_star = pierce_all(fam).nu_star
         assert cover * nu_star >= total
         done += 1
 
@@ -731,6 +766,19 @@ def test_bound_on_a_line_is_the_interval_identity():
     fam = [window(P, {1: (0, 1)}), window(P, {1: (2, 3)})]
     ok, tau, nu = piercing_bound_check(fam)
     assert ok and tau == nu == 2
+
+
+@pytest.mark.parametrize(
+    "d, tau, nu, ok",
+    [(2, 2, 1, True), (2, 3, 1, False), (3, 12, 2, True), (3, 13, 2, False),
+     (1, 2, 2, True), (1, 3, 2, False), (1, 1, 2, False)],
+)
+def test_bound_holds_at_equality_and_fails_one_past_it(monkeypatch, d, tau, nu, ok):
+    # τ ≤ (d²−d)·ν at d ≥ 2 and τ = ν at d = 1, with τ and ν planted
+    P = PointSet(d, ((Fraction(0),),) * d)
+    fam = [window(P, {1: (0, 0)})]
+    monkeypatch.setattr(piercing, "pierce_all", lambda family: SimpleNamespace(tau=tau, nu=nu))
+    assert piercing_bound_check(fam) == (ok, tau, nu)
 
 
 def test_bound_never_fails_on_random_two_level_families():

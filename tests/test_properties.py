@@ -34,20 +34,18 @@ from dintervals import (
     complexes,
     dump_instance,
     frac_helly_stats,
-    fractional_lp,
     helly_check,
     is_d_collapsible,
     max_k_intersecting_subfamily,
     max_point_cover,
     maxima_witness_subfamily,
     nerve,
-    nu_exact,
     parse_instance,
+    pierce_all,
     pq_check,
     radon_number_bruteforce,
     radon_partition,
     sweep_collapse,
-    tau_exact,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -63,18 +61,24 @@ from helpers import (  # noqa: E402
 def grounds(draw, max_d: int = 3) -> PointSet:
     d = draw(st.integers(1, max_d))
     denom = draw(st.integers(1, 3))
+    # a level is empty only on a draw of 3, so the least ground has a
+    # point on every level
     levels = []
     for _ in range(d):
-        coords = draw(st.lists(st.integers(-6, 6), max_size=4, unique=True))
+        coords = []
+        if draw(st.integers(0, 3)) != 3:
+            coords = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
         levels.append(tuple(sorted(Fraction(c, denom) for c in coords)))
     return PointSet(d, tuple(levels))
 
 
 @st.composite
 def traces(draw, ground: PointSet) -> TraceSet:
+    # a set misses a level only on a draw of 3, so the least sets all hold
+    # every level's first point and meet
     runs = []
     for coords in ground.levels:
-        if not coords or draw(st.integers(0, 3)) == 0:
+        if not coords or draw(st.integers(0, 3)) == 3:
             runs.append(None)
             continue
         first = draw(st.integers(0, len(coords) - 1))
@@ -150,12 +154,10 @@ def test_nu_matches_the_oracle_and_the_piercing_chain(case):
     fam = [t for t in fam if not t.is_empty]
     if not fam:
         return
-    nu, witness = nu_exact(fam)
-    assert O.check_nu([O.expand(t) for t in fam], nu, witness) == []
-    tau_star = fractional_lp(fam).value
-    tau, _ = tau_exact(fam)
-    assert nu <= tau_star <= tau
-    assert O.check_tau_bound(ground.d, tau, nu) == []
+    got = pierce_all(fam)
+    assert O.check_nu([O.expand(t) for t in fam], got.nu, got.disjoint_subfamily) == []
+    assert got.nu <= got.tau_star <= got.tau
+    assert O.check_tau_bound(ground.d, got.tau, got.nu) == []
 
 
 @given(families())
@@ -189,13 +191,14 @@ def test_tau_and_its_points_match_the_oracle(case):
     _, fam = case
     if any(t.is_empty for t in fam):
         with pytest.raises(PreconditionError):
-            tau_exact(fam)
+            pierce_all(fam)
         fam = [t for t in fam if not t.is_empty]
         if not fam:
             return
-    tau, points = tau_exact(fam)
+    got = pierce_all(fam)
+    points = got.piercing_points
     assert list(points) == sorted(points, key=lambda p: (p.level, p.coord))
-    assert O.check_tau([O.expand(t) for t in fam], tau, _points(points)) == []
+    assert O.check_tau([O.expand(t) for t in fam], got.tau, _points(points)) == []
 
 
 @given(families(max_size=7))
