@@ -1,11 +1,11 @@
 """Radon, Helly, colorful Helly and fractional Helly procedures.
 
 Everything here is constructive and exhaustively re-verified: Radon
-partitions by meeting the sides' index spans (``RadonPartition.verify``
-intersects their hulls again), witness subfamilies by recomputing sweep
-values, colorful selections by direct membership of the returned
-points.  Brute-force counterparts (used by tests as oracles) live beside
-the constructions.
+partitions by meeting the sides' index spans, searched one level at a
+time from the last (``RadonPartition.verify`` intersects their hulls
+again), witness subfamilies by recomputing sweep values, colorful
+selections by direct membership of the returned points.  Brute-force
+counterparts (used by tests as oracles) live beside the constructions.
 
 The Radon search runs on cells (level − 1, index); points appear only in
 the partitions it returns.  Outside ``RadonPartition.verify`` and those
@@ -89,15 +89,22 @@ def _radon_cells(ground: PointSet, cells: Sequence[tuple[int, int]]):
             )
         return side_a, [middle], middle
 
-    check_guard("RADON_POINTS", "radon subset size", len(cells))
-    if len(cells) < 2:
-        return None
-    head, rest = cells[0], cells[1:]
-    for picks in itertools.product((0, 1), repeat=len(rest)):
-        side_a = [head] + [c for c, s in zip(rest, picks) if s == 0]
-        side_b = [c for c, s in zip(rest, picks) if s == 1]
-        if side_b and (witness := _least_meet(side_a, side_b, d)) is not None:
-            return side_a, side_b, witness
+    # the first split in product order, level by level (radon_partition)
+    for lvl in reversed(range(d)):
+        line = [c for c in cells if c[0] == lvl]
+        free = [c for c in line if c != cells[0]]
+        for picks in itertools.product((0, 1), repeat=len(free)):
+            side_b = [c for c, s in zip(free, picks) if s]
+            kept = [c[1] for c in line if c not in side_b]
+            if side_b and kept and max(kept[0], side_b[0][1]) <= min(kept[-1], side_b[-1][1]):
+                side_a = [c for c in cells if c not in side_b]
+                witness = _least_meet(side_a, side_b, d)
+                if witness is None:
+                    raise TheoremViolationError(
+                        "a split that meets on one level has no common cell",
+                        diagnostics={"subset": tuple(_point(ground, c) for c in cells)},
+                    )
+                return side_a, side_b, witness
     return None
 
 
@@ -107,10 +114,23 @@ def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition
     With 2d+1 or more points, three of them share a level; putting the
     middle one alone against the outer two (everything else joins the
     outer side) always works, and the middle point is the witness.
-    Below that threshold all splits are tried; None is definitive.
+    Below that threshold the search goes one level at a time, from the
+    last.  On each level it tries the splits of that level's points in
+    product order, every other point (the subset's first included) on
+    side a, and returns the first split whose index spans meet on that
+    level, with the least common cell as witness.  That is the first of
+    all 2^(n−1) splits in product order (the first point fixed on side
+    a, the next one the most significant bit): two hulls meet exactly
+    when they meet on some level, a working side b cut down to that
+    level's points still works and is no larger as a binary number, and
+    a side b on a later level is smaller than any with a point on an
+    earlier one.  None is definitive.
     """
     pts = sorted(set(subset), key=lambda p: (p.level, p.coord))
-    found = _radon_cells(ground, [(p.level - 1, ground.index_of(p)) for p in pts])
+    cells = [(p.level - 1, ground.index_of(p)) for p in pts]
+    if len(cells) < 2 * ground.d + 1:
+        check_guard("RADON_POINTS", "radon subset size", len(cells))
+    found = _radon_cells(ground, cells)
     if found is None:
         return None
     side_a, side_b, witness = found

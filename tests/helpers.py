@@ -367,6 +367,26 @@ def reference_collapse_search(todo: frozenset, bound: int, order):
     return None
 
 
+def reference_radon_split(d: int, cells):
+    """The Radon search on fewer than 2d+1 cells as a walk over every
+    split: the head on side a, the other cells' sides in
+    ``itertools.product`` order (the first the most significant bit).
+    Returns the first ``(side_a, side_b, witness)`` whose per-level index
+    spans meet, the witness the least common cell, or None."""
+    head, rest = cells[0], cells[1:]
+    for picks in itertools.product((0, 1), repeat=len(rest)):
+        side_a = [head] + [c for c, s in zip(rest, picks) if s == 0]
+        side_b = [c for c, s in zip(rest, picks) if s == 1]
+        if not side_b:
+            continue
+        for lvl in range(d):
+            a = [i for l, i in side_a if l == lvl]
+            b = [i for l, i in side_b if l == lvl]
+            if a and b and max(a[0], b[0]) <= min(a[-1], b[-1]):
+                return side_a, side_b, (lvl, max(a[0], b[0]))
+    return None
+
+
 def reference_parse_instance(document: dict, strict: bool = True):
     """A reference for ``instances.parse_instance`` on decoded documents,
     through the public geometry: every coordinate parsed where it occurs,

@@ -76,6 +76,16 @@ MUTANTS = {
         "            if first <= last:\n                runs.append((first, last))\n",
         "            if first < last:\n                runs.append((first, last))\n",
     ),
+    "radon-level-check-off": (
+        "helly.py",
+        "                if witness is None:\n",
+        "                if False:\n",
+    ),
+    "radon-levels-first-to-last": (
+        "helly.py",
+        "    for lvl in reversed(range(d)):\n",
+        "    for lvl in range(d):\n",
+    ),
     "colorful-claim-check-off": (
         "helly.py",
         "            if p not in member:\n",

@@ -31,7 +31,13 @@ from dintervals import (
     radon_partition,
     trace_of,
 )
-from helpers import nu_and_subfamily, p6, random_ground, random_trace
+from helpers import (
+    nu_and_subfamily,
+    p6,
+    random_ground,
+    random_trace,
+    reference_radon_split,
+)
 
 
 def line(*coords) -> PointSet:
@@ -111,6 +117,87 @@ def test_the_radon_search_builds_no_traces(monkeypatch):
     assert radon_number_bruteforce(P, cap=6) == 5
     assert radon_partition(P, [p for p in P.points() if p.coord != 1]) is None
     assert radon_partition(P, P.points()).witness == Point(Fraction(1), 1)
+
+
+def test_the_level_search_returns_the_first_split_of_the_walk_over_all_splits():
+    # the same sides and witness as trying every split in product order,
+    # on every subset below 2d+1 cells of seeded grounds
+    import dintervals.helly as helly
+
+    rng = random.Random(311)
+    grounds = [random_ground(rng, d, max_per_level=4) for d in (1, 2, 3) for _ in range(12)]
+    grounds.append(PointSet(3, (tuple(map(Fraction, range(4))),) * 3))
+    checked = found = twice = 0
+    for ground in grounds:
+        d = ground.d
+        cells = [(lvl, i) for lvl, coords in enumerate(ground.levels) for i in range(len(coords))]
+        for n in range(1, min(2 * d, len(cells)) + 1):
+            for subset in itertools.combinations(cells, n):
+                got = helly._radon_cells(ground, list(subset))
+                assert got == reference_radon_split(d, list(subset)), (ground, subset)
+                checked += 1
+                found += got is not None
+                levels = [lvl for lvl, _ in subset]
+                twice += sum(levels.count(lvl) >= 3 for lvl in set(levels)) == 2
+    # empty levels, subsets with no split, and subsets that split on two
+    # levels, where the order of the levels decides, all occur
+    assert any(not coords for g in grounds for coords in g.levels)
+    assert checked > 5000 and 1000 < found < checked and twice > 50
+
+
+def test_the_radon_number_of_a_three_by_three_ground_takes_few_meets(monkeypatch):
+    # a split is decided on one level before its witness is looked up, so
+    # only subsets that split pay a meet; a meet per split tried takes 545
+    import dintervals.helly as helly
+
+    calls = []
+    least_meet = helly._least_meet
+
+    def counted(*args):
+        calls.append(args)
+        return least_meet(*args)
+
+    monkeypatch.setattr(helly, "_least_meet", counted)
+    P = PointSet(3, ((Fraction(0), Fraction(1), Fraction(2)),) * 3)
+    assert radon_number_bruteforce(P, 7) == 7
+    assert len(calls) <= 100
+
+
+def test_a_split_that_meets_on_a_level_without_a_common_cell_raises(monkeypatch):
+    # the per-level check finds a split; an empty meet of its index spans
+    # must not pass for a witness
+    import dintervals.helly as helly
+
+    monkeypatch.setattr(helly, "_meet", lambda a, b: None)
+    P = PointSet(2, ((Fraction(0), Fraction(1), Fraction(2)), (Fraction(0),)))
+    A = [p for p in P.points() if p.level == 1]
+    with pytest.raises(TheoremViolationError, match="no common cell") as info:
+        radon_partition(P, A)
+    assert info.value.diagnostics == {"subset": tuple(A)}
+    with pytest.raises(TheoremViolationError, match="no common cell"):
+        radon_number_bruteforce(P, 3)
+
+
+def test_the_radon_guard_is_read_once_per_call(monkeypatch):
+    # the number checks the ground, a partition below 2d+1 points its
+    # subset; the constructed partition of 2d+1 or more checks nothing
+    import dintervals.helly as helly
+
+    seen = []
+    monkeypatch.setattr(helly, "check_guard", lambda *args: seen.append(args))
+    P = p6()
+    assert radon_number_bruteforce(P, cap=6) == 5
+    assert seen == [("RADON_POINTS", "ground set size", 6)]
+    seen.clear()
+    radon_partition(P, list(P.points())[:4])
+    assert seen == [("RADON_POINTS", "radon subset size", 4)]
+    seen.clear()
+    radon_partition(P, list(P.points())[:5])
+    assert seen == []
+    monkeypatch.undo()
+    monkeypatch.setenv("DINTERVALS_GUARD_RADON_POINTS", "3")
+    with pytest.raises(GuardExceededError, match="radon subset size: size 4 exceeds guard limit 3"):
+        radon_partition(P, list(P.points())[:4])
 
 
 def _answer(call, *args):

@@ -2,10 +2,12 @@
 oracle, and the index-space queries of ``piercing`` and ``helly``
 against the brute-force oracles of ``bench/oracles.py``, α = 1 in
 ``frac_helly_stats`` against ``helly_check`` finding no failing
-subfamily, the Radon search against its closed form, the instance
-format's parse → serialize → parse round trip, and the parser against
-a reference that goes through the public geometry
-(``tests/helpers.py``), on documents valid and broken.
+subfamily, the plain (p, 2) check against ν < p, colorful-second at
+p = q = 2d against the colorful Helly property, the Radon search
+against its closed form, the instance format's parse → serialize →
+parse round trip, and the parser against a reference that goes through
+the public geometry (``tests/helpers.py``), on documents valid and
+broken.
 
 The oracles expand every trace into its explicit ``(level, coord)``
 points and share no code with the program.  Inputs are small hypothesis
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dintervals import (
+    ColorfulHellyProperty,
     PointSet,
     PreconditionError,
     SchemaError,
@@ -336,6 +339,31 @@ def test_colorful_second_pq_matches_a_brute_force(data):
         ),
     )
     assert pq_check(fams, p, q, "colorful-second") == expected
+
+
+@given(families())
+def test_plain_pq_with_q_two_holds_exactly_when_nu_is_below_p(case):
+    # among any p members two meet iff no p members are pairwise disjoint
+    _, fam = case
+    fam = [t for t in fam if not t.is_empty]
+    if len(fam) < 2:
+        return
+    nu = pierce_all(fam).nu
+    for p in range(2, len(fam) + 1):
+        assert pq_check([fam], p, 2)[0] == (nu < p)
+
+
+@given(st.data())
+def test_colorful_second_with_p_and_q_at_2d_is_the_colorful_helly_property(data):
+    # every colorful 2d-tuple has 2d members sharing a point iff every
+    # colorful 2d-tuple meets on at least one level
+    ground = data.draw(grounds(max_d=2))
+    fams = [
+        data.draw(st.lists(traces(ground), min_size=1, max_size=2))
+        for _ in range(2 * ground.d)
+    ]
+    p = 2 * ground.d
+    assert pq_check(fams, p, p, "colorful-second")[0] == ColorfulHellyProperty(1).check(ground, fams)
 
 
 def _per_level(points) -> list[int]:
