@@ -173,8 +173,7 @@ def radon_suite(trials: int = 40, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
         ground = gen_ground(spec)
         row = {"trial": t, "d": d, "points": len(ground)}
         with _row(report, row, (DIntervalError, ValueError)):
-            pts = sorted(ground.points(), key=lambda p: (p.level, p.coord))
-            for subset in itertools.combinations(pts, 2 * d + 1):
+            for subset in itertools.combinations(ground.points(), 2 * d + 1):
                 part = radon_partition(ground, subset)
                 if part is None or not part.verify(ground):
                     raise TheoremViolationError(

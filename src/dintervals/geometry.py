@@ -89,9 +89,11 @@ class PointSet:
 
     def index_of(self, p: Point) -> int:
         """Index of a point within its level's sorted coordinates."""
-        if p not in self:
+        coords = self.levels[p.level - 1] if 1 <= p.level <= self.d else ()
+        i = bisect_left(coords, p.coord)
+        if i == len(coords) or coords[i] != p.coord:
             raise ValueError(f"point {p} not in ground set")
-        return bisect_left(self.levels[p.level - 1], p.coord)
+        return i
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Radon, Helly, colorful Helly and fractional Helly procedures.
 
 Everything here is constructive and exhaustively re-verified: Radon
-partitions by meeting the sides' index spans, searched one level at a
-time from the last (``RadonPartition.verify`` intersects their hulls
-again), witness subfamilies by recomputing sweep values, colorful
-selections by direct membership of the returned points.  Brute-force
-counterparts (used by tests as oracles) live beside the constructions.
+partitions by one rule, the middle of three cells on one level alone
+against the rest, checked by meeting the sides' index spans
+(``RadonPartition.verify`` intersects their hulls again), witness
+subfamilies by recomputing sweep values, colorful selections by direct
+membership of the returned points.  Brute-force counterparts (used by
+tests as oracles) live beside the constructions.
 
-The Radon search runs on cells (level − 1, index); points appear only in
+The Radon rule runs on cells (level − 1, index); points appear only in
 the partitions it returns.  Outside ``RadonPartition.verify`` and those
 checks, queries read the runs: point counts via ``geometry._incidence``,
 subsets and colorful tuples via the one walk ``geometry.colorful_tuples``,
@@ -76,58 +77,40 @@ def _least_meet(side_a, side_b, d: int) -> tuple[int, int] | None:
 
 def _radon_cells(ground: PointSet, cells: Sequence[tuple[int, int]]):
     """``radon_partition`` on distinct cells (level − 1, index) in
-    order: ``(side_a, side_b, witness)`` as cells, or None."""
-    d = ground.d
-    if len(cells) >= 2 * d + 1:
-        # the second cell on the least level that holds three
-        middle = next(cells[j + 1] for j in range(len(cells) - 2) if cells[j][0] == cells[j + 2][0])
-        side_a = [c for c in cells if c != middle]
-        if _least_meet(side_a, [middle], d) != middle:
-            raise TheoremViolationError(
-                "constructed partition failed verification",
-                diagnostics={"subset": tuple(_point(ground, c) for c in cells)},
-            )
-        return side_a, [middle], middle
+    order: ``(side_a, side_b, witness)`` as cells, or None.
 
-    # the first split in product order, level by level (radon_partition)
-    for lvl in reversed(range(d)):
-        line = [c for c in cells if c[0] == lvl]
-        free = [c for c in line if c != cells[0]]
-        for picks in itertools.product((0, 1), repeat=len(free)):
-            side_b = [c for c, s in zip(free, picks) if s]
-            kept = [c[1] for c in line if c not in side_b]
-            if side_b and kept and max(kept[0], side_b[0][1]) <= min(kept[-1], side_b[-1][1]):
-                side_a = [c for c in cells if c not in side_b]
-                witness = _least_meet(side_a, side_b, d)
-                if witness is None:
-                    raise TheoremViolationError(
-                        "a split that meets on one level has no common cell",
-                        diagnostics={"subset": tuple(_point(ground, c) for c in cells)},
-                    )
-                return side_a, side_b, witness
-    return None
+    A middle is a cell with a neighbour on both sides within its level;
+    side b is one middle, side a everything else, and the middle is the
+    witness.  From 2d+1 cells it is the first middle, below that the
+    last, which is the first split of the walk over all splits."""
+    d = ground.d
+    middles = [cells[j + 1] for j in range(len(cells) - 2) if cells[j][0] == cells[j + 2][0]]
+    if not middles:
+        return None
+    middle = middles[0] if len(cells) >= 2 * d + 1 else middles[-1]
+    side_a = [c for c in cells if c != middle]
+    if _least_meet(side_a, [middle], d) != middle:
+        raise TheoremViolationError(
+            "constructed partition failed verification",
+            diagnostics={"subset": tuple(_point(ground, c) for c in cells)},
+        )
+    return side_a, [middle], middle
 
 
 def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition | None:
     """Split the points into two parts with intersecting hulls.
 
-    With 2d+1 or more points, three of them share a level; putting the
-    middle one alone against the outer two (everything else joins the
-    outer side) always works, and the middle point is the witness.
-    Below that threshold the search goes one level at a time, from the
-    last.  On each level it tries the splits of that level's points in
-    product order, every other point (the subset's first included) on
-    side a, and returns the first split whose index spans meet on that
-    level, with the least common cell as witness.  That is the first of
-    all 2^(n−1) splits in product order (the first point fixed on side
-    a, the next one the most significant bit): two hulls meet exactly
-    when they meet on some level, a working side b cut down to that
-    level's points still works and is no larger as a binary number, and
-    a side b on a later level is smaller than any with a point on an
-    earlier one.  None is definitive.
+    A split exists exactly when some level holds three of the points: the
+    middle one of three alone against everything else works, with itself
+    as witness, and with two or fewer on every level the sides' index
+    spans meet on no level.  With 2d+1 or more points (three then share a level)
+    side b is the second point on the first level that holds three; below
+    that it is the second-to-last point on the last such level, the first
+    split in product order over all 2^(n−1) splits (the first point fixed
+    on side a, the next one the most significant bit).  None is
+    definitive.
     """
-    pts = sorted(set(subset), key=lambda p: (p.level, p.coord))
-    cells = [(p.level - 1, ground.index_of(p)) for p in pts]
+    cells = sorted({(p.level - 1, ground.index_of(p)) for p in subset})
     if len(cells) < 2 * ground.d + 1:
         check_guard("RADON_POINTS", "radon subset size", len(cells))
     found = _radon_cells(ground, cells)

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Any
 
 from .errors import SchemaError
-from .geometry import PointSet, TraceSet, minimal_dinterval
+from .geometry import PointSet, TraceSet
 from .rationals import format_rational, parse_rational
 
 _TOP_FIELDS = {"d", "points", "sets", "families"}
@@ -193,18 +193,11 @@ def parse_instance(
 
 
 def serialize_trace(trace: TraceSet, name: str) -> dict:
-    interval = minimal_dinterval(trace)
-    levels = []
-    for lvl in range(1, trace.ground.d + 1):
-        piece = interval.levels[lvl - 1]
-        if not piece.is_empty:
-            levels.append(
-                {
-                    "level": lvl,
-                    "lo": format_rational(piece.lo),
-                    "hi": format_rational(piece.hi),
-                }
-            )
+    levels = [
+        {"level": lvl, "lo": format_rational(coords[run[0]]), "hi": format_rational(coords[run[1]])}
+        for lvl, (coords, run) in enumerate(zip(trace.ground.levels, trace.runs), start=1)
+        if run is not None
+    ]
     return {"name": name, "levels": levels}
 
 

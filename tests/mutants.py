@@ -76,15 +76,20 @@ MUTANTS = {
         "            if first <= last:\n                runs.append((first, last))\n",
         "            if first < last:\n                runs.append((first, last))\n",
     ),
-    "radon-level-check-off": (
+    "radon-middle-check-off": (
         "helly.py",
-        "                if witness is None:\n",
-        "                if False:\n",
+        "    if _least_meet(side_a, [middle], d) != middle:\n",
+        "    if False:\n",
     ),
-    "radon-levels-first-to-last": (
+    "radon-first-middle-below-2d+1": (
         "helly.py",
-        "    for lvl in reversed(range(d)):\n",
-        "    for lvl in range(d):\n",
+        "    middle = middles[0] if len(cells) >= 2 * d + 1 else middles[-1]\n",
+        "    middle = middles[0]\n",
+    ),
+    "radon-last-middle-from-2d+1": (
+        "helly.py",
+        "    middle = middles[0] if len(cells) >= 2 * d + 1 else middles[-1]\n",
+        "    middle = middles[-1]\n",
     ),
     "colorful-claim-check-off": (
         "helly.py",

@@ -3,12 +3,12 @@ module, guard limits are read in one place, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
 not build traces through ``intersect_all``, only the Helly checks walk
 colorful tuples, neither their subset walks nor the collapse search
-build combinations, the piercing solvers read one incidence and one
-intersection graph, each outcome leaves by one path (the CLI
-builds every report in one helper, the sweep every error in one, the
-suites every failure in one, and reports know nothing of instances),
-no dropped option comes back, and the import block of ``__init__`` is
-the public surface."""
+build combinations, the Radon rule walks no splits, the piercing
+solvers read one incidence and one intersection graph, each outcome
+leaves by one path (the CLI builds every report in one helper, the
+sweep every error in one, the suites every failure in one, and reports
+know nothing of instances), no dropped option comes back, and the
+import block of ``__init__`` is the public surface."""
 
 import ast
 import types
@@ -81,7 +81,7 @@ def _calls_itertools(*names):
         and isinstance(n.func, ast.Attribute)
         and isinstance(n.func.value, ast.Name)
         and n.func.value.id == "itertools"
-        and n.func.attr in names
+        and (not names or n.func.attr in names)
     )
 
 
@@ -120,6 +120,7 @@ def test_the_function_scans_flag_what_they_look_for():
         "def outer():\n    def inner():\n        return Report()\n    return inner\n"
         "def k(a):\n    return sorted(a, key=lambda t: t.runs)\n"
         "def m(a):\n    return list(itertools.combinations(a, 2))\n"
+        "def p(a):\n    return list(itertools.product(a, a))\n"
         "def w(report, rep):\n    report.witnesses['x'] = rep.witnesses\n"
     )
     assert _functions_with(source, _compares_a_ground) == ["f"]
@@ -127,6 +128,7 @@ def test_the_function_scans_flag_what_they_look_for():
     assert _functions_with(source, _reads_runs) == ["h", "k"]
     assert _functions_with(source, _calls("Report")) == ["inner"]
     assert _functions_with(source, _calls_itertools("combinations")) == ["m"]
+    assert _functions_with(source, _calls_itertools()) == ["m", "p"]
     assert _functions_with(source, _touches_report_witnesses) == ["w"]
 
 
@@ -189,6 +191,14 @@ def test_the_collapse_search_builds_no_combinations():
     # a facet's small faces are its submasks
     callers = _package_functions_with(_calls_itertools("combinations"))
     assert callers and [c for c in callers if c[0] == "complexes.py"] == []
+
+
+def test_the_radon_rule_walks_no_splits():
+    # below 2d+1 cells the partition is the last middle of three on one
+    # level, as from 2d+1 it is the first: no split is enumerated
+    callers = _package_functions_with(_calls_itertools())
+    assert ("helly.py", "radon_number_bruteforce") in callers
+    assert ("helly.py", "_radon_cells") not in callers
 
 
 def test_the_piercing_solvers_read_one_incidence():
