@@ -96,20 +96,16 @@ def test_radon_number_exceeds_cap_on_two_points():
 
 def test_a_failed_witness_check_on_the_constructed_partition_raises(monkeypatch):
     # report every meet of index spans as empty: the middle point then
-    # seems to lie outside the other side's hull, which must not pass,
-    # from 2d+1 points (a line of three) and below (three points on one
-    # level of two)
+    # seems to lie outside the outer side's hull, which must not pass
     import dintervals.helly as helly
 
     monkeypatch.setattr(helly, "_meet", lambda a, b: None)
-    three = line(0, 1, 2)
-    two = PointSet(2, ((Fraction(0), Fraction(1), Fraction(2)), (Fraction(0),)))
-    for P, A in ((three, list(three.points())), (two, [p for p in two.points() if p.level == 1])):
-        with pytest.raises(TheoremViolationError, match="constructed partition failed") as info:
-            radon_partition(P, A)
-        assert info.value.diagnostics == {"subset": tuple(A)}
-        with pytest.raises(TheoremViolationError, match="constructed partition failed"):
-            radon_number_bruteforce(P, cap=3)
+    P = line(0, 1, 2)
+    with pytest.raises(TheoremViolationError, match="constructed partition failed") as info:
+        radon_partition(P, P.points())
+    assert info.value.diagnostics == {"subset": tuple(P.points())}
+    with pytest.raises(TheoremViolationError, match="constructed partition failed"):
+        radon_number_bruteforce(P, cap=3)
 
 
 def test_the_radon_search_builds_no_traces(monkeypatch):
@@ -165,6 +161,21 @@ def test_the_radon_number_of_a_three_by_three_ground_takes_few_meets(monkeypatch
     P = PointSet(3, ((Fraction(0), Fraction(1), Fraction(2)),) * 3)
     assert radon_number_bruteforce(P, 7) == 7
     assert len(calls) <= 100
+
+
+def test_a_split_that_meets_on_a_level_without_a_common_cell_raises(monkeypatch):
+    # below 2d+1 points the middle of three cells on one level splits the
+    # subset; an empty meet of its index spans must not pass for a witness
+    import dintervals.helly as helly
+
+    monkeypatch.setattr(helly, "_meet", lambda a, b: None)
+    P = PointSet(2, ((Fraction(0), Fraction(1), Fraction(2)), (Fraction(0),)))
+    A = [p for p in P.points() if p.level == 1]
+    with pytest.raises(TheoremViolationError, match="constructed partition failed") as info:
+        radon_partition(P, A)
+    assert info.value.diagnostics == {"subset": tuple(A)}
+    with pytest.raises(TheoremViolationError, match="constructed partition failed"):
+        radon_number_bruteforce(P, 3)
 
 
 def test_the_radon_guard_is_read_once_per_call(monkeypatch):
