@@ -8,6 +8,11 @@ Each set is built in index space: its per-level window is bisected
 against the level's int coordinates, which gives the trace of that
 window without building the interval.  Since every set reads only its
 own stream, conditioned sampling builds a draw's sets on first use.
+A draw's ground converts each coordinate through a memo of Fractions,
+which conditioned sampling shares across its draws, so each distinct
+coordinate becomes a Fraction once per call.  Every bounded draw is
+an inline loop of ``getrandbits`` until below n, as CPython's
+``randrange`` draws, so the streams match it byte for byte.
 """
 
 from __future__ import annotations
@@ -67,53 +72,75 @@ def _stream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)`` for n ≥ 1, drawn as CPython's
-    ``_randbelow_with_getrandbits`` draws it, so the stream is the same,
-    without ``randrange``'s argument handling."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def _sample_distinct(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     # partial Fisher–Yates, byte-stable (random.sample switches algorithms
     # by input size): step i picks slot j and moves slot i, which no later
     # step reads, into it; slot x not in pool holds lo + x, so memory is O(count)
+    getrandbits = rng.getrandbits
     pool: dict[int, int] = {}
     picked = []
     for i in range(count):
-        j = i + _below(rng, hi - lo + 1 - i)
+        # rng.randrange(n), drawn as CPython's _randbelow_with_getrandbits
+        n = hi - lo + 1 - i
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        j = i + r
         picked.append(pool.get(j, lo + j))
         pool[j] = pool.get(i, lo + i)
     return sorted(picked)
 
 
-def _bernoulli(rng: random.Random, probability: Fraction) -> bool:
-    return _below(rng, probability.denominator) < probability.numerator
-
-
-def _draw(spec: GenSpec, seed: int) -> tuple[PointSet, Callable[[int, int], TraceSet]]:
+def _draw(
+    spec: GenSpec, seed: int, fractions: dict[int, Fraction]
+) -> tuple[PointSet, Callable[[int, int], TraceSet]]:
     """The ground set of the draw with this seed, and the builder of its
     set j in family fam.  Each level's run is the ground points inside
     the set's int window [start, start + width], found by bisection.
-    Sorted distinct coordinates and bisected runs skip the public checks."""
+    Sorted distinct coordinates and bisected runs skip the public checks.
+    ``fractions`` maps coordinates already converted to their Fractions;
+    draws that share it convert each distinct coordinate once."""
     rng = _stream(seed, "points")
     lo, hi = spec.coord_range
     coords = [_sample_distinct(rng, lo, hi, count) for count in spec.points_per_level]
-    ground = PointSet._trusted(spec.d, tuple(tuple(map(Fraction, level)) for level in coords))
+    levels = []
+    for level in coords:
+        row = []
+        for c in level:
+            f = fractions.get(c)
+            if f is None:
+                f = fractions[c] = Fraction(c)
+            row.append(f)
+        levels.append(tuple(row))
+    ground = PointSet._trusted(spec.d, tuple(levels))
+    # each bounded draw below is rng.randrange(n), drawn as CPython's
+    # _randbelow_with_getrandbits: k = n.bit_length() bits until one is < n
+    yes, chances = spec.presence.numerator, spec.presence.denominator
+    chance_bits = chances.bit_length()
+    widths = spec.max_width + 1
+    width_bits = widths.bit_length()
+    starts = hi + 1 - lo  # start = lo + randrange(starts - width)
 
     def build(fam: int, j: int) -> TraceSet:
-        rng = _stream(seed, f"set:{fam}:{j}")
+        getrandbits = _stream(seed, f"set:{fam}:{j}").getrandbits
         runs = []
         for level in coords:
-            if not _bernoulli(rng, spec.presence):
+            r = getrandbits(chance_bits)
+            while r >= chances:
+                r = getrandbits(chance_bits)
+            if r >= yes:
                 runs.append(None)
                 continue
-            width = _below(rng, spec.max_width + 1)
-            start = lo + _below(rng, hi - width + 1 - lo)
+            width = getrandbits(width_bits)
+            while width >= widths:
+                width = getrandbits(width_bits)
+            n = starts - width
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            start = lo + r
             first = bisect_left(level, start)
             last = bisect_right(level, start + width) - 1
             runs.append((first, last) if first <= last else None)
@@ -123,12 +150,12 @@ def _draw(spec: GenSpec, seed: int) -> tuple[PointSet, Callable[[int, int], Trac
 
 
 def gen_ground(spec: GenSpec) -> PointSet:
-    return _draw(spec, spec.seed)[0]
+    return _draw(spec, spec.seed, {})[0]
 
 
 def gen_instance(spec: GenSpec) -> tuple[PointSet, list[list[TraceSet]]]:
     """Ground set plus n_families families of n_sets traces each."""
-    ground, build = _draw(spec, spec.seed)
+    ground, build = _draw(spec, spec.seed, {})
     families = [
         [build(fam, j) for j in range(spec.n_sets)] for fam in range(spec.n_families)
     ]
@@ -272,8 +299,8 @@ class KIntersectRich:
 
 
 class _LazyFamily(Sequence):
-    """One family of a draw; set j is built on its first access (by an
-    int index) and kept."""
+    """One family of a draw; set j is built on its first access, by an
+    int index or inside a slice, and kept."""
 
     def __init__(self, build: Callable[[int, int], TraceSet], fam: int, n_sets: int):
         self._build, self._fam = build, fam
@@ -282,9 +309,13 @@ class _LazyFamily(Sequence):
     def __len__(self) -> int:
         return len(self._sets)
 
-    def __getitem__(self, j: int) -> TraceSet:
+    def __getitem__(self, j):
         t = self._sets[j]
-        if t is None:
+        # None is a set not built yet and a list a slice of placeholders;
+        # a built set passes with the one type test
+        if type(t) is not TraceSet:
+            if t is not None:
+                return list(map(self.__getitem__, range(len(self._sets))[j]))
             j %= len(self._sets)
             t = self._sets[j] = self._build(self._fam, j)
         return t
@@ -322,8 +353,9 @@ def gen_conditioned(
         raise ValueError(
             f"predicate {predicate.name} needs {needed} families, spec has {spec.n_families}"
         )
+    fractions: dict[int, Fraction] = {}
     for t in range(cap):
-        ground, build = _draw(spec, spec.seed * 1_000_003 + t)
+        ground, build = _draw(spec, spec.seed * 1_000_003 + t, fractions)
         families = [_LazyFamily(build, fam, spec.n_sets) for fam in range(spec.n_families)]
         if predicate.check(ground, families):
             families = [list(fam) for fam in families]

@@ -17,7 +17,9 @@ then work on runs through package-private primitives: ``_meet`` and
 indices, −1 on empty levels).  Over one ground the key orders traces
 exactly as ``f_value``, its rendering: the per-level maxima,
 lexicographic with −∞ below every finite value.  ``colorful_tuples`` is
-the one prefix walk over members, for colorful tuples and for subsets.
+the one prefix walk over members, for colorful tuples and for subsets;
+it meets each member into the prefix's joint inline, as ``_meet`` does,
+and counts the nonempty levels in the same loop.
 """
 
 from __future__ import annotations
@@ -79,13 +81,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return sum(len(c) for c in self.levels)
-
-    def __contains__(self, p: Point) -> bool:
-        if not 1 <= p.level <= self.d:
-            return False
-        coords = self.levels[p.level - 1]
-        i = bisect_left(coords, p.coord)
-        return i < len(coords) and coords[i] == p.coord
 
     def index_of(self, p: Point) -> int:
         """Index of a point within its level's sorted coordinates."""
@@ -383,8 +378,22 @@ def colorful_tuples(
             if t.ground is not ground and t.ground != ground:
                 raise GroundSetMismatchError("traces lie over different ground sets")
             if i:
-                runs = None if joints[-1] is None else _meet(joints[-1], t.runs)
-                levels = 0 if runs is None else len(runs) - runs.count(None)
+                # _meet of the prefix's joint with the member, counting
+                # the nonempty levels as it goes
+                joint, runs, levels = joints[-1], None, 0
+                if joint is not None:
+                    meet = []
+                    for ra, rb in zip(joint, t.runs):
+                        if ra is not None and rb is not None:
+                            lo = ra[0] if ra[0] > rb[0] else rb[0]
+                            hi = ra[1] if ra[1] < rb[1] else rb[1]
+                            if lo <= hi:
+                                meet.append((lo, hi))
+                                levels += 1
+                                continue
+                        meet.append(None)
+                    if levels:
+                        runs = tuple(meet)
             else:
                 # an empty first member is an empty joint too
                 levels = len(t.runs) - t.runs.count(None)

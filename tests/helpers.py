@@ -126,6 +126,26 @@ def sample_distinct_reference(rng: random.Random, lo: int, hi: int, count: int) 
     return sorted(pool[:count])
 
 
+def set_runs_reference(spec, seed: int, fam: int, j: int, coords) -> tuple:
+    """Set j of family fam of the draw with this seed over the int ground
+    ``coords``, drawn with ``randrange`` from the set's own stream and
+    traced by a scan of each level: the generators' builder must give the
+    same runs and leave its stream in the same state.  Returns the runs
+    and the stream."""
+    stream = random.Random(f"{seed}:set:{fam}:{j}")
+    lo, hi = spec.coord_range
+    runs = []
+    for level in coords:
+        if stream.randrange(spec.presence.denominator) >= spec.presence.numerator:
+            runs.append(None)
+            continue
+        width = stream.randrange(spec.max_width + 1)
+        start = stream.randrange(lo, hi - width + 1)
+        inside = [i for i, c in enumerate(level) if start <= c <= start + width]
+        runs.append((inside[0], inside[-1]) if inside else None)
+    return tuple(runs), stream
+
+
 def random_family(rng: random.Random, ground: PointSet, size: int) -> list[TraceSet]:
     return [random_trace(rng, ground) for _ in range(size)]
 

@@ -76,6 +76,11 @@ MUTANTS = {
         "            if first <= last:\n                runs.append((first, last))\n",
         "            if first < last:\n                runs.append((first, last))\n",
     ),
+    "walk-meet-drops-one-cell-overlaps": (
+        "geometry.py",
+        "                            if lo <= hi:\n",
+        "                            if lo < hi:\n",
+    ),
     "radon-middle-check-off": (
         "helly.py",
         "    if _least_meet(side_a, [middle], d) != middle:\n",

@@ -29,7 +29,7 @@ from dintervals import (
     trace_of,
 )
 from dintervals import generators
-from helpers import p6, sample_distinct_reference
+from helpers import p6, sample_distinct_reference, set_runs_reference
 
 
 def spec_of(**overrides) -> GenSpec:
@@ -49,20 +49,74 @@ def spec_of(**overrides) -> GenSpec:
 # ------------------------------------------------------- trusted sampling
 
 
-def test_below_draws_exactly_as_randrange():
-    # the generator's streams rest on this replica of CPython's draw; a
-    # Python whose randrange draws otherwise fails here
-    sizes = [1, 2, 4, 8, 2**10, 2**31, 2**64]
-    pick = random.Random(5)
-    sizes += [pick.randrange(1, 10**6) for _ in range(200)]
-    sizes += [pick.randrange(1, 2**70) for _ in range(20)]
-    ours, theirs = random.Random("below"), random.Random("below")
-    for n in sizes:
-        assert generators._below(ours, n) == theirs.randrange(n)
-        assert ours.getstate() == theirs.getstate()
-        lo = pick.randrange(-50, 50)
-        assert lo + generators._below(ours, n) == theirs.randrange(lo, lo + n)
-        assert ours.getstate() == theirs.getstate()
+def _builder_specs():
+    """Seeded specs over every presence and width corner, on ranges up to
+    10^12 wide."""
+    rng = random.Random(31)
+    presences = [Fraction(0), Fraction(1, 3), Fraction(1)]
+    for case in range(600):
+        d = rng.randrange(1, 4)
+        lo = rng.randrange(-50, 50)
+        span = rng.choice([0, 1, 7, 12, 1000, 10**12, rng.randrange(10**12)])
+        corner = case % 3  # width 0, the full range, or any width
+        presence = presences[case % 4] if case % 4 < 3 else Fraction(rng.randrange(8), 8)
+        yield GenSpec(
+            d=d,
+            points_per_level=tuple(rng.randrange(0, min(span + 1, 6) + 1) for _ in range(d)),
+            coord_range=(lo, lo + span),
+            n_sets=rng.randrange(0, 4),
+            presence=presence,
+            max_width=(0, span, rng.randrange(span + 1))[corner],
+            seed=rng.randrange(2**31),
+            n_families=rng.randrange(1, 3),
+        )
+
+
+def test_set_builder_draws_exactly_as_randrange(monkeypatch):
+    # the generator's streams rest on its inline copy of CPython's
+    # randrange; a Python whose randrange draws otherwise fails here
+    streams = {}
+    stream = generators._stream
+
+    def kept(seed, name):
+        streams[name] = stream(seed, name)
+        return streams[name]
+
+    monkeypatch.setattr(generators, "_stream", kept)
+    specs = list(_builder_specs())
+    assert {s.presence for s in specs} >= {0, Fraction(1, 3), 1}
+    assert any(s.max_width == 0 < s.coord_range[1] - s.coord_range[0] for s in specs)
+    assert any(s.max_width == s.coord_range[1] - s.coord_range[0] == 10**12 for s in specs)
+    sets = 0
+    for spec in specs:
+        ground, build = generators._draw(spec, spec.seed, {})
+        coords = [list(map(int, level)) for level in ground.levels]
+        for fam in range(spec.n_families):
+            for j in range(spec.n_sets):
+                runs, theirs = set_runs_reference(spec, spec.seed, fam, j, coords)
+                assert build(fam, j).runs == runs
+                assert streams[f"set:{fam}:{j}"].getstate() == theirs.getstate()
+                sets += 1
+    assert len(specs) >= 500 and sets > 1000
+
+
+def test_a_rejecting_run_converts_each_coordinate_once(monkeypatch):
+    # every set is empty, so all 200 draws fail; their grounds share one
+    # Fraction per distinct coordinate
+    made = []
+
+    def counting(c):
+        made.append(c)
+        return Fraction(c)
+
+    monkeypatch.setattr(generators, "Fraction", counting)
+    spec = spec_of(
+        d=2, points_per_level=(3, 3), coord_range=(0, 9), n_sets=2, presence=0,
+        n_families=4,
+    )
+    got = gen_conditioned(spec, ColorfulHellyProperty(k=1), cap_draws=200)
+    assert not got.found and got.draws == 200
+    assert 0 < len(made) == len(set(made)) <= 10
 
 
 def test_sampling_draws_as_the_whole_list_shuffle():
@@ -172,6 +226,13 @@ def test_spec_validation():
         spec_of(max_width=100)
     with pytest.raises(ValueError):
         spec_of(coord_range=(5, 1))
+    with pytest.raises(ValueError, match="one point count per level required"):
+        spec_of(d=2, points_per_level=(3,))
+
+
+def test_gen_family_refuses_a_spec_of_several_families():
+    with pytest.raises(ValueError, match="needs n_families == 1"):
+        gen_family(spec_of(n_families=2))
 
 
 def test_int_point_count_broadcasts_over_levels():
@@ -347,6 +408,19 @@ def test_a_rejected_colorful_draw_builds_only_the_sets_it_reads(monkeypatch):
     assert not got.found
     assert 0 < len(built) < spec.n_families * spec.n_sets
     assert len(set(built)) == len(built)  # a set is never built twice
+
+
+def test_a_slice_of_a_lazy_family_builds_its_sets():
+    # a slice once gave the placeholders of the sets not yet built
+    spec = spec_of(n_sets=4)
+    _, build = generators._draw(spec, spec.seed, {})
+    whole = [build(0, j) for j in range(spec.n_sets)]
+    for key in (slice(0, 2), slice(None, None, -1), slice(1, None, 2), slice(-2, None), slice(5, 9)):
+        assert generators._LazyFamily(build, 0, spec.n_sets)[key] == whole[key]
+    fam = generators._LazyFamily(build, 0, spec.n_sets)
+    part = fam[1:3]
+    assert part[0] is fam[1] and part[1] is fam[-2]  # built once and kept
+    assert list(fam) == whole
 
 
 def test_an_accepted_outcome_holds_plain_lists_of_the_drawn_instance():

@@ -10,6 +10,7 @@ from dintervals import (
     DimensionMismatchError,
     DInterval,
     GroundSetMismatchError,
+    LevelInterval,
     LexValue,
     Point,
     PointSet,
@@ -38,6 +39,42 @@ from helpers import p6, random_ground, random_subset, random_trace
 
 def pts(trace: TraceSet) -> set[Point]:
     return set(trace.points())
+
+
+# ------------------------------------------------------------ construction
+
+
+@pytest.mark.parametrize("d, levels, error, message", [
+    (0, (), ValueError, "d must be at least 1"),
+    (2, ((Fraction(0),),), DimensionMismatchError, "expected 2 coordinate levels, got 1"),
+    (1, ((Fraction(1), Fraction(1)),), ValueError, "strictly increasing"),
+    (2, ((), (Fraction(0), Fraction(2), Fraction(1))), ValueError, "strictly increasing"),
+])
+def test_point_set_refuses_bad_levels(d, levels, error, message):
+    with pytest.raises(error, match=message):
+        PointSet(d, levels)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (Fraction(0), None, "both set or both None"),
+    (None, Fraction(0), "both set or both None"),
+    (Fraction(2), Fraction(1), r"empty-by-order interval \[2, 1\]"),
+])
+def test_level_interval_refuses_a_half_or_reversed_piece(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        LevelInterval(lo, hi)
+
+
+def test_trace_set_refuses_a_run_count_off_the_levels():
+    with pytest.raises(DimensionMismatchError, match="one run per level required"):
+        TraceSet(p6(), ((0, 0),))
+
+
+@pytest.mark.parametrize("run", [(-1, 0), (2, 1), (0, 3)])
+def test_trace_set_refuses_a_run_out_of_range(run):
+    # p6 has indices 0..2 on each level
+    with pytest.raises(ValueError, match=r"out of range on level 2"):
+        TraceSet(p6(), ((0, 2), run))
 
 
 # ---------------------------------------------------------------- trace_of
