@@ -1,11 +1,12 @@
 """Default enumeration guards, overridable through environment variables.
 
 ``DINTERVALS_GUARD_<NAME>`` overrides a default process-wide, which keeps
-the CLI usable on larger inputs without touching call sites.  The only
-per-call override is ``gen_conditioned``'s ``cap_draws`` (the CLI's
-``--cap``).  ``check_guard`` is the guard rule itself; the walks that
-count as they go (the nerve's face walk and ``helly_check``) and the
-draw cap read ``guard_limit`` once instead.
+the CLI usable on larger inputs without touching call sites.  No guard
+takes a per-call override: ``gen_conditioned``'s draw cap ``cap_draws``
+(the CLI's ``--cap``) is its own argument, with ``DRAWS`` for None.
+``check_guard`` is the guard rule itself; the walks that count as they
+go (the nerve's face walk and ``helly_check``) and the draw cap read
+``guard_limit`` once instead.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ _DEFAULTS = {
 }
 
 
-def guard_limit(name: str, override: int | None = None) -> int:
-    if override is not None:
-        return override
+def guard_limit(name: str) -> int:
     env = os.environ.get(f"DINTERVALS_GUARD_{name}")
     if env is not None:
         return int(env)

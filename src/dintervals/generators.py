@@ -26,7 +26,7 @@ from fractions import Fraction
 from .config import guard_limit
 from .errors import TheoremViolationError
 from .geometry import Point, PointSet, TraceSet, _joint, colorful_tuples
-from .helly import frac_helly_stats, radon_partition
+from .helly import _check_k, _thin_colorful_tuple, frac_helly_stats, radon_partition
 from .piercing import _check_pq_parameters, pq_check
 from .rationals import parse_rational
 
@@ -226,10 +226,8 @@ def gen_radon_lower_bound(ground: PointSet) -> tuple[Point, ...]:
 
 
 def _check_k_predicate(predicate, d: int, n_sets: int, least: int) -> None:
-    """Refuse k outside [1, d], and families of fewer than ``least`` sets,
-    which no draw can satisfy."""
-    if not 1 <= predicate.k <= d:
-        raise ValueError(f"k must lie in [1, {d}]")
+    """Refuse k outside [1, d] and families under ``least`` sets: no draw fits."""
+    _check_k(predicate.k, d)
     if n_sets < least:
         raise ValueError(
             f"predicate {predicate.name} needs at least {least} sets per family, spec has {n_sets}"
@@ -247,10 +245,7 @@ class ColorfulHellyProperty:
         return 2 * d - self.k + 1
 
     def check(self, ground: PointSet, families) -> bool:
-        if any(not fam for fam in families):
-            return False
-        # rejection sampling leans hard on the walk's cut of thin prefixes
-        return all(levels >= self.k for _, _, levels in colorful_tuples(families, self.k))
+        return all(families) and _thin_colorful_tuple(families, self.k) is None
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,7 @@ def gen_conditioned(
     the accepted draw's families come back as plain lists, the same
     instance ``gen_instance`` gives for that draw's seed.
     """
-    cap = guard_limit("DRAWS", cap_draws)
+    cap = guard_limit("DRAWS") if cap_draws is None else cap_draws
     if cap < 1:
         raise ValueError("draw cap must be ≥ 1")
     needed = predicate.families_needed(spec.d, spec.n_sets)

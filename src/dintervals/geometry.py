@@ -194,16 +194,12 @@ class TraceSet:
         return sum(last - first + 1 for r in self.runs if r is not None for first, last in [r])
 
     def __contains__(self, p: Point) -> bool:
-        if not 1 <= p.level <= self.ground.d:
+        try:
+            i = self.ground.index_of(p)
+        except ValueError:  # off the ground or off its levels
             return False
         run = self.runs[p.level - 1]
-        if run is None:
-            return False
-        coords = self.ground.level_coords(p.level)
-        i = bisect_left(coords, p.coord)
-        if i >= len(coords) or coords[i] != p.coord:
-            return False
-        return run[0] <= i <= run[1]
+        return run is not None and run[0] <= i <= run[1]
 
 
 @total_ordering

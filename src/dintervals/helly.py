@@ -11,8 +11,9 @@ tests as oracles) live beside the constructions.
 The Radon rule runs on cells (level − 1, index); points appear only in
 the partitions it returns.  Outside ``RadonPartition.verify`` and those
 checks, queries read the runs: point counts via ``geometry._incidence``,
-subsets and colorful tuples via the one walk ``geometry.colorful_tuples``,
-sweep comparisons via ``geometry._sweep_key``.
+subsets and colorful tuples via the one walk ``geometry.colorful_tuples``
+(its colorful precondition walk, ``_thin_colorful_tuple``, is the
+sampler's too), sweep comparisons via ``geometry._sweep_key``.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def radon_number_bruteforce(ground: PointSet, cap: int) -> int | None:
 # Helly
 
 
+def _check_k(k: int, d: int) -> None:
+    if not 1 <= k <= d:
+        raise ValueError(f"k must lie in [1, {d}]")
+
+
 def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     """Does "every ≤ m sets k-intersect" force the whole family to?
 
@@ -160,8 +166,7 @@ def helly_check(family: Sequence[TraceSet], m: int, k: int = 1) -> HellyReport:
     if not family:
         return report
     ground = family[0].ground
-    if not 1 <= k <= ground.d:
-        raise ValueError(f"k must lie in [1, {ground.d}]")
+    _check_k(k, ground.d)
     joint = _joint(_runs(family))
 
     limit = guard_limit("PQ_WORK")
@@ -201,8 +206,7 @@ def maxima_witness_subfamily(family: Sequence[TraceSet], k: int) -> tuple[int, .
     if not family:
         raise PreconditionError("family is empty")
     d = family[0].ground.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}]")
+    _check_k(k, d)
     runs = _runs(family)
     joint = _joint(runs)
     if (levels := _levels(joint)) < k:
@@ -256,6 +260,16 @@ def _colorful_work(families: Sequence[Sequence[TraceSet]]) -> int:
     return work
 
 
+def _thin_colorful_tuple(families: Sequence[Sequence[TraceSet]], k: int) -> tuple[int, ...] | None:
+    """A colorful tuple below k levels, or None: the walk's first thin
+    prefix padded with zeros, since any completion of it serves.
+    Rejection sampling leans hard on that cut of thin prefixes."""
+    for combo, _, levels in colorful_tuples(families, k):
+        if levels < k:
+            return combo + (0,) * (len(families) - len(combo))
+    return None
+
+
 @dataclass(frozen=True)
 class ColorfulSelection:
     points: tuple[Point, ...]
@@ -272,41 +286,31 @@ def colorful_helly_points(
     """Pick k points shared by every member of one family.
 
     Requires 2d−k+1 nonempty families such that every colorful tuple
-    (one member from each) k-intersects.  The sweep value is minimized
-    over all colorful (2d−k)-tuples, i.e. one member from each family
-    except one; the points are the first k finite components of the
-    minimum, and the family the minimizer omits is the one whose every
-    member must contain them.  Passing ``designated`` instead restricts
-    the minimization to the other families and asserts the claim for
-    that fixed family — a strictly stronger statement that can fail;
-    the failure is reported as a violation with full diagnostics.
-
-    Both the precondition check and the minimization walk the tuples
-    with ``geometry.colorful_tuples``; the check stops at the first
-    prefix below k levels and reports it, padded with zeros, as witness.
+    (one member from each) k-intersects; ``_thin_colorful_tuple``, the
+    one precondition walk, which the sampler shares, checks that and
+    gives the witness.  The sweep value is minimized over all colorful
+    (2d−k)-tuples, i.e. one member from each family except one; the
+    points are the first k finite components of the minimum, and the
+    family the minimizer omits is the one whose every member must
+    contain them.  Passing ``designated`` instead restricts the
+    minimization to the other families and asserts the claim for that
+    fixed family — a strictly stronger statement that can fail; the
+    failure is reported as a violation with full diagnostics.
     """
-    if not families or not families[0]:
+    if not families or not all(families):
         raise ValueError("families must be nonempty")
     ground = families[0][0].ground
     d = ground.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}]")
+    _check_k(k, d)
     arity = 2 * d - k + 1
     if len(families) != arity:
         raise ValueError(f"expected {arity} families, got {len(families)}")
-    if any(not fam for fam in families):
-        raise ValueError("families must be nonempty")
     if designated is not None and not 0 <= designated < arity:
         raise ValueError("designated index out of range")
 
     _colorful_work(families)
-    # any completion of a thin prefix serves as the violating witness
-    for combo, _, levels in colorful_tuples(families, k):
-        if levels < k:
-            raise PreconditionError(
-                "a colorful tuple fails to k-intersect",
-                witness=combo + (0,) * (arity - len(combo)),
-            )
+    if (thin := _thin_colorful_tuple(families, k)) is not None:
+        raise PreconditionError("a colorful tuple fails to k-intersect", witness=thin)
 
     omit_candidates = range(arity) if designated is None else (designated,)
     empty = (-1,) * d
@@ -373,8 +377,7 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     if not family:
         raise ValueError("family must be nonempty")
     d = family[0].ground.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}]")
+    _check_k(k, d)
     _runs(family)  # one ground for every member, walked or not
     r = 2 * d - k + 1
     n = len(family)

@@ -3,8 +3,8 @@
 Maximize c·y subject to Ay ≤ b, y ≥ 0 with b ≥ 0, so the slack basis is
 feasible and no first phase is needed.  Bland's rule (least-index entering
 column, least-index basic leaving variable on ratio ties) guarantees
-termination.  Input is first scaled by the lcm of every denominator, which
-keeps the feasible set, the pivots and the dual.
+termination.  Int or Fraction entries are first scaled by the lcm of
+every denominator, which keeps the feasible set, the pivots and the dual.
 
 The state is fraction-free (after Bareiss 1968) over one denominator D, the
 last pivot's entry (1 at first): D·B⁻¹ as one int column per slack, the rhs
@@ -46,9 +46,8 @@ def simplex_maximize(
     if any(v < 0 for v in b):
         raise ValueError("this solver needs b ≥ 0")
 
-    c, b = [_rational(x) for x in c], [_rational(x) for x in b]
     # A's columns, sparse: (row, entry) per nonzero entry
-    columns = [[(i, _rational(row[j])) for i, row in enumerate(A) if row[j] != 0] for j in range(n)]
+    columns = [[(i, row[j]) for i, row in enumerate(A) if row[j] != 0] for j in range(n)]
     L = lcm(*(x.denominator for x in chain(c, b, (a for col in columns for _, a in col))))
 
     def scaled(x) -> int:
@@ -137,7 +136,3 @@ def simplex_maximize(
     dual = tuple(Fraction(x, D) for x in pi)
     value = sum((ci * yi for ci, yi in zip(c, primal)), Fraction(0))
     return SimplexOutcome(value, tuple(primal), dual)
-
-
-def _rational(x) -> int | Fraction:
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)

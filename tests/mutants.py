@@ -71,6 +71,11 @@ MUTANTS = {
         "    return res.tau <= (d * d - d) * res.nu, res.tau, res.nu\n",
         "    return res.tau <= (d * d) * res.nu, res.tau, res.nu\n",
     ),
+    "pierce-sandwich-check-off": (
+        "piercing.py",
+        "    if not (nu <= lp.value <= tau):\n",
+        "    if False:\n",
+    ),
     "meet-drops-one-cell-overlaps": (
         "geometry.py",
         "            if first <= last:\n                runs.append((first, last))\n",
@@ -115,6 +120,31 @@ MUTANTS = {
         "helly.py",
         "    ok = any((1 - b) ** (2 * d) <= 1 - alpha for b in betas)\n",
         "    ok = any((1 - b) ** (2 * d + 1) <= 1 - alpha for b in betas)\n",
+    ),
+    "maxima-extremes-check-off": (
+        "helly.py",
+        "        if runs[j_lo][lvl][0] <= runs[j_hi][lvl][1]:\n",
+        "        if False:\n",
+    ),
+    "maxima-sweep-check-off": (
+        "helly.py",
+        "    if sub_joint is None or _sweep_key(sub_joint) != target:\n",
+        "    if False:\n",
+    ),
+    "colorful-minimum-check-off": (
+        "helly.py",
+        "    if len(finite) < k:\n",
+        "    if False:\n",
+    ),
+    "colorful-thin-at-k-levels": (
+        "helly.py",
+        "        if levels < k:\n            return combo",
+        "        if levels <= k:\n            return combo",
+    ),
+    "k-range-from-0": (
+        "helly.py",
+        "    if not 1 <= k <= d:\n",
+        "    if not 0 <= k <= d:\n",
     ),
     "sweep-rebuilt-nerve-check-off": (
         "complexes.py",

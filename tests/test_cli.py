@@ -707,6 +707,12 @@ def test_experiment_rejects_trials_below_one(capsys):
         assert "trials must be ≥ 1" in captured.err
 
 
+def test_an_unknown_suite_is_refused_with_the_known_ones():
+    with pytest.raises(ValueError) as info:
+        experiments.run_suite("nope")
+    assert str(info.value) == f"unknown suite 'nope'; choose from {sorted(experiments.SUITES)}"
+
+
 # ---------------------------------------------------------- one report path
 
 

@@ -368,6 +368,15 @@ def test_conditioned_impossible_predicate_reports_not_found():
     assert got.families is None
 
 
+def test_the_draw_cap_argument_wins_over_the_draws_guard(monkeypatch):
+    # DINTERVALS_GUARD_DRAWS caps a call only when it passes no cap_draws
+    spec = spec_of(d=1, points_per_level=(4,), coord_range=(0, 5), n_sets=3, presence=0)
+    never = KIntersectRich(1, Fraction(1))
+    monkeypatch.setenv("DINTERVALS_GUARD_DRAWS", "3")
+    assert gen_conditioned(spec, never, cap_draws=7).draws == 7
+    assert gen_conditioned(spec, never).draws == 3
+
+
 def test_conditioned_family_count_must_match_the_predicate():
     spec = spec_of(d=2, n_families=1)
     with pytest.raises(ValueError):

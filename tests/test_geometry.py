@@ -137,6 +137,25 @@ def test_points_off_the_levels_are_not_in_the_ground(level):
             build(p)
 
 
+def test_membership_agrees_with_the_listed_points():
+    # every ground point; coordinates off every ground (random_ground
+    # draws from [-8, 8] over denominators 1, 2, 3); and the coordinates
+    # of level 1 on levels 0 and d + 1
+    rng = random.Random(211)
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        ground = random_ground(rng, d, max_per_level=5)
+        t = random_trace(rng, ground)
+        listed = set(t.points())
+        for p in ground.points():
+            assert (p in t) == (p in listed), (ground, t, p)
+        for lvl in range(1, d + 1):
+            for c in (Fraction(-9), Fraction(1, 7), Fraction(9)):
+                assert Point(c, lvl) not in t
+        for c in ground.level_coords(1):
+            assert Point(c, 0) not in t and Point(c, d + 1) not in t
+
+
 # ---------------------------------------------------------- intersect_all
 
 

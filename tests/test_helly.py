@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dintervals import (
+    ColorfulHellyProperty,
     DInterval,
     DIntervalError,
     GuardExceededError,
@@ -366,6 +367,50 @@ def test_witness_size_check_fires_one_set_past_the_bound(monkeypatch):
     assert info.value.diagnostics == {"indices": (0, 1, 2)}
 
 
+def test_witness_refuses_an_empty_family_and_k_off_its_range():
+    P = line(0, 1)
+    fam = [window(P, {1: (0, 1)})]
+    with pytest.raises(PreconditionError, match="family is empty"):
+        maxima_witness_subfamily([], 1)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 1\]"):
+            maxima_witness_subfamily(fam, k)
+
+
+def test_witness_refuses_extremes_that_meet_on_an_empty_level(monkeypatch):
+    # a planted fault: the sweep key claims level 1 empty, though both
+    # sets hold index 1 there, so the extreme enclosures meet
+    P = line(0, 1, 2)
+    fam = [window(P, {1: (0, 1)}), window(P, {1: (1, 2)})]
+    monkeypatch.setattr("dintervals.helly._sweep_key", lambda joint: (-1,))
+    with pytest.raises(TheoremViolationError) as info:
+        maxima_witness_subfamily(fam, 1)
+    assert str(info.value) == "extreme enclosing intervals meet on an empty level"
+    assert info.value.diagnostics == {"level": 1}
+
+
+def test_witness_refuses_a_subfamily_that_changes_the_sweep_value(monkeypatch):
+    # a planted fault: the witness subfamily's joint loses its last level,
+    # so its sweep key no longer matches the family's
+    import dintervals.helly as helly
+
+    P = PointSet(2, (tuple(map(Fraction, range(3))),) * 2)
+    fam = [window(P, {1: (0, 1), 2: (0, 2)}), window(P, {1: (0, 2), 2: (1, 1)})]
+    assert maxima_witness_subfamily(fam, 2) == (0, 1)
+    joint_of, joints = helly._joint, []
+
+    def planted(runs):
+        joint = joint_of(runs)
+        joints.append(joint)
+        return joint if len(joints) == 1 else joint[:-1] + (None,)
+
+    monkeypatch.setattr(helly, "_joint", planted)
+    with pytest.raises(TheoremViolationError) as info:
+        maxima_witness_subfamily(fam, 2)
+    assert str(info.value) == "witness subfamily changes the sweep value"
+    assert info.value.diagnostics == {"indices": (0, 1)}
+
+
 def test_witness_contract_against_bruteforce_enumeration():
     rng = random.Random(303)
     checked = 0
@@ -454,6 +499,60 @@ def test_colorful_arity_is_checked():
         colorful_helly_points([f1], k=1)
 
 
+def test_colorful_designated_index_must_name_a_family():
+    P = line(0, 1)
+    fam = [window(P, {1: (0, 1)})]
+    for designated in (-1, 2):
+        with pytest.raises(ValueError, match="designated index out of range"):
+            colorful_helly_points([fam, fam], k=1, designated=designated)
+
+
+def test_colorful_minimum_below_k_levels_is_refused(monkeypatch):
+    # a planted fault: every sweep key reads as all levels empty, so the
+    # minimum has no finite component for the k = 1 points
+    P = line(0, 1, 2)
+    f1 = [window(P, {1: (0, 2)})]
+    f2 = [window(P, {1: (1, 2)})]
+    monkeypatch.setattr("dintervals.helly._sweep_key", lambda runs: (-1,))
+    with pytest.raises(TheoremViolationError) as info:
+        colorful_helly_points([f1, f2], k=1)
+    assert str(info.value) == "minimizing tuple meets fewer levels than k"
+    assert info.value.diagnostics == {"tuple": (0,), "value": "(-inf)"}
+
+
+def _passes_the_precondition(families, k) -> bool:
+    """Does the selection get past its precondition?  A refused empty
+    family and a thin colorful tuple count as not."""
+    try:
+        colorful_helly_points(families, k)
+    except PreconditionError:
+        return False
+    except ValueError as err:
+        assert str(err) == "families must be nonempty"
+        return False
+    return True
+
+
+def test_the_colorful_property_is_the_selection_precondition():
+    # seeded families with 2d − k + 1 families of 0–3 traces each, on
+    # narrow grounds so that both verdicts occur
+    rng = random.Random(909)
+    verdicts = []
+    for i in range(240):
+        d = 1 + i % 3
+        k = 1 + rng.randrange(d)
+        ground = random_ground(rng, d, max_per_level=3)
+        bias = rng.choice((0.0, 0.1, 0.3))
+        sizes = [rng.choice((1, 2, 3)) for _ in range(2 * d - k + 1)]
+        if i % 8 == 0:
+            sizes[rng.randrange(len(sizes))] = 0
+        families = [[random_trace(rng, ground, bias) for _ in range(n)] for n in sizes]
+        held = ColorfulHellyProperty(k).check(ground, families)
+        assert held == _passes_the_precondition(families, k), (i, d, k)
+        verdicts.append((held, 0 in sizes))
+    assert {(True, False), (False, False), (False, True)} <= set(verdicts)
+
+
 # ----------------------------------------------------------------- fractional
 
 
@@ -511,6 +610,11 @@ def test_frac_verdict_fires_one_set_short_of_the_bound(monkeypatch):
     short = frac_helly_stats([full] * 5, k=1)
     assert short.statistics["beta_hat"] == Fraction(2, 5) < short.statistics["bound"]
     assert not short.verdict
+
+
+def test_frac_stats_refuse_an_empty_family():
+    with pytest.raises(ValueError, match="family must be nonempty"):
+        frac_helly_stats([], 1)
 
 
 def test_cfh_alpha_one_forces_a_fully_intersecting_family():

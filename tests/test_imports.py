@@ -160,12 +160,13 @@ def test_queries_outside_geometry_walk_on_runs():
 
 
 def test_only_the_helly_checks_walk_colorful_tuples():
-    # every (p,q) kind reads one incidence instead; the generators'
-    # ``check`` is ColorfulHellyProperty's.  The Helly subset walks take
-    # the same walk with its subset rule, so they build no combinations
+    # every (p,q) kind reads one incidence instead; the colorful
+    # precondition walks once, in _thin_colorful_tuple, for the selection
+    # and for ColorfulHellyProperty.  The Helly subset walks take the
+    # same walk with its subset rule, so they build no combinations
     assert _package_functions_with(_calls("colorful_tuples")) == [
-        ("generators.py", "check"),
         ("generators.py", "gen_helly_lower_bound"),
+        ("helly.py", "_thin_colorful_tuple"),
         ("helly.py", "cfh_stats"),
         ("helly.py", "colorful_helly_points"),
         ("helly.py", "frac_helly_stats"),
@@ -256,8 +257,8 @@ def test_reports_import_nothing_from_instances():
 def test_no_function_takes_a_per_call_guard_override():
     # the dropped guard overrides and every other dropped option, each
     # with the functions it may not come back to (None: any function);
-    # guard_limit keeps its override for the draw cap and
-    # colorful_helly_points its designated family
+    # the draw cap is gen_conditioned's own argument, and
+    # colorful_helly_points keeps its designated family
     dropped = {
         "work_guard": None,
         "face_guard": None,
@@ -265,7 +266,7 @@ def test_no_function_takes_a_per_call_guard_override():
         "enumeration_guard": None,
         "labels": None,
         "cap_per_instance": None,
-        "override": {"check_guard"},
+        "override": None,
         "designated": {"gen_helly_lower_bound", "gen_radon_lower_bound"},
         "code": {"_finish"},
         "lp_value": None,

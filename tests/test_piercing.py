@@ -514,6 +514,17 @@ def test_pierce_all_builds_one_incidence(monkeypatch):
     assert len(builds) == 1
 
 
+def test_pierce_all_refuses_a_broken_sandwich(monkeypatch):
+    # a planted fault: ν comes back one past the fractional optimum 3/2
+    nu = piercing._nu
+    monkeypatch.setattr(piercing, "_nu", lambda *args: (2, nu(*args)[1]))
+    _, fam = triangle_triple()
+    with pytest.raises(TheoremViolationError) as info:
+        pierce_all(fam)
+    assert str(info.value) == "sandwich ν ≤ ν* = τ* ≤ τ violated"
+    assert info.value.diagnostics == {"nu": 2, "lp": Fraction(3, 2), "tau": 2}
+
+
 def test_sandwich_and_oracles_on_random_families():
     rng = random.Random(401)
     solved = 0

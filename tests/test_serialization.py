@@ -19,6 +19,7 @@ from dintervals import (
     serialize_instance,
 )
 from dintervals import geometry, instances
+from dintervals.rationals import parse_rational
 from helpers import reference_parse_instance
 from test_golden import _parse_documents, _parse_outcome
 
@@ -86,6 +87,11 @@ def test_float_coordinates_are_rejected():
     with pytest.raises(SchemaError) as err:
         parse_instance(doc)
     assert "floating-point" in str(err.value)
+
+
+def test_a_coordinate_of_no_known_type_is_refused():
+    with pytest.raises(TypeError, match="cannot parse coordinate of type object"):
+        parse_rational(object())
 
 
 def test_bool_is_not_an_integer():
