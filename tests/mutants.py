@@ -2,8 +2,9 @@
 
 Each mutant is one exact source-text replacement in ``src/dintervals``.
 For each, the repository is copied to a temporary directory, the mutant
-is applied there, and the tier-1 suite runs with ``pytest -x -q``.  A
-mutant is killed when the suite fails and survives when it passes.
+is applied there, and the tier-1 suite runs with ``pytest -x -q``, its
+acceptance module last.  A mutant is killed when the suite fails and
+survives when it passes; one killed only by the timeout shows as such.
 
 Run from the repository root (pytest does not collect this file):
 
@@ -12,7 +13,8 @@ Run from the repository root (pytest does not collect this file):
 
 Every mutant's text is looked up before anything runs, and a text that
 is missing or not unique stops the run, since the source it names has
-moved.  Prints one row per mutant and exits 1 when any survives.
+moved.  Prints one row per mutant and exits 1 when any survives or is
+killed only by the timeout.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "dintervals"
 TIMEOUT_S = 600
+ACCEPTANCE = "tests/test_acceptance.py"
 
 # name -> (module, original text, mutated text)
 MUTANTS = {
@@ -88,7 +91,7 @@ MUTANTS = {
     ),
     "radon-middle-check-off": (
         "helly.py",
-        "    if _least_meet(side_a, [middle], d) != middle:\n",
+        "    if _least_meet([c for c in cells if c != middle], [middle], d) != middle:\n",
         "    if False:\n",
     ),
     "radon-first-middle-below-2d+1": (
@@ -156,6 +159,86 @@ MUTANTS = {
         "            if removed != step.removed_faces:\n",
         "            if False:\n",
     ),
+    "collapse-step-refusal-off": (
+        "complexes.py",
+        "        if not self.free_face <= self.unique_maximal:\n",
+        "        if False:\n",
+    ),
+    "sweep-support-check-off": (
+        "complexes.py",
+        "        if n > bound:\n",
+        "        if False:\n",
+    ),
+    "sweep-free-check-off": (
+        "complexes.py",
+        "        if len(maximal) != 1:\n            raise fail(",
+        "        if False:\n            raise fail(",
+    ),
+    "sweep-fallback-block-check-off": (
+        "complexes.py",
+        "                if pivot not in block or not all(f <= star for f in block):\n",
+        "                if False:\n",
+    ),
+    "sweep-fallback-search-check-off": (
+        "complexes.py",
+        "                if found is None:\n",
+        "                if False:\n",
+    ),
+    "frac-grouped-past-direct-check-off": (
+        "helly.py",
+        "    if grouped_best > len(direct_best):",
+        "    if False:",
+    ),
+    "radon-walk-uncharged": (
+        "helly.py",
+        "        check_guard(\"PQ_WORK\", \"radon subset enumeration\", work)\n",
+        "        pass\n",
+    ),
+    "sampler-walk-uncharged": (
+        "generators.py",
+        "        check_guard(\"PQ_WORK\", \"colorful tuple enumeration\", n_sets ** arity * arity)\n",
+        "        pass\n",
+    ),
+    "helly-lower-bound-check-off": (
+        "generators.py",
+        "    if _joint(t.runs for t in family) is not None:\n",
+        "    if False:\n",
+    ),
+    "radon-lower-bound-check-off": (
+        "generators.py",
+        "    if radon_partition(ground, points) is not None:\n",
+        "    if False:\n",
+    ),
+    "collapse-suite-replay-check-off": (
+        "experiments.py",
+        "            if not final.is_terminal:\n",
+        "            if False:\n",
+    ),
+    "radon-suite-partition-check-off": (
+        "experiments.py",
+        "                if part is None or not part.verify(ground):\n",
+        "                if False:\n",
+    ),
+    "radon-suite-number-check-off": (
+        "experiments.py",
+        "            if number != 2 * d + 1:\n",
+        "            if False:\n",
+    ),
+    "pierce-suite-pigeonhole-check-off": (
+        "experiments.py",
+        "                if cover * res.nu_star < total:\n",
+        "                if False:\n",
+    ),
+    "witness-suite-oracle-check-off": (
+        "experiments.py",
+        "            if not any(\n",
+        "            if False and not any(\n",
+    ),
+    "oracle-suite-replay-downgrade-off": (
+        "experiments.py",
+        "        if witness is not None and not witness.replays_to_empty():\n",
+        "        if False:\n",
+    ),
 }
 
 
@@ -165,6 +248,15 @@ def _check_texts(names) -> None:
         found = (ROOT / PACKAGE / module).read_text(encoding="utf-8").count(old)
         if found != 1:
             raise SystemExit(f"mutant {name}: its text occurs {found} times in {module}, not once")
+
+
+def _test_paths() -> list[str]:
+    """The tier-1 test files (pyproject's testpaths) with the acceptance
+    module last: under ``-x`` a fast test that fails stops the run before
+    the acceptance suites take their minutes."""
+    tests = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "tests").glob("test_*.py"))
+    tests.remove(ACCEPTANCE)
+    return [*tests, "bench/test_oracles.py", ACCEPTANCE]
 
 
 def _run(name: str) -> tuple[str, float]:
@@ -179,7 +271,8 @@ def _run(name: str) -> tuple[str, float]:
         start = time.perf_counter()
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 *_test_paths()],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=TIMEOUT_S,
             )
@@ -199,7 +292,7 @@ def main(argv: list[str]) -> int:
     print("| mutant | module | verdict | seconds |\n|---|---|---|---|")
     for name in names:
         verdict, seconds = _run(name)
-        survivors += verdict == "survived"
+        survivors += verdict != "killed"
         print(f"| {name} | {MUTANTS[name][0]} | {verdict} | {seconds:.1f} |", flush=True)
     return 1 if survivors else 0
 

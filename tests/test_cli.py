@@ -673,7 +673,7 @@ def test_experiment_radon_rejects_unsupported_d(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "guard, limit, suite, message",
     [
-        ("RADON_POINTS", "3", "radon", "radon subset size: size 6 exceeds guard limit 3"),
+        ("PQ_WORK", "5", "radon", "radon subset enumeration: size 9 exceeds guard limit 5"),
         ("PIERCE_SETS", "2", "pierce", "family size: size 3 exceeds guard limit 2"),
         ("PQ_WORK", "5", "colorful-helly",
          "colorful tuple enumeration: size 8 exceeds guard limit 5"),
@@ -711,6 +711,65 @@ def test_an_unknown_suite_is_refused_with_the_known_ones():
     with pytest.raises(ValueError) as info:
         experiments.run_suite("nope")
     assert str(info.value) == f"unknown suite 'nope'; choose from {sorted(experiments.SUITES)}"
+
+
+# planted faults, one per suite check: each check turns a broken step
+# before it into a failed trial, never into a pass
+
+
+def test_the_collapse_suite_fails_a_replay_that_stops_short(monkeypatch):
+    from dintervals.complexes import CollapseSequence
+
+    monkeypatch.setattr(CollapseSequence, "replay", lambda seq: seq.initial)
+    report = experiments.collapse_suite(trials=2)
+    assert report.statistics["failures"] >= 1
+    assert report.witnesses["first_failure"]["error"] == "replay did not reach the empty complex"
+    assert not report.verdicts["all_sweeps_succeed"]
+
+
+def test_the_radon_suite_fails_a_missing_partition(monkeypatch):
+    monkeypatch.setattr(experiments, "radon_partition", lambda ground, subset: None)
+    report = experiments.radon_suite(trials=1, d_choices=(1,))
+    assert report.statistics["failures"] == 1
+    assert report.witnesses["first_failure"]["error"] == "a (2d+1)-subset lacks a verified partition"
+    assert not report.verdicts["radon_number_everywhere"]
+
+
+def test_the_radon_suite_fails_a_wrong_radon_number(monkeypatch):
+    monkeypatch.setattr(experiments, "radon_number_bruteforce", lambda ground, cap: cap - 1)
+    report = experiments.radon_suite(trials=1, d_choices=(2,))
+    assert report.witnesses["first_failure"]["error"] == "brute-force number 4 != 5"
+    assert not report.verdicts["radon_number_everywhere"]
+
+
+def test_the_pierce_suite_fails_a_blow_up_below_the_pigeonhole(monkeypatch):
+    monkeypatch.setattr(experiments, "max_point_cover", lambda family: (0, None))
+    report = experiments.pierce_suite(trials=4)
+    assert report.statistics["failures"] >= 1
+    first = report.witnesses["first_failure"]
+    assert first["error"] == "blow-up cover below the fractional pigeonhole"
+    assert not report.verdicts["duality_and_sandwich"]
+
+
+def test_the_witness_suite_fails_when_brute_force_finds_no_witness(monkeypatch):
+    # every sweep key differs from every other, so no subfamily matches
+    monkeypatch.setattr(experiments, "_sweep_key", lambda runs: object())
+    report = experiments.witness_suite(trials=1)
+    assert report.statistics["failures"] == 1
+    first = report.witnesses["first_failure"]
+    assert first["error"] == "brute force finds no witness at all"
+    assert not report.verdicts["witness_contracts"]
+
+
+def test_the_oracle_suite_counts_a_witness_that_fails_its_replay(monkeypatch):
+    # the sweep checks its own replay; only the oracle's witness is downgraded
+    from dintervals.complexes import CollapseSequence
+
+    monkeypatch.setattr(CollapseSequence, "replays_to_empty", lambda seq: False)
+    report = experiments.oracle_suite(trials=3)
+    assert report.statistics["disagreements"] == 3
+    assert all(row["sweep_ok"] and not row["oracle"] for row in report.rows)
+    assert not report.verdicts["oracle_agrees_with_sweep"]
 
 
 # ---------------------------------------------------------- one report path

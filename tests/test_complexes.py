@@ -420,6 +420,57 @@ def test_sweep_raises_when_a_star_member_is_left_uncut(monkeypatch):
     assert diagnostics["actual_faces"] == ((), (2,), (3,))
 
 
+def test_sweep_raises_when_the_pivot_support_passes_2d_minus_1(monkeypatch):
+    # a planted fault: keys that rank a face by its joint's cell count make
+    # the two sets' face least on a line, where the bound is 2d − 1 = 1
+    monkeypatch.setattr(
+        complexes,
+        "_sweep_keys",
+        lambda masks, layout: [(bin(m).count("1"),) * len(layout) for m in masks],
+    )
+    P = PointSet(1, (tuple(map(Fraction, range(3))),))
+    fam = [trace_of(DInterval.from_pairs(1, {1: run}), P) for run in ((0, 1), (1, 2))]
+    with pytest.raises(SweepInvariantError, match="pivot support has 2 sets, exceeding 1") as err:
+        sweep_collapse(fam)
+    assert err.value.diagnostics["pivot"] == (1, 2)
+
+
+def test_sweep_raises_when_the_pivot_is_not_free(monkeypatch):
+    # a planted fault: the pivot's coface block reports its maximal face twice
+    coface_block = complexes._coface_block
+
+    def doubled(pool, sigma):
+        removed, maximal = coface_block(pool, sigma)
+        return removed, maximal * 2
+
+    monkeypatch.setattr(complexes, "_coface_block", doubled)
+    with pytest.raises(SweepInvariantError, match="pivot face is not free") as err:
+        sweep_collapse(star_family())
+    assert err.value.diagnostics["maximal_faces"] == ((1, 2, 3), (1, 2, 3))
+
+
+def test_sweep_raises_when_the_fallback_block_misses_the_pivot(monkeypatch):
+    # a planted fault: the cut that marks the block keeps every cell, so no
+    # face dies with the pivot point
+    cut = complexes._cut
+    monkeypatch.setattr(
+        complexes,
+        "_cut",
+        lambda cell, layout, level, m: -1 if cell == -1 else cut(cell, layout, level, m),
+    )
+    with pytest.raises(SweepInvariantError, match="fallback block is inconsistent") as err:
+        sweep_collapse(star_family())
+    assert err.value.diagnostics["star"] == (1, 2, 3)
+
+
+def test_sweep_raises_when_no_collapse_order_removes_the_fallback_block(monkeypatch):
+    monkeypatch.setattr(complexes, "_collapse_search", lambda *args: None)
+    with pytest.raises(SweepInvariantError, match="no collapse order removes") as err:
+        sweep_collapse(star_family())
+    assert err.value.diagnostics["pivot"] == (1, 2)
+    assert (1, 2) in err.value.diagnostics["block"]
+
+
 # -------------------------------------------------------------- truncation
 
 
@@ -631,6 +682,12 @@ def replay_outcome(replay, seq):
         return "ok", replay(seq).faces
     except (ValueError, NotAFaceError, NotFreeError) as exc:
         return type(exc).__name__, getattr(exc, "maximal_faces", None)
+
+
+def test_a_collapse_step_refuses_a_free_face_outside_its_maximal_face():
+    with pytest.raises(ValueError, match="free face must lie inside its maximal face"):
+        CollapseStep(face(1, 4), face(1, 2, 3), frozenset({face(1, 2, 3)}))
+    CollapseStep(face(1, 2), face(1, 2, 3), frozenset({face(1, 2), face(1, 2, 3)}))
 
 
 def test_replay_rejects_corrupted_witnesses():

@@ -11,6 +11,7 @@ from dintervals import (
     ColorfulHellyProperty,
     DInterval,
     GenSpec,
+    GuardExceededError,
     KIntersectRich,
     Point,
     PointSet,
@@ -369,12 +370,51 @@ def test_conditioned_impossible_predicate_reports_not_found():
 
 
 def test_the_draw_cap_argument_wins_over_the_draws_guard(monkeypatch):
-    # DINTERVALS_GUARD_DRAWS caps a call only when it passes no cap_draws
+    # the draw cap is no guard: cap_draws alone sets it, its default is
+    # generators.DRAW_CAP, and gen --cap defaults to the same constant
+    import inspect
+
+    from dintervals import cli
+
     spec = spec_of(d=1, points_per_level=(4,), coord_range=(0, 5), n_sets=3, presence=0)
     never = KIntersectRich(1, Fraction(1))
     monkeypatch.setenv("DINTERVALS_GUARD_DRAWS", "3")
     assert gen_conditioned(spec, never, cap_draws=7).draws == 7
-    assert gen_conditioned(spec, never).draws == 3
+    default = inspect.signature(gen_conditioned).parameters["cap_draws"].default
+    assert default is generators.DRAW_CAP == 10 ** 5
+    args = cli.build_parser().parse_args(["gen", "--d", "1", "--points", "1", "--range", "0:1"])
+    assert args.cap is generators.DRAW_CAP
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="draw cap must be ≥ 1"):
+            gen_conditioned(spec, never, cap_draws=cap)
+
+
+def test_the_colorful_sampler_charges_its_walk_before_the_first_draw(monkeypatch):
+    # n_sets^arity colorful tuples of arity sets each: at d = 3, k = 1 the
+    # arity is 6, so 6 sets per family pass and 8 are refused
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    spec = spec_of(d=3, points_per_level=(1, 1, 1), coord_range=(0, 0), max_width=0,
+                   presence=1, n_families=6)
+    predicate = ColorfulHellyProperty(1)
+    assert predicate.families_needed(3, 6) == 6
+    monkeypatch.setattr(generators, "_draw", no_draw)
+    for n_sets in (8, 20):
+        with pytest.raises(GuardExceededError, match="colorful tuple enumeration") as info:
+            gen_conditioned(replace(spec, n_sets=n_sets), predicate, cap_draws=1)
+        assert info.value.size == n_sets ** 6 * 6
+
+
+def test_the_lower_bound_families_check_their_own_theorems(monkeypatch):
+    # planted faults: a common point for the Helly family, a partition for
+    # the Radon points
+    monkeypatch.setattr(generators, "_joint", lambda runs: ((0, 0),))
+    with pytest.raises(TheoremViolationError, match="family unexpectedly has a common point"):
+        gen_helly_lower_bound(p6())
+    monkeypatch.setattr(generators, "radon_partition", lambda ground, points: object())
+    with pytest.raises(TheoremViolationError, match="point set unexpectedly has a Radon partition"):
+        gen_radon_lower_bound(p6())
 
 
 def test_conditioned_family_count_must_match_the_predicate():

@@ -121,8 +121,9 @@ def test_the_radon_search_builds_no_traces(monkeypatch):
 
 
 def test_the_level_search_returns_the_first_split_of_the_walk_over_all_splits():
-    # the same sides and witness as trying every split in product order,
-    # on every subset below 2d+1 cells of seeded grounds
+    # the middle is side b and the witness of the first split in product
+    # order, and side a is everything else, on every subset below 2d+1
+    # cells of seeded grounds
     import dintervals.helly as helly
 
     rng = random.Random(311)
@@ -135,7 +136,10 @@ def test_the_level_search_returns_the_first_split_of_the_walk_over_all_splits():
         for n in range(1, min(2 * d, len(cells)) + 1):
             for subset in itertools.combinations(cells, n):
                 got = helly._radon_cells(ground, list(subset))
-                assert got == reference_radon_split(d, list(subset)), (ground, subset)
+                ref = reference_radon_split(d, list(subset))
+                if got is not None:
+                    got = ([c for c in subset if c != got], [got], got)
+                assert got == ref, (ground, subset)
                 checked += 1
                 found += got is not None
                 levels = [lvl for lvl, _ in subset]
@@ -179,26 +183,51 @@ def test_a_split_that_meets_on_a_level_without_a_common_cell_raises(monkeypatch)
         radon_number_bruteforce(P, 3)
 
 
-def test_the_radon_guard_is_read_once_per_call(monkeypatch):
-    # the number checks the ground, a partition below 2d+1 points its
-    # subset; the constructed partition of 2d+1 or more checks nothing
+def test_the_radon_number_charges_the_work_guard_per_size_walked(monkeypatch):
+    # the number reads the work guard once per subset size, before it
+    # walks that size, charging Σ C(|P|, m)·m cell visits over m ≤ n; it
+    # stops at the answer, and a partition charges nothing
     import dintervals.helly as helly
 
     seen = []
     monkeypatch.setattr(helly, "check_guard", lambda *args: seen.append(args))
     P = p6()
-    assert radon_number_bruteforce(P, cap=6) == 5
-    assert seen == [("RADON_POINTS", "ground set size", 6)]
+    charges = [6, 6 + 15 * 2, 36 + 20 * 3, 96 + 15 * 4, 156 + 6 * 5]
+    for cap, answer, walked in ((6, 5, 5), (9, 5, 5), (3, None, 3)):
+        seen.clear()
+        assert radon_number_bruteforce(P, cap) == answer
+        assert seen == [("PQ_WORK", "radon subset enumeration", w) for w in charges[:walked]]
     seen.clear()
-    radon_partition(P, list(P.points())[:4])
-    assert seen == [("RADON_POINTS", "radon subset size", 4)]
-    seen.clear()
-    radon_partition(P, list(P.points())[:5])
+    for n in (4, 5, 6):
+        radon_partition(P, list(P.points())[:n])
+    with pytest.raises(ValueError, match="radon cap must be ≥ 1"):
+        radon_number_bruteforce(P, cap=0)
     assert seen == []
     monkeypatch.undo()
-    monkeypatch.setenv("DINTERVALS_GUARD_RADON_POINTS", "3")
-    with pytest.raises(GuardExceededError, match="radon subset size: size 4 exceeds guard limit 3"):
-        radon_partition(P, list(P.points())[:4])
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "185")
+    with pytest.raises(GuardExceededError, match="radon subset enumeration: size 186 exceeds guard limit 185"):
+        radon_number_bruteforce(P, cap=6)
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "186")
+    assert radon_number_bruteforce(P, cap=6) == 5
+
+
+def test_a_huge_radon_walk_is_refused_at_its_first_large_size(monkeypatch):
+    # 10^4 points at cap 10^4: the single points fail at once, and the
+    # pairs' 10^4 + 2·C(10^4, 2) cell visits are refused before any pair
+    import dintervals.helly as helly
+
+    combinations = itertools.combinations
+    sizes = []
+
+    def counted(cells, n):
+        sizes.append(n)
+        return combinations(cells, n)
+
+    monkeypatch.setattr(helly.itertools, "combinations", counted)
+    P = PointSet(1, (tuple(map(Fraction, range(10 ** 4))),))
+    with pytest.raises(GuardExceededError, match="radon subset enumeration: size 100000000 exceeds"):
+        radon_number_bruteforce(P, cap=10 ** 4)
+    assert sizes == [1]
 
 
 def _answer(call, *args):
@@ -598,11 +627,11 @@ def test_frac_stats_small_family_reports_undefined_alpha():
 
 def test_frac_verdict_fires_one_set_short_of_the_bound(monkeypatch):
     # a planted fault: each r-subset lands in a sweep class of its own and
-    # the direct search finds one set, so β̂ = r/n against α/r = 1/r when
+    # the direct search finds r sets, so β̂ = r/n against α/r = 1/r when
     # every pair meets; r = 2 holds with equality at n = 4, fails at n = 5
     keys = itertools.count()
     monkeypatch.setattr("dintervals.helly._sweep_key", lambda joint: next(keys))
-    monkeypatch.setattr("dintervals.helly.max_k_intersecting_subfamily", lambda fam, k: (0,))
+    monkeypatch.setattr("dintervals.helly.max_k_intersecting_subfamily", lambda fam, k: (0, 1))
     full = window(line(0, 1), {1: (0, 1)})
     at = frac_helly_stats([full] * 4, k=1)
     assert at.statistics["beta_hat"] == at.statistics["bound"] == Fraction(1, 2)
@@ -610,6 +639,16 @@ def test_frac_verdict_fires_one_set_short_of_the_bound(monkeypatch):
     short = frac_helly_stats([full] * 5, k=1)
     assert short.statistics["beta_hat"] == Fraction(2, 5) < short.statistics["bound"]
     assert not short.verdict
+
+
+def test_a_sweep_class_past_the_direct_maximum_raises(monkeypatch):
+    # every sweep-key class is a k-intersecting subfamily, so it can never
+    # outgrow the direct search's largest one
+    monkeypatch.setattr("dintervals.helly.max_k_intersecting_subfamily", lambda fam, k: ())
+    full = window(line(0, 1), {1: (0, 1)})
+    with pytest.raises(TheoremViolationError, match="sweep-key class outgrows") as info:
+        frac_helly_stats([full] * 3, k=1)
+    assert info.value.diagnostics == {"grouped": 3, "direct": ()}
 
 
 def test_frac_stats_refuse_an_empty_family():

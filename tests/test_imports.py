@@ -1,5 +1,6 @@
 """Source scans of the package: every module-level import is used by its
-module, guard limits are read in one place, ground sets are compared only
+module, guard limits are read in one place, every exponential walk reads
+a guard or names what bounds it, ground sets are compared only
 by the family checks of ``geometry``, queries outside ``geometry`` do
 not build traces through ``intersect_all``, only the Helly checks walk
 colorful tuples, neither their subset walks nor the collapse search
@@ -133,13 +134,37 @@ def test_the_function_scans_flag_what_they_look_for():
 
 
 def test_the_guard_rule_lives_in_config():
-    # only the walks that count as they go and the draw cap read a limit
-    # themselves; every other guard goes through config.check_guard
+    # only the walks that count as they go read a limit themselves; every
+    # other guard goes through config.check_guard
     callers = [
         name for module, name in _package_functions_with(_calls("guard_limit"))
         if module != "config.py"
     ]
-    assert sorted(callers) == ["_face_joints", "gen_conditioned", "helly_check"]
+    assert sorted(callers) == ["_face_joints", "helly_check"]
+
+
+# the walks that read no guard themselves, each with what bounds it
+UNGUARDED_WALKS = {
+    ("helly.py", "cfh_stats"): "_colorful_work",
+    ("helly.py", "colorful_helly_points"): "_colorful_work",
+    ("helly.py", "_thin_colorful_tuple"):
+        "_colorful_work in the selection, families_needed in the sampler",
+    ("piercing.py", "_nu"): "pairs of at most PIERCE_SETS sets",
+    ("generators.py", "gen_helly_lower_bound"): "2d sets",
+    ("experiments.py", "radon_suite"): "at most 12 points",
+    ("experiments.py", "witness_suite"): "at most 7 sets",
+    ("complexes.py", "sweep_collapse"): "NERVE and COLLAPSE_FACES",
+}
+
+
+def test_every_exponential_walk_reads_a_guard_or_names_its_bound():
+    # combinations, products, colorful tuples and the collapse search
+    walks = _package_functions_with(
+        lambda n: _calls_itertools("combinations", "product")(n)
+        or _calls("colorful_tuples", "_collapse_search")(n)
+    )
+    guarded = set(_package_functions_with(_calls("check_guard", "guard_limit")))
+    assert {w for w in walks if w not in guarded} == set(UNGUARDED_WALKS)
 
 
 def test_only_the_family_checks_compare_ground_sets():
