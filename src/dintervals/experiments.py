@@ -8,6 +8,8 @@ suite builds its header and draws its trials through shared helpers,
 and every failure goes through one that counts it in the report's
 statistics and keeps the first witness; collapse, radon, pierce and
 maxima-witness reach it through a block that marks each row ok or not.
+The maxima-witness suite builds a draw set by set and refuses it at the
+first prefix below k levels, with one coordinate memo per run.
 A guard overrun is never a failed trial: it propagates from every suite.
 """
 
@@ -29,6 +31,7 @@ from .errors import (
 from .generators import (
     ColorfulHellyProperty,
     GenSpec,
+    _draw,
     gen_conditioned,
     gen_family,
     gen_ground,
@@ -36,7 +39,7 @@ from .generators import (
     gen_instance,
     gen_radon_lower_bound,
 )
-from .geometry import _joint, _levels, _runs, _sweep_key
+from .geometry import _joint, _levels, _meet, _sweep_key
 from .helly import (
     cfh_stats,
     colorful_helly_points,
@@ -385,6 +388,7 @@ def pq_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
 def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     report = _new_report("maxima-witness", trials, seed, d_choices, "failures")
     attempts = 0
+    fractions: dict[int, Fraction] = {}
     for attempt, rng, d in _trials(seed, "witness", trials * 60, d_choices):
         attempts += 1
         k = rng.randrange(1, d + 1)
@@ -392,11 +396,16 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
             rng, seed, attempt, d, n_lo=2, n_hi=7, pts_lo=2, pts_hi=6,
             full_presence=True,
         )
-        _, family = gen_family(spec)
-        runs = _runs(family)
-        joint = _joint(runs) if runs else None
+        # gen_family's sets one by one: a joint only shrinks, so a prefix below k refuses
+        _, build = _draw(spec, spec.seed, fractions)
+        family = [build(0, 0)]
+        joint = family[0].runs
+        while _levels(joint) >= k and len(family) < spec.n_sets:
+            family.append(build(0, len(family)))
+            joint = _meet(joint, family[-1].runs)
         if _levels(joint) < k:
             continue
+        runs = [t.runs for t in family]
         row = {"attempt": attempt, "d": d, "k": k, "n": len(family)}
         with _row(report, row, (DIntervalError, ValueError), key="attempt"):
             indices = maxima_witness_subfamily(family, k)

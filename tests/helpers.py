@@ -7,6 +7,7 @@ library against independently constructed inputs.
 
 import itertools
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -501,3 +502,27 @@ def reference_parse_instance(document: dict, strict: bool = True):
             families.append(cleaned)
 
     return Instance(ground, traces, names, families), warnings
+
+
+def frames_of(name: str, call):
+    """Run ``call`` and return its result with the number of calls of
+    the function ``name`` made meanwhile and the deepest nesting of its
+    frames."""
+    calls = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, deepest
+        if event == "call" and frame.f_code.co_name == name:
+            calls += 1
+            depth = 0
+            while frame is not None:
+                depth += frame.f_code.co_name == name
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, calls, deepest

@@ -239,6 +239,16 @@ MUTANTS = {
         "        if witness is not None and not witness.replays_to_empty():\n",
         "        if False:\n",
     ),
+    "witness-prefix-refused-at-k": (
+        "experiments.py",
+        "        if _levels(joint) < k:\n",
+        "        if _levels(joint) <= k:\n",
+    ),
+    "witness-refused-prefix-kept": (
+        "experiments.py",
+        "        if _levels(joint) < k:\n",
+        "        if False:\n",
+    ),
 }
 
 

@@ -7,10 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from dintervals import Instance, PointSet, dump_instance, gen_helly_lower_bound, parse_instance
+from dintervals import (
+    Instance,
+    PointSet,
+    dump_instance,
+    gen_helly_lower_bound,
+    intersect_all,
+    maxima_witness_subfamily,
+    parse_instance,
+)
 from dintervals import cli, experiments, generators
 from dintervals.cli import run_command
-from helpers import p6
+from helpers import frames_of, p6
 from test_serialization import SCHEMA_REFUSALS
 
 
@@ -759,6 +767,44 @@ def test_the_witness_suite_fails_when_brute_force_finds_no_witness(monkeypatch):
     first = report.witnesses["first_failure"]
     assert first["error"] == "brute force finds no witness at all"
     assert not report.verdicts["witness_contracts"]
+
+
+@pytest.mark.parametrize(
+    "d_choices", [(1,), (2,), (3,), (4,), (1, 2, 3)], ids=lambda ds: "d" + "".join(map(str, ds))
+)
+@pytest.mark.parametrize("seed, trials", [(3, 5), (11, 12), (29, 20)])
+def test_the_witness_suite_refuses_exactly_the_draws_a_whole_family_refuses(
+    seed, trials, d_choices
+):
+    # the reference builds every set of a draw, then tests the whole
+    # family's joint; the suite stops at the first prefix below k levels
+    rows, attempts = [], 0
+    for attempt, rng, d in experiments._trials(seed, "witness", trials * 60, d_choices):
+        attempts += 1
+        k = rng.randrange(1, d + 1)
+        spec = experiments._random_spec(
+            rng, seed, attempt, d, n_lo=2, n_hi=7, pts_lo=2, pts_hi=6,
+            full_presence=True,
+        )
+        _, family = generators.gen_family(spec)
+        if intersect_all(family)[1] < k:
+            continue
+        size = len(maxima_witness_subfamily(family, k))
+        rows.append({"attempt": attempt, "d": d, "k": k, "n": len(family), "size": size})
+        if len(rows) == trials:
+            break
+    report = experiments.witness_suite(trials=trials, seed=seed, d_choices=d_choices)
+    fields = ("attempt", "d", "k", "n", "size")
+    assert [{f: row[f] for f in fields} for row in report.rows] == rows
+    assert report.statistics["attempts"] == attempts
+
+
+def test_the_witness_suite_builds_only_the_sets_that_decide_each_draw():
+    report, built, _ = frames_of("build", lambda: experiments.run_suite("maxima-witness"))
+    # every set of every draw would be 10,526 builds
+    assert built == 4_979
+    assert report.statistics["attempts"] == 2_324
+    assert report.statistics["found"] == 300
 
 
 def test_the_oracle_suite_counts_a_witness_that_fails_its_replay(monkeypatch):

@@ -30,7 +30,16 @@ from dintervals import (
 )
 from dintervals import geometry, piercing
 from dintervals.lp import SimplexOutcome, simplex_maximize
-from helpers import LP_KINDS, incidence_lp, p6, random_ground, random_lp, random_trace, tall_lp
+from helpers import (
+    LP_KINDS,
+    frames_of,
+    incidence_lp,
+    p6,
+    random_ground,
+    random_lp,
+    random_trace,
+    tall_lp,
+)
 
 
 def line(*coords) -> PointSet:
@@ -258,30 +267,6 @@ def test_tau_guard_and_empty_preconditions():
         pierce_all([])
 
 
-def _frames_of(name: str, call):
-    """Run ``call`` and return its result with the number of calls of
-    the function ``name`` made meanwhile and the deepest nesting of its
-    frames."""
-    calls = deepest = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls, deepest
-        if event == "call" and frame.f_code.co_name == name:
-            calls += 1
-            depth = 0
-            while frame is not None:
-                depth += frame.f_code.co_name == name
-                frame = frame.f_back
-            deepest = max(deepest, depth)
-
-    sys.setprofile(profile)
-    try:
-        result = call()
-    finally:
-        sys.setprofile(None)
-    return result, calls, deepest
-
-
 def _frame_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -314,9 +299,9 @@ def test_tau_and_nu_recursion_stays_within_the_family_size():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 2 * 30 + 20)
     try:
-        got, _, extend_depth = _frames_of("extend", lambda: pierce_all(disjoint))
+        got, _, extend_depth = frames_of("extend", lambda: pierce_all(disjoint))
         assert (got.tau, got.nu, got.tau_star) == (30, 30, 30)
-        got, _, branch_depth = _frames_of("branch", lambda: pierce_all(gapped))
+        got, _, branch_depth = frames_of("branch", lambda: pierce_all(gapped))
         # τ* = 27 < τ = 28, so branch and bound runs past the root
         assert (got.tau, got.nu, got.tau_star) == (28, 26, 27)
     finally:
@@ -335,7 +320,7 @@ def test_nu_stops_once_it_holds_floor_tau_star_sets():
     n = 30
     P = line(*range(3 * n // 2))
     fam = [window(P, {1: (3 * k + s, 3 * k + s + 1)}) for k in range(n // 2) for s in (0, 1)]
-    got, calls, _ = _frames_of("extend", lambda: pierce_all(fam))
+    got, calls, _ = frames_of("extend", lambda: pierce_all(fam))
     assert (got.tau, got.nu, got.tau_star) == (15, 15, 15)
     assert got.disjoint_subfamily == tuple(range(0, n, 2))
     assert calls <= 4 * n
