@@ -42,7 +42,7 @@ from .helly import (
 from .instances import Instance, dump_instance, parse_instance
 from .piercing import PQ_KINDS, pierce_all, pq_check
 from .rationals import parse_rational
-from .reports import Report, emit_report, jsonify
+from .reports import Report, emit_report
 
 
 def _read_document(path: str) -> str:
@@ -71,8 +71,8 @@ def _finish(report: Report, args) -> int:
 
 
 def _report(args, parameters: dict, **sections) -> int:
-    """Report on the input file, named after the command, file first."""
-    report = Report(args.command, {"file": args.file, **parameters}, **sections)
+    """Report on the input file, if any, named after the command, file first."""
+    report = Report(args.command, {"file": getattr(args, "file", None), **parameters}, **sections)
     return _finish(report, args)
 
 
@@ -476,12 +476,12 @@ def run_command(argv=None) -> int:
         return int(exc.code or 0)
     args._t0 = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args)
-    except TheoremViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        if exc.diagnostics:
-            print(jsonify(exc.diagnostics), file=sys.stderr)
-        return 1
+        try:
+            return _HANDLERS[args.command](args)
+        except TheoremViolationError as exc:
+            print(f"violation: {exc}", file=sys.stderr)
+            witnesses = {"violation": str(exc), "diagnostics": exc.diagnostics}
+            return _report(args, {}, verdicts={"no_violation": False}, witnesses=witnesses)
     except (SchemaError, GuardExceededError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

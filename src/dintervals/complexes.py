@@ -563,7 +563,6 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
         for (f, row), key in zip(rows.items(), _sweep_keys(list(joints.values()), layout))
     }
     initial = SimplicialComplex._trusted(frozenset(_nerve_faces(ground, joints)))
-    all_steps: list[CollapseStep] = []
     iterations: list[SweepIteration] = []
 
     def faces_without(gone) -> tuple:
@@ -661,9 +660,7 @@ def sweep_collapse(family: Sequence[TraceSet], strict: bool = False) -> SweepRes
         for (f, joint), key in zip(moved, _sweep_keys([joint for _, joint in moved], layout)):
             joints[f] = joint
             keys[f] = (key, *keys[f][1:])
-        all_steps.extend(steps)
         iterations.append(SweepIteration(pivot, pivot_value, mode, steps))
 
-    return SweepResult(
-        CollapseSequence(initial, tuple(all_steps), bound), tuple(iterations)
-    )
+    sequence = CollapseSequence(initial, tuple(s for it in iterations for s in it.steps), bound)
+    return SweepResult(sequence, tuple(iterations))

@@ -8,8 +8,8 @@ suite builds its header and draws its trials through shared helpers,
 and every failure goes through one that counts it in the report's
 statistics and keeps the first witness; collapse, radon, pierce and
 maxima-witness reach it through a block that marks each row ok or not.
-The maxima-witness suite builds a draw set by set and refuses it at the
-first prefix below k levels, with one coordinate memo per run.
+The maxima-witness suite refuses a draw at its first set prefix below k
+levels, and its oracle walks the subsets on colorful_tuples' subset rule.
 A guard overrun is never a failed trial: it propagates from every suite.
 """
 
@@ -39,7 +39,7 @@ from .generators import (
     gen_instance,
     gen_radon_lower_bound,
 )
-from .geometry import _joint, _levels, _meet, _sweep_key
+from .geometry import _levels, _meet, _sweep_key, colorful_tuples
 from .helly import (
     cfh_stats,
     colorful_helly_points,
@@ -224,14 +224,11 @@ def colorful_suite(trials: int = 200, seed: int = 7, d_choices=(1, 2, 3)) -> Rep
     if any(not 1 <= d <= 5 for d in d_choices):
         raise ValueError("the colorful-helly suite supports d from 1 to 5")
     report = _new_report("colorful-helly", trials, seed, d_choices)
-    all_ok = True
     for d in d_choices:
         for k in range(1, d + 1):
             found = 0
             violations = 0
-            attempts = 0
             for attempt, rng, _ in _trials(seed, f"colorful:{d}:{k}", trials * 200):
-                attempts += 1
                 # narrow ground and wide windows keep the acceptance rate
                 # workable; the hardest cell gets singleton families
                 hard = d == 3 and k == 3
@@ -263,19 +260,17 @@ def colorful_suite(trials: int = 200, seed: int = 7, d_choices=(1, 2, 3)) -> Rep
                     )
                 if found == trials:
                     break
-            ok = violations == 0 and found >= trials
-            all_ok = all_ok and ok
             report.rows.append(
                 {
                     "d": d,
                     "k": k,
                     "found": found,
-                    "attempts": attempts,
+                    "attempts": attempt + 1,
                     "violations": violations,
-                    "ok": ok,
+                    "ok": violations == 0 and found >= trials,
                 }
             )
-    report.verdicts["colorful_points_everywhere"] = all_ok
+    report.verdicts["colorful_points_everywhere"] = all(row["ok"] for row in report.rows)
     return report
 
 
@@ -387,10 +382,8 @@ def pq_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
 
 def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Report:
     report = _new_report("maxima-witness", trials, seed, d_choices, "failures")
-    attempts = 0
     fractions: dict[int, Fraction] = {}
     for attempt, rng, d in _trials(seed, "witness", trials * 60, d_choices):
-        attempts += 1
         k = rng.randrange(1, d + 1)
         spec = _random_spec(
             rng, seed, attempt, d, n_lo=2, n_hi=7, pts_lo=2, pts_hi=6,
@@ -405,26 +398,24 @@ def witness_suite(trials: int = 300, seed: int = 7, d_choices=(1, 2, 3)) -> Repo
             joint = _meet(joint, family[-1].runs)
         if _levels(joint) < k:
             continue
-        runs = [t.runs for t in family]
         row = {"attempt": attempt, "d": d, "k": k, "n": len(family)}
         with _row(report, row, (DIntervalError, ValueError), key="attempt"):
             indices = maxima_witness_subfamily(family, k)
             target = _sweep_key(joint)
-            bound = 2 * d - k
-            # oracle: some subfamily within the size bound has the same
-            # sweep key, which over one ground is the same sweep value
-            empty = (None,) * d
+            # oracle: the uncut (k = 0) subset walk finds a subfamily within
+            # the bound with the same sweep key, over one ground the same value
+            empty = (-1,) * d
             if not any(
-                _sweep_key(_joint(runs[j] for j in idx) or empty) == target
-                for size in range(1, min(bound, len(family)) + 1)
-                for idx in itertools.combinations(range(len(family)), size)
+                (empty if runs is None else _sweep_key(runs)) == target
+                for size in range(1, min(2 * d - k, len(family)) + 1)
+                for _, runs, _ in colorful_tuples([family] * size, 0, subsets=True)
             ):
                 raise TheoremViolationError("brute force finds no witness at all")
             row["size"] = len(indices)
         if len(report.rows) == trials:
             break
     found = len(report.rows)
-    report.statistics.update(found=found, attempts=attempts)
+    report.statistics.update(found=found, attempts=attempt + 1)
     report.verdicts["witness_contracts"] = not report.statistics["failures"] and found >= trials
     return report
 
@@ -436,7 +427,6 @@ def oracle_suite(trials: int = 100, seed: int = 7, d_choices=(1, 2)) -> Report:
         _, family = gen_family(spec)
         row = {"trial": t, "d": d, "n": len(family)}
         K = nerve(family)
-        sweep_ok = True
         try:
             result = sweep_collapse(family)
             sweep_ok = result.sequence.replay().is_terminal

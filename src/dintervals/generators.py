@@ -23,10 +23,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import check_guard
 from .errors import TheoremViolationError
 from .geometry import Point, PointSet, TraceSet, _joint, colorful_tuples
-from .helly import _check_k, _thin_colorful_tuple, frac_helly_stats, radon_partition
+from .helly import _check_k, _colorful_work, _thin_colorful_tuple, frac_helly_stats, radon_partition
 from .piercing import _check_pq_parameters, pq_check
 from .rationals import parse_rational
 
@@ -244,7 +243,7 @@ class ColorfulHellyProperty:
         _check_k_predicate(self, d, n_sets, 1)
         arity = 2 * d - self.k + 1
         # a draw's colorful walk: n_sets^arity tuples of arity sets each
-        check_guard("PQ_WORK", "colorful tuple enumeration", n_sets ** arity * arity)
+        _colorful_work([range(n_sets)] * arity)
         return arity
 
     def check(self, ground: PointSet, families) -> bool:

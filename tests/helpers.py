@@ -147,10 +147,6 @@ def set_runs_reference(spec, seed: int, fam: int, j: int, coords) -> tuple:
     return tuple(runs), stream
 
 
-def random_family(rng: random.Random, ground: PointSet, size: int) -> list[TraceSet]:
-    return [random_trace(rng, ground) for _ in range(size)]
-
-
 def random_subset(rng: random.Random, ground: PointSet) -> list[Point]:
     pts = list(ground.points())
     return rng.sample(pts, rng.randrange(0, len(pts) + 1)) if pts else []

@@ -196,7 +196,7 @@ MUTANTS = {
     ),
     "sampler-walk-uncharged": (
         "generators.py",
-        "        check_guard(\"PQ_WORK\", \"colorful tuple enumeration\", n_sets ** arity * arity)\n",
+        "        _colorful_work([range(n_sets)] * arity)\n",
         "        pass\n",
     ),
     "helly-lower-bound-check-off": (

@@ -1,7 +1,9 @@
 """End-to-end command tests: exit codes, report content, determinism."""
 
+import builtins
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from dintervals import (
     maxima_witness_subfamily,
     parse_instance,
 )
-from dintervals import cli, experiments, generators
+from dintervals import cli, errors, experiments, generators
 from dintervals.cli import run_command
 from helpers import frames_of, p6
 from test_serialization import SCHEMA_REFUSALS
@@ -195,9 +197,14 @@ def test_colorful_helly_selects_points(tmp_path, capsys):
 def test_colorful_helly_rotation_can_violate(tmp_path, capsys):
     path = colorful_pair_instance(tmp_path)
     code = run_command(["colorful-helly", path, "--k", "1", "--rotate", "1"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert "misses a selected point" in err
+    assert "misses a selected point" in captured.err
+    # the report fails its one verdict and carries the violation
+    report = json.loads(captured.out)
+    assert report["verdicts"] == {"no_violation": False}
+    violation = "a member of the claim family misses a selected point"
+    assert report["witnesses"]["violation"] == violation
 
 
 def test_colorful_helly_without_families_exits_two(tmp_path, capsys):
@@ -848,3 +855,113 @@ def test_the_exit_code_is_read_off_the_verdicts(make, argv, code, tmp_path, caps
     got, report = run(capsys, command, *files, *flags)
     assert report["command"] == command
     assert got == (0 if all(report["verdicts"].values()) else 1) == code
+
+
+# ------------------------------------------------------------ exit contract
+
+CONTRACT_VALID = {
+    "d": 1,
+    "points": [["0", 1], ["1", 1], ["2", 1]],
+    "sets": [
+        {"name": "A", "levels": [{"level": 1, "lo": "0", "hi": "1"}]},
+        {"name": "B", "levels": [{"level": 1, "lo": "1", "hi": "2"}]},
+        {"name": "C", "levels": [{"level": 1, "lo": "0", "hi": "2"}]},
+    ],
+    "families": [[0, 1], [1, 2]],
+}
+CONTRACT_DOCS = {
+    "valid": CONTRACT_VALID,
+    "no-points": {**CONTRACT_VALID, "points": []},
+    "no-sets": {"d": 1, "points": CONTRACT_VALID["points"], "sets": []},
+    "empty-set": {
+        **CONTRACT_VALID, "sets": [{"name": "E", "levels": []}, *CONTRACT_VALID["sets"][1:]]
+    },
+    "empty-group": {**CONTRACT_VALID, "families": [[0, 1], []]},
+}
+FILE = "<file>"
+# per file command: a valid argv after the file, and its int flags
+CONTRACT_FILE_COMMANDS = {
+    "nerve": ([], ()),
+    "collapse": ([], ()),
+    "dcollapse-oracle": (["--bound", "2"], ("--bound",)),
+    "radon": ([], ("--cap",)),
+    "helly": (["--m", "2"], ("--m", "--k")),
+    "colorful-helly": (["--k", "1"], ("--k", "--rotate")),
+    "frac-helly": ([], ("--k",)),
+    "cfh": ([], ()),
+    "pierce": ([], ()),
+    "pq-check": (["--p", "2", "--q", "2"], ("--p", "--q")),
+}
+CONTRACT_GEN = [
+    "gen", "--d", "1", "--points", "3", "--range", "0:4", "--sets", "2",
+    "--predicate", "colorful-helly:1", "--cap", "50",
+]
+CONTRACT_EXPERIMENT = ["experiment", "--suite", "maxima-witness", "--trials", "2"]
+BAD_INTS = ("0", "-1", "x", "")
+BAD_STRINGS = [
+    (CONTRACT_GEN, "--presence", ("0", "-1", "x", "1/0", "")),
+    (CONTRACT_GEN, "--predicate", (
+        "bogus", "colorful-helly", "colorful-helly:x", "colorful-helly:0", "pq:2",
+        "pq:2:2:bogus", "pq:1:2", "k-rich:1", "k-rich:1:x", "k-rich:1:-1", "k-rich:1:2",
+    )),
+    (CONTRACT_GEN, "--range", ("5", "4:0", "a:b", "1:2:3", "", "-3:-1")),
+    (CONTRACT_GEN, "--points", ("", "0", "-1", "x", "3,3")),
+    (CONTRACT_EXPERIMENT, "--d", ("", "0", "-1", "x", "1,,2", "9")),
+]
+EXCEPTION_NAMES = {
+    name
+    for module in (builtins, errors)
+    for name, value in vars(module).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _with(argv: list, flag: str, value: str) -> list:
+    """The argv with the flag set to the value, replaced or appended."""
+    if flag in argv:
+        i = argv.index(flag)
+        return [*argv[: i + 1], value, *argv[i + 2 :]]
+    return [*argv, flag, value]
+
+
+def _contract_cases():
+    def case(argv, doc="valid"):
+        shown = " ".join(repr(a) if not a else a for a in argv)
+        return pytest.param(argv, doc, id=f"{shown} [{doc or 'missing file'}]")
+
+    for command, (flags, ints) in CONTRACT_FILE_COMMANDS.items():
+        for doc in [*CONTRACT_DOCS, None]:
+            yield case([command, FILE, *flags], doc)
+        for flag in ints:
+            for value in BAD_INTS:
+                yield case([command, FILE, *_with(flags, flag, value)])
+    gen_ints = ("--d", "--sets", "--max-width", "--seed", "--families", "--cap")
+    for base, ints in ((CONTRACT_GEN, gen_ints), (CONTRACT_EXPERIMENT, ("--trials", "--seed"))):
+        for flag in ints:
+            for value in BAD_INTS:
+                yield case(_with(base, flag, value))
+    for base, flag, values in BAD_STRINGS:
+        for value in values:
+            yield case(_with(base, flag, value))
+
+
+@pytest.mark.parametrize("argv, doc", list(_contract_cases()))
+def test_every_argument_keeps_the_exit_contract(argv, doc, tmp_path, monkeypatch, capsys):
+    # 0 or 1 prints a JSON report (gen: an instance), 2 one error line
+    # that names no exception type; a low work guard keeps walks short
+    monkeypatch.setenv("DINTERVALS_GUARD_PQ_WORK", "200")
+    path = tmp_path / "instance.json"
+    if doc is not None:
+        path.write_text(json.dumps(CONTRACT_DOCS[doc]))
+    code = run_command([str(path) if a == FILE else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        last = err.splitlines()[-1]
+        assert "error:" in last
+        assert not EXCEPTION_NAMES & set(re.findall(r"\w+", last))
+    elif argv[0] == "gen" and code == 1:
+        # a draw cap run out writes no instance, only the count of draws
+        assert out == "" and "no instance" in err
+    else:
+        json.loads(out)

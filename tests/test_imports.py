@@ -187,9 +187,11 @@ def test_queries_outside_geometry_walk_on_runs():
 def test_only_the_helly_checks_walk_colorful_tuples():
     # every (p,q) kind reads one incidence instead; the colorful
     # precondition walks once, in _thin_colorful_tuple, for the selection
-    # and for ColorfulHellyProperty.  The Helly subset walks take the
-    # same walk with its subset rule, so they build no combinations
+    # and for ColorfulHellyProperty.  The Helly subset walks and the
+    # maxima-witness oracle take the same walk with its subset rule, so
+    # they build no combinations
     assert _package_functions_with(_calls("colorful_tuples")) == [
+        ("experiments.py", "witness_suite"),
         ("generators.py", "gen_helly_lower_bound"),
         ("helly.py", "_thin_colorful_tuple"),
         ("helly.py", "cfh_stats"),
@@ -199,7 +201,9 @@ def test_only_the_helly_checks_walk_colorful_tuples():
     ]
     combinations = {name for _, name in _package_functions_with(_calls_itertools("combinations"))}
     assert combinations
-    assert not combinations & {"helly_check", "frac_helly_stats", "gen_helly_lower_bound"}
+    assert not combinations & {
+        "helly_check", "frac_helly_stats", "gen_helly_lower_bound", "witness_suite"
+    }
 
 
 def test_no_function_in_complexes_meets_run_tuples():
